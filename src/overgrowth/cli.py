@@ -33,7 +33,7 @@ from .elements import (
     order_bounded,
     portrait,
     sections,
-    signature,
+    table_signer,
 )
 from . import growth as gr
 
@@ -85,7 +85,9 @@ def _fmt(v: float) -> str:
 
 def _config(args) -> RunConfig:
     omega = parse_omega(args.omega) if getattr(args, "omega", None) else None
-    budget = getattr(args, "budget", None) or _default_budget()
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        budget = _default_budget()
     if budget < 1:
         raise ValueError("budget must be at least 1")
     eps = Fraction(args.epsilon) if getattr(args, "epsilon", None) else None
@@ -228,9 +230,10 @@ def cmd_growth(args) -> int:
     header["radius"] = table.radius
     header["complete"] = table.complete
     if args.export_ball:
+        sign = table_signer(table.dedup_depth)
         with open(args.export_ball, "w", encoding="utf-8") as fh:
             for entry in table.entries:
-                sig = signature(entry.element, table.dedup_depth)
+                sig = sign(entry.perm)
                 digest = sha256(
                     sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big")
                 ).hexdigest()[:16]
@@ -377,7 +380,7 @@ def _suite_lemma8(cfg: RunConfig, radius: int) -> dict:
 
 
 def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
-    delta = cfg.delta or Fraction(3, 10)
+    delta = Fraction(3, 10) if cfg.delta is None else cfg.delta
     rep = gr.lemma9_report(delta, k_max)
     violations = []
     for k in range(1, min(4, k_max) + 1):
@@ -442,8 +445,12 @@ _SUITES = ("eq1", "eq2", "lemma3", "lemma4", "lemma8", "lemma9", "lemma11", "pro
 def cmd_verify(args) -> int:
     cfg = _config(args)
     names = _SUITES if args.suite == "all" else (args.suite,)
-    radius = args.radius or 8
-    k_max = args.kmax or 14
+    radius = 8 if args.radius is None else args.radius
+    k_max = 14 if args.kmax is None else args.kmax
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    if k_max < 1:
+        raise ValueError("kmax must be at least 1")
     suites = {}
     total_violations = 0
     for name in names:
@@ -462,7 +469,7 @@ def cmd_verify(args) -> int:
         elif name == "lemma11":
             result = _suite_lemma11(cfg, radius)
         else:
-            result = _suite_prop6(cfg, args.radius or 20)
+            result = _suite_prop6(cfg, 20 if args.radius is None else radius)
         result["passed"] = not result["violations"]
         total_violations += len(result["violations"])
         suites[name] = result

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
 from .omega import OmegaSpec, shift as shift_omega, shift_normalize, symbol_at
@@ -214,6 +215,72 @@ def signature(g: Element, depth: int) -> int:
     return sig
 
 
+# Deepest level whose vertices fit the 256 entries of a bytes translation table.
+TABLE_DEPTH_MAX = 8
+IDENTITY_TABLE = bytes(range(256))
+
+
+def level_table(g: Element, depth: int) -> bytes:
+    """Action on the 2^depth vertices of level ``depth`` as a 256-byte table.
+
+    Byte i is the image of the vertex ``format(i, f"0{depth}b")``; bytes
+    from 2^depth on are the identity.  Tables compose like the elements:
+    the table of ``mul(g, h)`` is ``level_table(h, d).translate(level_table(g, d))``.
+    """
+    if not 0 <= depth <= TABLE_DEPTH_MAX:
+        raise ValueError(f"level tables cover depths 0..{TABLE_DEPTH_MAX}")
+    return bytes(_leaf_images(g, depth)) + IDENTITY_TABLE[1 << depth:]
+
+
+def _leaf_images(g: Element, depth: int) -> list[int]:
+    if g.word.length == 0:
+        return list(range(1 << depth))
+    if depth == 0:
+        return [0]
+    d = decompose(g)
+    top = 1 << (depth - 1)
+    left = _leaf_images(d.left, depth - 1)
+    right = _leaf_images(d.right, depth - 1)
+    if d.top_swap:
+        return [v + top for v in left] + right
+    return left + [v + top for v in right]
+
+
+def table_signer(depth: int):
+    """Function taking ``level_table(g, depth)`` to ``signature(g, depth)``.
+
+    The label of a depth-k vertex u is bit ``depth - 1 - k`` of the image
+    of the leaf u0...0, so one stride slice per depth reads all its labels;
+    they are then permuted into the preorder bit layout of ``signature``.
+    """
+    if not 0 <= depth <= TABLE_DEPTH_MAX:
+        raise ValueError(f"level tables cover depths 0..{TABLE_DEPTH_MAX}")
+    reads = []
+    for k in range(depth):
+        bit = depth - 1 - k
+        digits = bytes(0x30 | (v >> bit) & 1 for v in range(256))
+        reads.append((slice(0, 1 << depth, 1 << (depth - k)), digits))
+    # order[p] = index, in the depth-by-depth label string, of signature bit p
+    order = [0] * ((1 << depth) - 1)
+
+    def place(k: int, u: int, p: int) -> None:
+        if k < depth:
+            order[p] = (1 << k) - 1 + u
+            place(k + 1, 2 * u, p + 1)
+            place(k + 1, 2 * u + 1, p + (1 << (depth - k - 1)))
+
+    place(0, 0, 0)
+    # Most significant bit first, behind a zero digit picked twice so that
+    # itemgetter returns a tuple even at depths 0 and 1.
+    pick = itemgetter(0, 0, *(1 + i for i in reversed(order)))
+
+    def sign(table: bytes) -> int:
+        labels = b"0" + b"".join([table[cut].translate(digits) for cut, digits in reads])
+        return int(bytes(pick(labels)), 2)
+
+    return sign
+
+
 def is_identity(g: Element) -> bool:
     """Exact word-problem decision by contracting section descent."""
     word = g.word
@@ -332,10 +399,6 @@ def order_bounded(g: Element, max_order: int) -> Optional[int]:
     if m > 1 and is_identity(power(g, k // m)):
         raise RuntimeError("order recursion returned a non-minimal order")
     return k
-
-
-def render_element(g: Element) -> str:
-    return str(g)
 
 
 def parse_element(text: str, omega: Optional[OmegaSpec] = None) -> Element:

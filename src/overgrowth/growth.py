@@ -2,7 +2,9 @@
 
 Balls are built breadth-first over right multiplication by the eight
 generators in the fixed order a < b < c < d < x < B < C < D, deduplicating
-elements by a truncated-portrait key confirmed by the exact equality test.
+elements by their action on a level of the tree (a 256-byte table that
+composes by ``bytes.translate``), every key hit confirmed by the exact
+equality test.
 All geodesic derivations are kept as predecessor links, which is what the
 frequency (F/D) classification and the contraction checkers consume.
 """
@@ -28,18 +30,19 @@ from .words import (
     ReducedWord,
     SPINE_LETTERS,
     X,
+    extend,
     reduce,
     render_letters,
 )
 from .elements import (
+    TABLE_DEPTH_MAX,
     Element,
     act,
     decompose,
     equal,
     generator,
     is_identity,
-    mul,
-    signature,
+    level_table,
     split_letters,
 )
 
@@ -68,7 +71,9 @@ def as_fraction(value) -> Fraction:
 
 
 def dedup_depth_for(radius: int) -> int:
-    return math.ceil(math.log2(radius + 2)) + 3
+    """Tree level whose action keys the ball's dedup, capped at the deepest
+    level a 256-byte table covers; the cap lowers it from radius 31 on."""
+    return min(math.ceil(math.log2(radius + 2)) + 3, TABLE_DEPTH_MAX)
 
 
 @dataclass
@@ -77,6 +82,7 @@ class BallEntry:
     length: int
     word: ReducedWord
     element: Element
+    perm: bytes  # level_table(element, dedup_depth)
     links: list = field(default_factory=list)  # (predecessor id, letter)
 
 
@@ -91,8 +97,7 @@ class BallTable:
         self.complete = True
         self.entries: list[BallEntry] = []
         self.strata: list[list[int]] = []
-        self._by_word: dict[ReducedWord, int] = {}
-        self._by_sig: dict[int, list[int]] = {}
+        self._by_perm: dict[bytes, list[int]] = {}
         self._geodesics: dict[int, tuple] = {}
 
     def sphere(self, n: int) -> list[int]:
@@ -105,21 +110,30 @@ class BallTable:
             out.append(total)
         return out
 
-    def lookup(self, element: Element) -> Optional[int]:
-        eid = self._by_word.get(element.word)
-        if eid is not None:
-            return eid
-        sig = signature(element, self.dedup_depth)
-        for cand in self._by_sig.get(sig, ()):
+    def lookup(self, element: Element, perm: Optional[bytes] = None) -> Optional[int]:
+        """Id of the ball element equal to ``element``, or None.
+
+        ``perm`` is the element's level table at the dedup depth, built
+        from ``decompose`` when not given; a table match is only a
+        candidate until the word problem confirms it.
+        """
+        if perm is None:
+            perm = level_table(element, self.dedup_depth)
+        for cand in self._by_perm.get(perm, ()):
             if equal(element, self.entries[cand].element):
                 return cand
         return None
 
     def _register(self, entry: BallEntry) -> None:
         self.entries.append(entry)
-        self._by_word[entry.word] = entry.eid
-        sig = signature(entry.element, self.dedup_depth)
-        self._by_sig.setdefault(sig, []).append(entry.eid)
+        self._by_perm.setdefault(entry.perm, []).append(entry.eid)
+
+    def _unregister_last(self) -> None:
+        entry = self.entries.pop()
+        ids = self._by_perm[entry.perm]
+        ids.remove(entry.eid)
+        if not ids:
+            del self._by_perm[entry.perm]
 
 
 def enumerate_ball(
@@ -127,38 +141,53 @@ def enumerate_ball(
     shift: int = 0,
     radius: int = 0,
     budget: int = DEFAULT_BUDGET,
-    dedup_depth: Optional[int] = None,
 ) -> BallTable:
     """Breadth-first ball; on budget overrun returns the completed strata
-    with ``complete`` unset rather than a partial stratum."""
+    with ``complete`` unset rather than a partial stratum.
+
+    A candidate g*s gets its word by extending g's reduced word by the
+    letter s and its dedup key by composing level tables, so neither
+    multiplication nor ``decompose`` runs for it.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be positive")
-    depth = dedup_depth if dedup_depth is not None else dedup_depth_for(radius)
-    table = BallTable(omega, shift, radius, depth)
-    identity = Element.identity(omega, table.shift)
-    table._register(BallEntry(0, 0, identity.word, identity))
+    table = BallTable(omega, shift, radius, dedup_depth_for(radius))
+    shift = table.shift
+    letter_perms = [
+        level_table(generator(k, omega, shift), table.dedup_depth)
+        for k in GENERATOR_ORDER
+    ]
+    identity = Element.identity(omega, shift)
+    perm = level_table(identity, table.dedup_depth)
+    table._register(BallEntry(0, 0, identity.word, identity, perm))
     table.strata.append([0])
     for level in range(radius):
         frontier: list[int] = []
         overrun = False
         for eid in table.strata[level]:
             base = table.entries[eid]
-            for letter in GENERATOR_ORDER:
-                cand = mul(base.element, generator(letter, omega, table.shift))
-                if cand.length < level + 1:
-                    continue  # lands in an already-complete stratum
-                found = table.lookup(cand)
+            word = base.word
+            # Only a letter alternating with the last one lengthens the
+            # word; any other product lands in an already-complete stratum.
+            if level == 0:
+                letters = GENERATOR_ORDER
+            elif word.trailing_a or not word.spine:
+                letters = SPINE_LETTERS
+            else:
+                letters = (A,)
+            for letter in letters:
+                cand = Element(extend(word, letter), omega, shift)
+                perm = letter_perms[letter].translate(base.perm)
+                found = table.lookup(cand, perm)
                 if found is not None:
                     target = table.entries[found]
                     if target.length == level + 1:
                         target.links.append((eid, letter))
-                        if cand.word not in table._by_word:
-                            table._by_word[cand.word] = found
                     continue
                 new_id = len(table.entries)
-                entry = BallEntry(new_id, level + 1, cand.word, cand)
+                entry = BallEntry(new_id, level + 1, cand.word, cand, perm)
                 entry.links.append((eid, letter))
                 table._register(entry)
                 frontier.append(new_id)
@@ -168,14 +197,8 @@ def enumerate_ball(
             if overrun:
                 break
         if overrun:
-            for entry in reversed([table.entries[i] for i in frontier]):
-                table.entries.pop()
-                del table._by_word[entry.word]
-                sig = signature(entry.element, depth)
-                table._by_sig[sig].remove(entry.eid)
-            extra = [w for w, i in table._by_word.items() if i >= len(table.entries)]
-            for w in extra:
-                del table._by_word[w]
+            for _ in frontier:
+                table._unregister_last()
             table.complete = False
             table.radius = level
             return table

@@ -172,6 +172,32 @@ def reduce(raw: Iterable[int]) -> ReductionReceipt:
     return ReductionReceipt(ReducedWord(leading, spine, trailing), alpha)
 
 
+def extend(word: ReducedWord, letter: int) -> ReducedWord:
+    """Right product of a reduced word by one letter, in reduced form.
+
+    Equal to ``reduce(word.letters() + (letter,)).word`` but touches only
+    the last letter: an ``a`` cancels a trailing ``a``; a spine letter
+    merges with a last spine letter and the merge drops out when trivial.
+    """
+    leading, spine, trailing = word.leading_a, word.spine, word.trailing_a
+    if letter == A:
+        if trailing:
+            return ReducedWord(leading, spine, False)
+        if not spine:
+            return EMPTY_WORD if leading else ReducedWord(True, (), False)
+        return ReducedWord(leading, spine, True)
+    if not 1 <= letter <= 7:
+        raise ValueError("letters are encoded as 0..7")
+    if trailing or not spine:
+        return ReducedWord(leading, spine + (letter,), False)
+    merged = spine[-1] ^ letter
+    if merged:
+        return ReducedWord(leading, spine[:-1] + (merged,), False)
+    if len(spine) > 1:
+        return ReducedWord(leading, spine[:-1], True)
+    return ReducedWord(True, (), False) if leading else EMPTY_WORD
+
+
 def letter_counts(word: ReducedWord) -> dict[str, int]:
     counts = {name: 0 for name in LETTER_NAMES}
     for k in word.letters():

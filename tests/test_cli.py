@@ -181,3 +181,28 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("OVERGROWTH_BUDGET", "123")
     _, data = run_json(capsys, "classify", "--omega", "(01)")
     assert data["header"]["budget"] == 123
+
+
+def test_zero_or_negative_budget_exits_2(capsys):
+    for argv in (
+        ["growth", "--omega", "(012)", "--radius", "2", "--budget", "0"],
+        ["verify", "--suite", "eq1", "--budget", "0"],
+        ["verify", "--suite", "eq1", "--budget", "-5"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "budget" in captured.err
+
+
+def test_verify_nonpositive_radius_and_kmax_exit_2(capsys):
+    for flag, value in (("--radius", "0"), ("--radius", "-1"), ("--kmax", "0")):
+        assert main(["verify", "--suite", "lemma9", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and flag[2:] in captured.err
+
+
+def test_verify_zero_delta_is_not_replaced_by_default(capsys):
+    assert main(["verify", "--suite", "lemma9", "--delta", "0"]) == 2
+    assert "delta" in capsys.readouterr().err

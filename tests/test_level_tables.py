@@ -1,0 +1,152 @@
+"""Level tables and the table-keyed ball, checked against the slow paths:
+a ball deduplicated by the word problem alone, ``act`` leaf by leaf, and
+``signature`` for the exported portrait hashes."""
+
+import json
+import random
+from hashlib import sha256
+
+from hypothesis import example, given, settings, strategies as st
+
+from overgrowth.cli import main
+from overgrowth.elements import (
+    IDENTITY_TABLE,
+    Element,
+    act,
+    equal,
+    generator,
+    level_table,
+    mul,
+    signature,
+    table_signer,
+)
+from overgrowth.growth import dedup_depth_for, enumerate_ball
+from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
+from overgrowth.words import reduce
+
+
+def reference_ball(omega, shift, radius):
+    """Breadth-first ball that merges a candidate into the first earlier
+    element ``equal`` accepts; returns (words, links, gamma)."""
+    shift = shift_normalize(omega, shift)
+    gens = [generator(k, omega, shift) for k in range(8)]
+    elements = [Element.identity(omega, shift)]
+    lengths = [0]
+    links = [[]]
+    strata = [[0]]
+    for level in range(radius):
+        frontier = []
+        for eid in strata[level]:
+            for letter in range(8):
+                cand = mul(elements[eid], gens[letter])
+                if cand.length <= level:
+                    continue
+                found = next((i for i, e in enumerate(elements) if equal(cand, e)), None)
+                if found is None:
+                    found = len(elements)
+                    elements.append(cand)
+                    lengths.append(level + 1)
+                    links.append([])
+                    frontier.append(found)
+                if lengths[found] == level + 1:
+                    links[found].append((eid, letter))
+        strata.append(frontier)
+    gamma, total = [], 0
+    for stratum in strata:
+        total += len(stratum)
+        gamma.append(total)
+    return [e.word for e in elements], links, gamma
+
+
+def table_by_act(g, depth):
+    images = (int(act(g, format(i, f"0{depth}b")) or "0", 2) for i in range(1 << depth))
+    return bytes(images) + IDENTITY_TABLE[1 << depth:]
+
+
+SEQUENCES = st.builds(
+    OmegaSpec, st.text("012", max_size=3), st.text("012", min_size=1, max_size=3)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEQUENCES, st.integers(0, 3), st.integers(0, 5))
+@example(parse_omega("01(2)"), 0, 5)
+@example(parse_omega("(0)"), 0, 5)
+@example(parse_omega("(0)"), 1, 4)
+def test_table_keyed_ball_matches_word_problem_dedup(omega, shift, radius):
+    table = enumerate_ball(omega, shift, radius)
+    words, links, gamma = reference_ball(omega, shift, radius)
+    assert table.gamma() == gamma
+    assert [e.word for e in table.entries] == words
+    assert [e.links for e in table.entries] == links
+
+    partial = enumerate_ball(omega, shift, radius, budget=50)
+    kept = len(partial.entries)
+    assert [e.word for e in partial.entries] == words[:kept]
+    assert partial.complete == (kept == len(words))
+    for entry in table.entries[kept:]:
+        assert partial.lookup(entry.element) is None
+        assert partial.lookup(entry.element, entry.perm) is None
+
+
+def test_stored_tables_and_exported_hashes(tmp_path):
+    for text in ("(012)", "01(2)"):
+        table = enumerate_ball(parse_omega(text), 0, 6)
+        depth = table.dedup_depth
+        for entry in table.entries:
+            assert entry.perm == table_by_act(entry.element, depth)
+        path = tmp_path / "ball.jsonl"
+        argv = ["growth", "--omega", text, "--radius", "6", "--export-ball", str(path)]
+        assert main(argv + ["--output", str(tmp_path / "rows.csv")]) == 0
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(records) == len(table.entries)
+        for record, entry in zip(records, table.entries):
+            sig = signature(entry.element, depth)
+            digest = sha256(sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big"))
+            assert record["id"] == entry.eid and record["word"] == str(entry.word)
+            assert record["portrait_hash"] == digest.hexdigest()[:16]
+
+
+def test_table_signer_matches_signature_at_every_depth():
+    rng = random.Random(11)
+    omega = parse_omega("(012)")
+    elements = [Element.identity(omega)] + [
+        Element(reduce([rng.randrange(8) for _ in range(rng.randrange(1, 30))]).word, omega, 0)
+        for _ in range(40)
+    ]
+    for depth in range(9):
+        sign = table_signer(depth)
+        for g in elements:
+            assert sign(level_table(g, depth)) == signature(g, depth)
+
+
+def test_level_tables_compose_like_products():
+    omega = parse_omega("2(01)")
+    rng = random.Random(5)
+    for _ in range(30):
+        g = Element(reduce([rng.randrange(8) for _ in range(12)]).word, omega, 0)
+        h = Element(reduce([rng.randrange(8) for _ in range(12)]).word, omega, 0)
+        composed = level_table(h, 8).translate(level_table(g, 8))
+        assert composed == level_table(mul(g, h), 8)
+
+
+def test_dedup_depth_is_capped_at_eight():
+    assert dedup_depth_for(12) == 7
+    assert dedup_depth_for(30) == 8
+    assert dedup_depth_for(31) == 8
+    assert dedup_depth_for(10_000) == 8
+
+
+def test_budget_limited_ball_at_the_depth_cap_is_coherent():
+    omega = parse_omega("(012)")
+    table = enumerate_ball(omega, radius=40, budget=2000)
+    assert table.dedup_depth == 8
+    assert not table.complete and table.radius < 40
+    assert len(table.entries) == table.gamma()[-1] <= 2000
+    assert len(table.strata) == table.radius + 1
+    sign = table_signer(8)
+    for entry in table.entries:
+        assert entry.perm == level_table(entry.element, 8)
+        assert table.lookup(entry.element) == entry.eid
+    for entry in table.entries[::97]:
+        assert sign(entry.perm) == signature(entry.element, 8)

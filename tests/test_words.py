@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from overgrowth.growth import enumerate_ball
+from overgrowth.omega import parse_omega
 from overgrowth.words import (
     EMPTY_WORD,
     LETTER_NAMES,
     REFERENCE_PRODUCTS,
     ReducedWord,
     WordParseError,
+    extend,
     letter_counts,
     parse_letters,
     reduce,
@@ -143,3 +147,31 @@ def test_xyz_profile():
 def test_render_letters_names():
     assert render_letters(range(8)) == "a b c d x B C D"
     assert LETTER_NAMES == "abcdxBCD"
+
+
+def test_extend_matches_reduce_over_a_ball():
+    for entry in enumerate_ball(parse_omega("(012)"), 0, 6).entries:
+        for k in range(8):
+            assert extend(entry.word, k) == reduce(entry.word.letters() + (k,)).word
+
+
+REDUCED_WORDS = st.builds(
+    ReducedWord,
+    st.booleans(),
+    st.lists(st.integers(1, 7), max_size=19).map(tuple),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(REDUCED_WORDS, st.integers(0, 7))
+def test_extend_matches_reduce_on_random_words(word, letter):
+    assert word.length <= 40
+    assert extend(word, letter) == reduce(word.letters() + (letter,)).word
+
+
+def test_extend_rejects_bad_letters():
+    with pytest.raises(ValueError):
+        extend(EMPTY_WORD, 8)
+    with pytest.raises(ValueError):
+        extend(ReducedWord(False, (1,), False), -1)
