@@ -2,9 +2,10 @@
 
 Every library operation is exposed as a subcommand emitting JSON (or CSV
 for growth tables).  Exit codes: 0 success, 1 a verification suite found
-violations, 2 usage or parse errors.  Reports carry a header block (tool
-version, canonical sequence, budget, seed) and reruns with equal headers
-are byte-identical.
+violations, 2 usage or parse errors, 3 a verification suite did not
+complete (a ball hit the element budget).  Reports carry a header block
+(tool version, canonical sequence, budget, seed) and reruns with equal
+headers are byte-identical.
 """
 
 from __future__ import annotations
@@ -342,9 +343,20 @@ def _suite_eq2(cfg: RunConfig) -> dict:
 
 def _suite_lemma3(cfg: RunConfig, radius: int) -> dict:
     omega = cfg.omega or parse_omega("(012)")
-    rep = gr.lemma3_check(omega, radius, budget=cfg.budget)
+    try:
+        rep = gr.lemma3_check(omega, radius, budget=cfg.budget)
+    except gr.BudgetExceeded as exc:
+        # Both balls are needed for any check, so none was made.
+        return {
+            "checks": 0,
+            "violations": [],
+            "radius": None,
+            "complete": False,
+            "detail": str(exc),
+        }
     return {
         "checks": rep["gamma"][-1],
+        "radius": radius,
         "violations": rep["violations"]
         + ([] if rep["numeric_inequality"]["passed"] else [rep["numeric_inequality"]]),
         "detail": rep["numeric_inequality"],
@@ -376,7 +388,12 @@ def _suite_lemma8(cfg: RunConfig, radius: int) -> dict:
     eps = cfg.epsilon or Fraction(1, 10)
     table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
     rep = gr.lemma8_check(table, eps)
-    return {"checks": rep["checked_words"], "violations": rep["violations"]}
+    return {
+        "checks": rep["checked_words"],
+        "violations": rep["violations"],
+        "radius": table.radius,
+        "complete": table.complete,
+    }
 
 
 def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
@@ -402,12 +419,6 @@ def _suite_lemma11(cfg: RunConfig, radius: int) -> dict:
     omega = cfg.omega or parse_omega("(012)")
     eps = cfg.epsilon or Fraction(8, 25)
     table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
-    if not table.complete:
-        return {
-            "checks": 0,
-            "violations": [],
-            "detail": "not attempted at full scale (element budget)",
-        }
     rep = gr.lemma11_check(table, eps)
     violations = list(rep["part_a_violations"])
     if isinstance(rep["part_b"], dict):
@@ -415,6 +426,8 @@ def _suite_lemma11(cfg: RunConfig, radius: int) -> dict:
     return {
         "checks": rep["checked_words"],
         "violations": violations,
+        "radius": table.radius,
+        "complete": table.complete,
         "detail": {"s": rep["s"], "part_b": rep["part_b"]},
     }
 
@@ -427,16 +440,24 @@ def _suite_prop6(cfg: RunConfig, radius: int) -> dict:
     )
     violations = []
     details = {}
+    reps = []
     for omega in targets:
         deg_radius = radius if len(omega.preperiod) == 0 else min(radius, 10)
         rep = gr.prop6_check(omega, radius, cfg.budget, degree_radius=deg_radius)
+        reps.append(rep)
         details[str(omega)] = {
             "collapsed_set": rep["collapsed_set"],
             "degree_estimate": rep["degree_estimate"],
         }
         if not rep["passed"]:
             violations.append({"omega": str(omega), "detail": rep["collapse"]})
-    return {"checks": len(targets), "violations": violations, "detail": details}
+    return {
+        "checks": len(targets),
+        "violations": violations,
+        "radius": min(rep["radius"] for rep in reps),
+        "complete": all(rep["complete"] for rep in reps),
+        "detail": details,
+    }
 
 
 _SUITES = ("eq1", "eq2", "lemma3", "lemma4", "lemma8", "lemma9", "lemma11", "prop6")
@@ -453,6 +474,7 @@ def cmd_verify(args) -> int:
         raise ValueError("kmax must be at least 1")
     suites = {}
     total_violations = 0
+    incomplete = 0
     for name in names:
         if name == "eq1":
             result = _suite_eq1(cfg)
@@ -470,18 +492,27 @@ def cmd_verify(args) -> int:
             result = _suite_lemma11(cfg, radius)
         else:
             result = _suite_prop6(cfg, 20 if args.radius is None else radius)
-        result["passed"] = not result["violations"]
+        complete = result.pop("complete", True)
+        if result["violations"]:
+            status = "failed"
+        else:
+            status = "passed" if complete else "incomplete"
+        result["status"] = status
+        result["passed"] = status == "passed"
         total_violations += len(result["violations"])
+        incomplete += status == "incomplete"
         suites[name] = result
     _emit(
         {
             "header": cfg.header(),
             "suites": suites,
-            "passed": total_violations == 0,
+            "passed": total_violations == 0 and not incomplete,
         },
         args.output,
     )
-    return 0 if total_violations == 0 else 1
+    if total_violations:
+        return 1
+    return 3 if incomplete else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

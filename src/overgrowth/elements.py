@@ -22,7 +22,7 @@ from .words import (
     letter_label,
     parse_letters,
     reduce,
-    render_letters,
+    split_reduce,
 )
 
 
@@ -106,29 +106,6 @@ def spine_root_label(letter: int, omega: OmegaSpec, shift: int, level: int) -> s
     return "P" if letter_label(letter, sym) else "I"
 
 
-def split_letters(letters, omega: OmegaSpec, shift: int):
-    """Raw one-level substitution: (top_swap, left letters, right letters).
-
-    Scanning left to right, a spine letter whose remaining suffix contains
-    r ``a``'s (mod 2) sends its swap contribution (an ``a`` when it acts as
-    P at this level) to child r and a copy of itself to the other child;
-    the children are returned unreduced.
-    """
-    total_a = sum(1 for v in letters if v == A)
-    sym = symbol_at(omega, shift + 1)
-    kids: tuple[list[int], list[int]] = ([], [])
-    seen_a = 0
-    for let in letters:
-        if let == A:
-            seen_a += 1
-        else:
-            r = (total_a + seen_a) & 1
-            if letter_label(let, sym):
-                kids[r].append(A)
-            kids[1 - r].append(let)
-    return bool(total_a & 1), kids[0], kids[1]
-
-
 _DECOMPOSE: dict = {}
 _IDENTITY: dict = {}
 _SIGNATURE: dict = {}
@@ -147,12 +124,10 @@ def decompose(g: Element) -> WreathDecomposition:
     hit = _DECOMPOSE.get(key)
     if hit is not None:
         return hit
-    swap, raw_l, raw_r = split_letters(g.word.letters(), g.omega, g.shift)
+    swap, left, right, _, _ = split_reduce(g.word, symbol_at(g.omega, g.shift + 1))
     down = shift_normalize(g.omega, g.shift + 1)
     dec = WreathDecomposition(
-        swap,
-        Element(reduce(raw_l).word, g.omega, down),
-        Element(reduce(raw_r).word, g.omega, down),
+        swap, Element(left, g.omega, down), Element(right, g.omega, down)
     )
     _DECOMPOSE[key] = dec
     return dec
@@ -321,12 +296,36 @@ def inverse(g: Element) -> Element:
     return Element(g.word.reversed(), g.omega, g.shift)
 
 
+def _common_prefix(u: bytes, v: bytes) -> int:
+    """Length of the longest common prefix, by binary search over slices."""
+    lo, hi = 0, min(len(u), len(v))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if u[lo:mid] == v[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def equal(g: Element, h: Element) -> bool:
+    """Word problem for g = h, decided on the part where the words differ.
+
+    With g = p u s and h = p v s for the longest common prefix p and then
+    the longest common suffix s, g = h exactly when u v^-1 = 1; since every
+    letter is an involution, v^-1 is v reversed.
+    """
     if g.omega != h.omega or g.shift != h.shift:
         raise ContextMismatch("operands must share sequence and shift")
     if g.word == h.word:
         return True
-    return is_identity(mul(g, inverse(h)))
+    u, v = bytes(g.word.letters()), bytes(h.word.letters())
+    p = _common_prefix(u, v)
+    # Reversed, the rests after the prefix start with the suffix.
+    u, v = u[p:][::-1], v[p:][::-1]
+    s = _common_prefix(u, v)
+    diff = reduce(u[s:][::-1] + v[s:])
+    return is_identity(Element(diff.word, g.omega, g.shift))
 
 
 def power(g: Element, k: int) -> Element:

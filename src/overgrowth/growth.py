@@ -33,17 +33,16 @@ from .words import (
     extend,
     reduce,
     render_letters,
+    split_reduce,
 )
 from .elements import (
     TABLE_DEPTH_MAX,
     Element,
-    act,
     decompose,
     equal,
     generator,
     is_identity,
     level_table,
-    split_letters,
 )
 
 DEFAULT_BUDGET = 5_000_000
@@ -444,9 +443,14 @@ class LevelSectionTrace:
 
 
 def stabilizes_level(g: Element, s: int) -> bool:
-    return all(
-        act(g, format(i, f"0{s}b")) == format(i, f"0{s}b") for i in range(1 << s)
-    ) if s else True
+    """True when g fixes every vertex of level s: by the section recursion,
+    g has an even ``a`` count and both sections stabilize level s - 1."""
+    if s == 0 or g.word.length == 0:
+        return True
+    if not g.in_stabilizer:
+        return False
+    d = decompose(g)
+    return stabilizes_level(d.left, s - 1) and stabilizes_level(d.right, s - 1)
 
 
 def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
@@ -461,14 +465,13 @@ def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
     for j in range(1, s + 1):
         nxt = []
         alpha = 0
+        sym = symbol_at(g.omega, g.shift + j)
         down = shift_normalize(g.omega, g.shift + j)
         for e in current:
-            swap, raw_l, raw_r = split_letters(e.word.letters(), e.omega, e.shift)
+            swap, left, right, alpha_l, alpha_r = split_reduce(e.word, sym)
             assert not swap
-            for raw in (raw_l, raw_r):
-                receipt = reduce(raw)
-                alpha += receipt.contractions
-                nxt.append(Element(receipt.word, g.omega, down))
+            alpha += alpha_l + alpha_r
+            nxt += (Element(left, g.omega, down), Element(right, g.omega, down))
         x = y = z = 0
         for e in nxt:
             for k in e.word.spine:
@@ -668,7 +671,9 @@ def prop6_check(
 ) -> dict:
     """Eventually-constant collapse: past the preperiod the distinct
     generators reduce to {identity, a, x} and growth is exactly 2n + 1;
-    the unshifted ball yields a polynomial-degree estimate."""
+    the unshifted ball yields a polynomial-degree estimate.  When a ball
+    hits the budget, growth is checked up to the ``radius`` it completed
+    and ``complete`` is unset."""
     if classify(omega).kind is not OmegaKind.OMEGA2:
         raise ValueError("sequence must be eventually constant")
     pre = len(omega.preperiod)
@@ -691,12 +696,12 @@ def prop6_check(
             collapsed_set.add("?")
     table = enumerate_ball(omega, pre, n, budget)
     g_shifted = table.gamma()
-    dihedral_ok = g_shifted == [2 * k + 1 for k in range(n + 1)]
+    dihedral_ok = g_shifted == [2 * k + 1 for k in range(table.radius + 1)]
     deg_radius = degree_radius if degree_radius is not None else n
-    if pre == 0 and deg_radius == n:
-        g_unshifted = g_shifted
-    else:
-        g_unshifted = enumerate_ball(omega, 0, deg_radius, budget).gamma()
+    unshifted = table
+    if pre or deg_radius != n:
+        unshifted = enumerate_ball(omega, 0, deg_radius, budget)
+    g_unshifted = unshifted.gamma()
     degree = (
         math.log(g_unshifted[-1]) / math.log(len(g_unshifted) - 1)
         if len(g_unshifted) > 2
@@ -711,6 +716,8 @@ def prop6_check(
         "dihedral_exact": dihedral_ok,
         "degree_estimate": degree,
         "degree_radius": deg_radius,
+        "radius": table.radius,
+        "complete": table.complete and unshifted.complete,
         "passed": passed,
     }
 

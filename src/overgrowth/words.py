@@ -61,6 +61,9 @@ I_LETTERS = {
     for q in (0, 1, 2)
 }
 
+# SWAPS[q][k] is letter_label(k, q); the entry for ``a`` is unused.
+SWAPS = tuple(tuple(letter_label(k, q) for k in range(8)) for q in (0, 1, 2))
+
 
 def parse_letters(text: str) -> tuple[int, ...]:
     """Letter list from text; whitespace is optional separator."""
@@ -99,13 +102,11 @@ class ReducedWord:
             object.__setattr__(self, "trailing_a", False)
 
     def letters(self) -> tuple[int, ...]:
-        out = [A] if self.leading_a else []
-        for i, k in enumerate(self.spine):
-            if i:
-                out.append(A)
-            out.append(k)
-        if self.trailing_a:
-            out.append(A)
+        spine, lead = self.spine, self.leading_a
+        if not spine:
+            return (A,) if lead else ()
+        out = [A] * (2 * len(spine) - 1 + lead + self.trailing_a)
+        out[lead::2] = spine
         return tuple(out)
 
     @property
@@ -164,12 +165,16 @@ def reduce(raw: Iterable[int]) -> ReductionReceipt:
                 continue
             stack.append(let)
             break
+    return ReductionReceipt(_stack_word(stack), alpha)
+
+
+def _stack_word(stack: list[int]) -> ReducedWord:
+    """The reduced word of an alternating letter stack."""
     if not stack:
-        return ReductionReceipt(EMPTY_WORD, alpha)
+        return EMPTY_WORD
     leading = stack[0] == A
     trailing = len(stack) > 1 and stack[-1] == A
-    spine = tuple(v for v in stack if v != A)
-    return ReductionReceipt(ReducedWord(leading, spine, trailing), alpha)
+    return ReducedWord(leading, tuple(stack[leading::2]), trailing)
 
 
 def extend(word: ReducedWord, letter: int) -> ReducedWord:
@@ -196,6 +201,50 @@ def extend(word: ReducedWord, letter: int) -> ReducedWord:
     if len(spine) > 1:
         return ReducedWord(leading, spine[:-1], True)
     return ReducedWord(True, (), False) if leading else EMPTY_WORD
+
+
+def split_reduce(word: ReducedWord, symbol: int):
+    """One-level substitution at a level carrying ``symbol``, reduced.
+
+    Returns ``(top_swap, left, right, left_alpha, right_alpha)``: whether
+    the word swaps the two children, the two child words in reduced form,
+    and the contractions ``reduce`` counts on each child's raw letters.
+    A spine letter followed by r ``a``'s (mod 2) goes to child 1 - r and,
+    when it swaps at this level, sends an ``a`` to child r; since spine
+    letters are separated by ``a``'s, the receiving child alternates.  Each
+    letter is pushed onto its child's alternating stack by the one-step
+    rule of ``reduce``: ``a a`` cancels, two spine letters merge by XOR and
+    the merge drops out when trivial.
+    """
+    swaps = SWAPS[symbol]
+    stacks: tuple[list[int], list[int]] = ([], [])
+    alphas = [0, 0]
+    top_swap = word.a_count & 1
+    take = (top_swap ^ word.leading_a) ^ 1  # child receiving the first spine letter
+    for k in word.spine:
+        stack = stacks[take]
+        if stack and stack[-1]:
+            alphas[take] += 1
+            merged = stack.pop() ^ k
+            if merged:
+                stack.append(merged)
+        else:
+            stack.append(k)
+        take ^= 1
+        if swaps[k]:
+            stack = stacks[take]
+            if stack and not stack[-1]:
+                stack.pop()
+                alphas[take] += 1
+            else:
+                stack.append(A)
+    return (
+        bool(top_swap),
+        _stack_word(stacks[0]),
+        _stack_word(stacks[1]),
+        alphas[0],
+        alphas[1],
+    )
 
 
 def letter_counts(word: ReducedWord) -> dict[str, int]:

@@ -57,6 +57,41 @@ def act_word(letters, omega: OmegaSpec, shift: int, vertex: str) -> str:
     return out
 
 
+def split_letters(letters, omega: OmegaSpec, shift: int):
+    """Raw one-level substitution: (top_swap, left letters, right letters).
+
+    Scanning left to right, a spine letter whose remaining suffix contains
+    r ``a``'s (mod 2) sends its swap contribution (an ``a`` when it swaps
+    at this level) to child r and a copy of itself to the other child; the
+    children are returned unreduced.
+    """
+    total_a = sum(1 for v in letters if v == A)
+    sym = symbol_at(omega, shift + 1)
+    kids = ([], [])
+    seen_a = 0
+    for let in letters:
+        if let == A:
+            seen_a += 1
+        else:
+            r = (total_a + seen_a) & 1
+            if SWAPS[let][sym]:
+                kids[r].append(A)
+            kids[1 - r].append(let)
+    return bool(total_a & 1), kids[0], kids[1]
+
+
+def letters_by_append(word) -> tuple:
+    """Letters of a reduced word [a] s1 a s2 ... a sm [a], one by one."""
+    out = [A] if word.leading_a else []
+    for i, k in enumerate(word.spine):
+        if i:
+            out.append(A)
+        out.append(k)
+    if word.trailing_a:
+        out.append(A)
+    return tuple(out)
+
+
 def portrait_via_act(letters, omega: OmegaSpec, shift: int, depth: int) -> dict:
     labels = {}
     for d in range(depth):

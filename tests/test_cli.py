@@ -140,6 +140,12 @@ def test_verify_all_entry_point(capsys):
         "eq1", "eq2", "lemma3", "lemma4", "lemma8", "lemma9", "lemma11", "prop6",
     }
     assert all(s["passed"] for s in data["suites"].values())
+    assert all(s["status"] == "passed" for s in data["suites"].values())
+    radii = {name: s.get("radius") for name, s in data["suites"].items()}
+    assert radii == {
+        "eq1": None, "eq2": None, "lemma4": None, "lemma9": None,
+        "lemma3": 8, "lemma8": 8, "lemma11": 8, "prop6": 20,
+    }
 
 
 def test_verify_lemma3_radius(capsys):
@@ -163,6 +169,11 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     )
     code, data = run_json(capsys, "verify", "--suite", "eq1")
     assert code == 1 and not data["passed"]
+    # violations outrank an incomplete suite
+    code, data = run_json(capsys, "verify", "--suite", "all", "--budget", "50")
+    assert code == 1 and not data["passed"]
+    assert data["suites"]["eq1"]["status"] == "failed"
+    assert data["suites"]["lemma8"]["status"] == "incomplete"
 
 
 def test_headers_everywhere(capsys):
@@ -206,3 +217,21 @@ def test_verify_nonpositive_radius_and_kmax_exit_2(capsys):
 def test_verify_zero_delta_is_not_replaced_by_default(capsys):
     assert main(["verify", "--suite", "lemma9", "--delta", "0"]) == 2
     assert "delta" in capsys.readouterr().err
+
+
+def test_verify_budget_overrun_is_incomplete(capsys):
+    # (012) at budget 50 completes radius 2 (23 elements) of the radius-8
+    # ball; (0) at budget 30 holds 29 of the 41 dihedral elements.
+    for suite, budget, radius in (
+        ("lemma3", "50", None),
+        ("lemma8", "50", 2),
+        ("lemma11", "50", 2),
+        ("prop6", "30", 14),
+    ):
+        code, data = run_json(capsys, "verify", "--suite", suite, "--budget", budget)
+        rep = data["suites"][suite]
+        assert code == 3, suite
+        assert not data["passed"] and not rep["passed"]
+        assert rep["status"] == "incomplete" and rep["violations"] == []
+        assert rep["radius"] == radius, suite
+

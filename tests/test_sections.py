@@ -1,0 +1,145 @@
+"""The fused section kernel, prefix/suffix-cancelling equality, slice-built
+letters and the recursive level-stabilizer test, each checked against the
+slow path it replaced: ``split_letters`` followed by ``reduce``,
+``is_identity(mul(g, inverse(h)))`` with the letterwise vertex action, the
+append loop, and ``act`` on every vertex of the level."""
+
+from functools import lru_cache
+
+from hypothesis import example, given, settings, strategies as st
+
+from overgrowth.elements import (
+    Element,
+    act,
+    decompose,
+    equal,
+    inverse,
+    is_identity,
+    mul,
+)
+from overgrowth.growth import enumerate_ball, geodesic_words, stabilizes_level
+from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize, symbol_at
+from overgrowth.words import ReducedWord, reduce, split_reduce
+
+from _oracles import identity_to_depth, letters_by_append, split_letters
+
+SEQUENCES = st.builds(
+    OmegaSpec,
+    st.text(alphabet="012", max_size=3),
+    st.text(alphabet="012", min_size=1, max_size=4),
+)
+
+
+def reduced_words(max_spine):
+    return st.builds(
+        ReducedWord,
+        st.booleans(),
+        st.lists(st.integers(1, 7), max_size=max_spine).map(tuple),
+        st.booleans(),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(reduced_words(100), SEQUENCES, st.integers(0, 3))
+@example(ReducedWord(True, (1, 1, 2, 3), False), parse_omega("01(2)"), 0)
+@example(ReducedWord(True, (7, 3, 3, 5), True), parse_omega("(0)"), 1)
+@example(ReducedWord(False, (4, 4, 4), True), parse_omega("(0012)"), 3)
+def test_split_reduce_matches_split_then_reduce(word, omega, shift):
+    shift = shift_normalize(omega, shift)
+    swap, raw_left, raw_right = split_letters(word.letters(), omega, shift)
+    left, right = reduce(raw_left), reduce(raw_right)
+    assert split_reduce(word, symbol_at(omega, shift + 1)) == (
+        swap, left.word, right.word, left.contractions, right.contractions,
+    )
+    dec = decompose(Element(word, omega, shift))
+    assert (dec.top_swap, dec.left.word, dec.right.word) == (swap, left.word, right.word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_words(100))
+def test_letters_match_append_loop(word):
+    assert word.letters() == letters_by_append(word)
+    assert reduce(word.letters()).word == word
+
+
+EQUAL_SEQUENCES = ("(012)", "01(2)", "(0012)", "(01)")
+
+
+@lru_cache(maxsize=None)
+def distinct_geodesics(text):
+    """Pairs of distinct minimal words of one element, from the r=5 ball."""
+    table = enumerate_ball(parse_omega(text), 0, 5)
+    pairs = []
+    for entry in table.entries:
+        words = geodesic_words(table, entry.eid)
+        pairs.extend(zip(words, words[1:]))
+    return tuple(pairs)
+
+
+raw_words = st.lists(st.integers(0, 7), max_size=80).map(tuple)
+
+
+@st.composite
+def word_pairs(draw):
+    """(omega, g, h) with g = p u s and h = p v s for random p, s, where
+    (u, v) is two minimal words of one element, two random words, or
+    a reduced word and one of its prefixes or suffixes."""
+    omega = parse_omega(draw(st.sampled_from(EQUAL_SEQUENCES)))
+    kind = draw(st.sampled_from(("geodesics", "random", "prefix", "suffix")))
+    if kind == "geodesics":
+        u, v = draw(st.sampled_from(distinct_geodesics(str(omega))))
+    elif kind == "random":
+        u, v = draw(raw_words), draw(raw_words)
+    else:
+        u = reduce(draw(raw_words)).word.letters()
+        cut = draw(st.integers(0, len(u)))
+        v = u[:cut] if kind == "prefix" else u[cut:]
+    if draw(st.booleans()):
+        u, v = v, u
+    p, s = draw(raw_words), draw(raw_words)
+    g = Element.from_letters(p + u + s, omega)
+    h = Element.from_letters(p + v + s, omega)
+    return omega, g, h
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_pairs())
+def test_equal_matches_product_descent_and_vertex_action(pair):
+    omega, g, h = pair
+    same = equal(g, h)
+    assert same == is_identity(mul(g, inverse(h)))
+    assert same == equal(h, g)
+    quotient = g.word.letters() + h.word.letters()[::-1]
+    if same:
+        assert identity_to_depth(quotient, omega, 0, 7)
+    elif g.word.a_count % 2 != h.word.a_count % 2:
+        assert not identity_to_depth(quotient, omega, 0, 1)
+
+
+def test_equal_on_shared_prefix_and_suffix_examples():
+    w = parse_omega("(012)")
+    el = lambda text: Element.from_text(text, w)
+    # (a d)^4 = 1 in the middle of a common prefix and suffix
+    assert equal(el("b a c a d a d a d a d a x"), el("b a c a x"))
+    # one word a prefix of the other
+    assert not equal(el("b a c"), el("b a c a d"))
+    assert equal(el("b a c"), el("b a c a d a d a d a d"))
+    # nothing shared
+    assert not equal(el("a b"), el("c a"))
+
+
+def stabilizes_by_act(g, s):
+    return all(
+        act(g, format(i, f"0{s}b")) == format(i, f"0{s}b") for i in range(1 << s)
+    ) if s else True
+
+
+def test_stabilizes_level_matches_vertex_action():
+    for text in ("(012)", "01(2)", "(0012)"):
+        table = enumerate_ball(parse_omega(text), 0, 6)
+        for entry in table.entries:
+            g = entry.element
+            fixed = True  # fixing level s fixes every level above it
+            for s in range(10):
+                fixed = fixed and stabilizes_by_act(g, s)
+                assert stabilizes_level(g, s) == fixed, (text, str(g.word), s)
