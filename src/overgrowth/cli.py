@@ -2,10 +2,10 @@
 
 Every library operation is exposed as a subcommand emitting JSON (or CSV
 for growth tables).  Exit codes: 0 success, 1 a verification suite found
-violations, 2 usage or parse errors, 3 a verification suite did not
-complete (a ball hit the element budget).  Reports carry a header block
-(tool version, canonical sequence, budget, seed) and reruns with equal
-headers are byte-identical.
+violations, 2 usage or parse errors, 3 a growth table or a verification
+suite did not complete (a ball hit the element budget).  Reports carry a
+header block (tool version, canonical sequence, budget, seed) and reruns
+with equal headers are byte-identical.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class RunConfig:
     seed: int
     epsilon: Optional[Fraction] = None
     delta: Optional[Fraction] = None
-    workers: int = 1
 
     def header(self) -> dict:
         return {
@@ -101,7 +100,6 @@ def _config(args) -> RunConfig:
         getattr(args, "seed", 0) or 0,
         eps,
         delta,
-        getattr(args, "workers", 1) or 1,
     )
 
 
@@ -266,14 +264,14 @@ def cmd_growth(args) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    return 0 if table.complete else 1
+    return 0 if table.complete else 3
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _suite_eq1(cfg: RunConfig) -> dict:
+def _suite_eq1(omega: OmegaSpec) -> dict:
     from .words import REFERENCE_PRODUCTS, parse_letters as pl, spine_mul
 
     violations = []
@@ -288,7 +286,6 @@ def _suite_eq1(cfg: RunConfig) -> dict:
     for k in range(1, 8):
         if spine_mul(k, k) != 0:
             violations.append({"pair": f"{k}{k}", "expected": "identity"})
-    omega = cfg.omega or parse_omega("(012)")
     for g in all_generators(omega):
         if not is_identity(Element.from_letters(g.word.letters() * 2, omega)):
             violations.append({"pair": str(g.word) * 2, "expected": "identity"})
@@ -341,8 +338,7 @@ def _suite_eq2(cfg: RunConfig) -> dict:
     return {"checks": checks, "violations": violations}
 
 
-def _suite_lemma3(cfg: RunConfig, radius: int) -> dict:
-    omega = cfg.omega or parse_omega("(012)")
+def _suite_lemma3(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
     try:
         rep = gr.lemma3_check(omega, radius, budget=cfg.budget)
     except gr.BudgetExceeded as exc:
@@ -383,8 +379,7 @@ def _suite_lemma4(cfg: RunConfig) -> dict:
     return {"checks": 7, "violations": violations}
 
 
-def _suite_lemma8(cfg: RunConfig, radius: int) -> dict:
-    omega = cfg.omega or parse_omega("(012)")
+def _suite_lemma8(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
     eps = cfg.epsilon or Fraction(1, 10)
     table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
     rep = gr.lemma8_check(table, eps)
@@ -415,8 +410,7 @@ def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
     return {"checks": len(rep["rows"]), "violations": violations, "detail": rep}
 
 
-def _suite_lemma11(cfg: RunConfig, radius: int) -> dict:
-    omega = cfg.omega or parse_omega("(012)")
+def _suite_lemma11(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
     eps = cfg.epsilon or Fraction(8, 25)
     table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
     rep = gr.lemma11_check(table, eps)
@@ -472,24 +466,27 @@ def cmd_verify(args) -> int:
         raise ValueError("radius must be at least 1")
     if k_max < 1:
         raise ValueError("kmax must be at least 1")
+    # One spec for every suite on the default sequence, so later suites
+    # reuse the sections and identities earlier ones memoized on it.
+    omega = cfg.omega or parse_omega("(012)")
     suites = {}
     total_violations = 0
     incomplete = 0
     for name in names:
         if name == "eq1":
-            result = _suite_eq1(cfg)
+            result = _suite_eq1(omega)
         elif name == "eq2":
             result = _suite_eq2(cfg)
         elif name == "lemma3":
-            result = _suite_lemma3(cfg, radius)
+            result = _suite_lemma3(cfg, omega, radius)
         elif name == "lemma4":
             result = _suite_lemma4(cfg)
         elif name == "lemma8":
-            result = _suite_lemma8(cfg, radius)
+            result = _suite_lemma8(cfg, omega, radius)
         elif name == "lemma9":
             result = _suite_lemma9(cfg, k_max)
         elif name == "lemma11":
-            result = _suite_lemma11(cfg, radius)
+            result = _suite_lemma11(cfg, omega, radius)
         else:
             result = _suite_prop6(cfg, 20 if args.radius is None else radius)
         complete = result.pop("complete", True)

@@ -14,7 +14,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional
 
-from .omega import OmegaSpec, shift as shift_omega, shift_normalize, symbol_at
+from .omega import OmegaSpec, shift_normalize, symbol_at
 from .words import (
     A,
     EMPTY_WORD,
@@ -106,22 +106,10 @@ def spine_root_label(letter: int, omega: OmegaSpec, shift: int, level: int) -> s
     return "P" if letter_label(letter, sym) else "I"
 
 
-_DECOMPOSE: dict = {}
-_IDENTITY: dict = {}
-_SIGNATURE: dict = {}
-_ORDER: dict = {}
-
-
-def clear_caches() -> None:
-    _DECOMPOSE.clear()
-    _IDENTITY.clear()
-    _SIGNATURE.clear()
-    _ORDER.clear()
-
-
 def decompose(g: Element) -> WreathDecomposition:
-    key = (g.omega, g.shift, g.word)
-    hit = _DECOMPOSE.get(key)
+    memo = g.omega.sections
+    key = (g.shift, g.word)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     swap, left, right, _, _ = split_reduce(g.word, symbol_at(g.omega, g.shift + 1))
@@ -129,7 +117,7 @@ def decompose(g: Element) -> WreathDecomposition:
     dec = WreathDecomposition(
         swap, Element(left, g.omega, down), Element(right, g.omega, down)
     )
-    _DECOMPOSE[key] = dec
+    memo[key] = dec
     return dec
 
 
@@ -173,21 +161,15 @@ def portrait(g: Element, depth: int) -> Portrait:
 
 def signature(g: Element, depth: int) -> int:
     """Portrait to ``depth`` packed into an int (2^depth - 1 label bits)."""
-    if depth == 0:
+    if depth == 0 or g.word.length == 0:
         return 0
-    key = (g.omega, g.shift, g.word, depth)
-    hit = _SIGNATURE.get(key)
-    if hit is not None:
-        return hit
     d = decompose(g)
     half = (1 << (depth - 1)) - 1
-    sig = (
+    return (
         int(d.top_swap)
         | signature(d.left, depth - 1) << 1
         | signature(d.right, depth - 1) << (1 + half)
     )
-    _SIGNATURE[key] = sig
-    return sig
 
 
 # Deepest level whose vertices fit the 256 entries of a bytes translation table.
@@ -263,22 +245,23 @@ def is_identity(g: Element) -> bool:
         return True
     if word.a_count % 2 == 1:
         return False
-    key = (g.omega, g.shift, word)
-    hit = _IDENTITY.get(key)
+    memo = g.omega.trivial
+    key = (g.shift, word)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     if word.length == 1:
         # A single letter is trivial iff it fixes every level of its spine;
-        # one preperiod + one period of the shifted sequence covers all levels.
-        local = shift_omega(g.omega, g.shift)
+        # levels shift + 1 .. shift + cycle_length cover the rest of the
+        # preperiod and a full period, so every symbol still to come.
         result = all(
             spine_root_label(word.spine[0], g.omega, g.shift, lev) == "I"
-            for lev in range(1, local.cycle_length + 1)
+            for lev in range(1, g.omega.cycle_length + 1)
         )
     else:
         d = decompose(g)
         result = is_identity(d.left) and is_identity(d.right)
-    _IDENTITY[key] = result
+    memo[key] = result
     return result
 
 
@@ -341,35 +324,36 @@ def power(g: Element, k: int) -> Element:
     return acc
 
 
-def _order_rec(g: Element, bound: int) -> Optional[int]:
+def _order_rec(g: Element, bound: int, known: dict) -> Optional[int]:
+    """Order of g if at most ``bound``; ``known`` holds orders by (shift, word)."""
     if is_identity(g):
         return 1
-    key = (g.omega, g.shift, g.word)
-    known = _ORDER.get(key)
-    if known is not None:
-        return known if known <= bound else None
+    key = (g.shift, g.word)
+    hit = known.get(key)
+    if hit is not None:
+        return hit if hit <= bound else None
     if g.word.length == 1:
-        _ORDER[key] = 2
+        known[key] = 2
         return 2 if bound >= 2 else None
     if not g.in_stabilizer:
         if bound < 2:
             return None
-        sub = _order_rec(mul(g, g), bound // 2)
+        sub = _order_rec(mul(g, g), bound // 2, known)
         if sub is None:
             return None
         result = 2 * sub
     else:
         d = decompose(g)
-        o_left = _order_rec(d.left, bound)
+        o_left = _order_rec(d.left, bound, known)
         if o_left is None:
             return None
-        o_right = _order_rec(d.right, bound)
+        o_right = _order_rec(d.right, bound, known)
         if o_right is None:
             return None
         result = o_left * o_right // gcd(o_left, o_right)
         if result > bound:
             return None
-    _ORDER[key] = result
+    known[key] = result
     return result
 
 
@@ -382,7 +366,7 @@ def order_bounded(g: Element, max_order: int) -> Optional[int]:
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
-    k = _order_rec(g, max_order)
+    k = _order_rec(g, max_order, {})
     if k is None:
         return None
     if not is_identity(power(g, k)):

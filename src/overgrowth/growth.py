@@ -26,7 +26,6 @@ from .omega import (
 )
 from .words import (
     A,
-    I_LETTERS,
     ReducedWord,
     SPINE_LETTERS,
     X,
@@ -34,6 +33,7 @@ from .words import (
     reduce,
     render_letters,
     split_reduce,
+    xyz_profile,
 )
 from .elements import (
     TABLE_DEPTH_MAX,
@@ -47,7 +47,7 @@ from .elements import (
 
 DEFAULT_BUDGET = 5_000_000
 
-GENERATOR_ORDER = tuple(range(8))
+GENERATOR_LETTERS = tuple(range(8))
 
 
 class BudgetExceeded(RuntimeError):
@@ -156,7 +156,7 @@ def enumerate_ball(
     shift = table.shift
     letter_perms = [
         level_table(generator(k, omega, shift), table.dedup_depth)
-        for k in GENERATOR_ORDER
+        for k in GENERATOR_LETTERS
     ]
     identity = Element.identity(omega, shift)
     perm = level_table(identity, table.dedup_depth)
@@ -171,7 +171,7 @@ def enumerate_ball(
             # Only a letter alternating with the last one lengthens the
             # word; any other product lands in an already-complete stratum.
             if level == 0:
-                letters = GENERATOR_ORDER
+                letters = GENERATOR_LETTERS
             elif word.trailing_a or not word.spine:
                 letters = SPINE_LETTERS
             else:
@@ -472,12 +472,7 @@ def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
             assert not swap
             alpha += alpha_l + alpha_r
             nxt += (Element(left, g.omega, down), Element(right, g.omega, down))
-        x = y = z = 0
-        for e in nxt:
-            for k in e.word.spine:
-                x += k in I_LETTERS[0]
-                y += k in I_LETTERS[1]
-                z += k in I_LETTERS[2]
+        x, y, z = map(sum, zip(*(xyz_profile(e.word) for e in nxt)))
         levels.append(LevelData(tuple(nxt), alpha, x, y, z))
         current = nxt
     return LevelSectionTrace(s, g, tuple(levels))
@@ -517,13 +512,6 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
     sym1 = symbol_at(omega_here, 1)
     sym2 = symbol_at(omega_here, t)
     sym3 = symbol_at(omega_here, s)
-
-    def profile(words, sym: int) -> int:
-        letters = I_LETTERS[sym]
-        return sum(
-            1 for e in words for k in e.word.spine if k in letters
-        )
-
     stab_ids = [
         e.eid for e in table.entries if stabilizes_level(e.element, s)
     ]
@@ -541,9 +529,10 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
             checked += 1
             n_w = len(w)
             total_s = sum(e.word.length for e in trace.levels[s - 1].words)
-            x0 = profile([el], sym1)
-            y_t1 = profile(trace.levels[t - 2].words, sym2)
-            z_s1 = profile(trace.levels[s - 2].words, sym3)
+            x0 = xyz_profile(el.word)[sym1]
+            at_t, at_s = trace.levels[t - 2], trace.levels[s - 2]
+            y_t1 = (at_t.x, at_t.y, at_t.z)[sym2]
+            z_s1 = (at_s.x, at_s.y, at_s.z)[sym3]
             alpha_sum = sum(trace.levels[j].alpha for j in range(s - 1))
             rhs = n_w + (1 << s) - 1 - x0 - y_t1 - z_s1 - alpha_sum
             if total_s > rhs:

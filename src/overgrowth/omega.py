@@ -8,7 +8,7 @@ with equality of the sequences they denote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -38,10 +38,17 @@ class OmegaSpec:
     Canonicalization happens in the constructor: the period is replaced by
     its primitive root and the preperiod is shortened as long as its last
     symbol matches the last symbol of the (rotated) period.
+
+    The spec also owns the word-problem memo of its group, keyed by
+    ``(shift, word)``: ``sections`` behind ``elements.decompose`` and
+    ``trivial`` behind ``elements.is_identity``.  They are not part of its
+    value, so equal specs compare and hash equal whatever they have memoized.
     """
 
     preperiod: str
     period: str
+    sections: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    trivial: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for ch in self.preperiod + self.period:

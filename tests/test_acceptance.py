@@ -246,11 +246,10 @@ def test_c10_growth_regression():
     t = ball("(012)", 9)
     assert t.gamma() == GAMMA_012_REGRESSION
     assert t.gamma()[1] == 9
-    # identical when recomputed from cold caches
-    import overgrowth.elements as elements
-
-    elements.clear_caches()
-    t2 = enumerate_ball(W012, 0, 9)
+    # identical when recomputed on a freshly parsed spec, whose memo is empty
+    cold = parse_omega("(012)")
+    assert cold.sections == {} and cold.trivial == {}
+    t2 = enumerate_ball(cold, 0, 9)
     assert t2.gamma() == GAMMA_012_REGRESSION
     assert [e.word for e in t2.entries] == [e.word for e in t.entries]
     print("ACCEPTANCE 10 PASS - frozen gamma reproduced:", GAMMA_012_REGRESSION)

@@ -103,6 +103,17 @@ def test_growth_radius_zero(capsys):
     assert len(data["rows"]) == 1 and data["rows"][0]["gamma"] == 1
 
 
+def test_growth_budget_overrun_exits_3(capsys):
+    code, data = run_json(
+        capsys, "growth", "--omega", "(012)", "--radius", "6", "--budget", "50",
+        "--format", "json",
+    )
+    assert code == 3
+    assert data["header"]["complete"] is False
+    assert data["header"]["radius"] < 6
+    assert data["rows"][-1]["gamma"] <= 50
+
+
 def test_growth_ball_export(tmp_path, capsys):
     path = tmp_path / "ball.jsonl"
     code, _ = run(

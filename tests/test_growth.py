@@ -81,13 +81,27 @@ def test_ball_gamma_against_exhaustive_words():
 
 
 def test_ball_determinism():
-    import overgrowth.elements as elements
-
     t1 = enumerate_ball(W012, 0, 6)
-    elements.clear_caches()
-    t2 = enumerate_ball(W012, 0, 6)
+    # A freshly parsed spec starts with an empty memo: a cold run.
+    t2 = enumerate_ball(parse_omega("(012)"), 0, 6)
     assert [e.word for e in t1.entries] == [e.word for e in t2.entries]
     assert [e.links for e in t1.entries] == [e.links for e in t2.entries]
+    assert t1.strata == t2.strata
+
+
+def test_equal_specs_keep_separate_memos():
+    warm, cold = parse_omega("(012)"), parse_omega("(012)")
+    assert warm == cold and hash(warm) == hash(cold)
+    assert str(warm) == "(012)"
+    assert repr(warm) == "OmegaSpec(preperiod='', period='012')"
+    t1 = enumerate_ball(warm, 0, 5)
+    assert warm.sections and warm.trivial
+    assert cold.sections == {} and cold.trivial == {}
+    assert warm == cold and hash(warm) == hash(cold)
+    t2 = enumerate_ball(cold, 0, 5)
+    assert [e.word for e in t1.entries] == [e.word for e in t2.entries]
+    assert [e.links for e in t1.entries] == [e.links for e in t2.entries]
+    assert [e.perm for e in t1.entries] == [e.perm for e in t2.entries]
     assert t1.strata == t2.strata
 
 
