@@ -15,7 +15,6 @@ from .omega import (
 )
 from .words import (
     LETTER_NAMES,
-    ReducedWord,
     ReductionReceipt,
     letter_counts,
     parse_letters,

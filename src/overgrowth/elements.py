@@ -16,12 +16,12 @@ from typing import Optional
 
 from .omega import OmegaSpec, shift_normalize, symbol_at
 from .words import (
-    A,
-    EMPTY_WORD,
-    ReducedWord,
+    a_count,
+    extend,
     letter_label,
     parse_letters,
     reduce,
+    render_letters,
     split_reduce,
 )
 
@@ -36,13 +36,13 @@ class OddParityError(ValueError):
 
 @dataclass(frozen=True)
 class Element:
-    word: ReducedWord
+    word: bytes
     omega: OmegaSpec
     shift: int
 
     @staticmethod
     def identity(omega: OmegaSpec, shift: int = 0) -> "Element":
-        return Element(EMPTY_WORD, omega, shift_normalize(omega, shift))
+        return Element(b"", omega, shift_normalize(omega, shift))
 
     @staticmethod
     def from_letters(letters, omega: OmegaSpec, shift: int = 0) -> "Element":
@@ -54,24 +54,24 @@ class Element:
 
     @property
     def length(self) -> int:
-        return self.word.length
+        return len(self.word)
 
     @property
     def in_stabilizer(self) -> bool:
         """True when the element fixes both level-one vertices (even a-count)."""
-        return self.word.a_count % 2 == 0
+        return a_count(self.word) % 2 == 0
 
     def __str__(self) -> str:
-        return f"{self.word} @ {self.shift} @ {self.omega}"
+        return f"{render_letters(self.word)} @ {self.shift} @ {self.omega}"
 
 
 def generator(letter, omega: OmegaSpec, shift: int = 0) -> Element:
     """Single-letter element; ``letter`` is an int 0..7 or a letter name."""
     if isinstance(letter, str):
         (letter,) = parse_letters(letter)
-    if letter == A:
-        return Element(ReducedWord(True, (), False), omega, shift_normalize(omega, shift))
-    return Element(ReducedWord(False, (letter,), False), omega, shift_normalize(omega, shift))
+    if not 0 <= letter <= 7:
+        raise ValueError("letters are encoded as 0..7")
+    return Element(bytes((letter,)), omega, shift_normalize(omega, shift))
 
 
 def all_generators(omega: OmegaSpec, shift: int = 0) -> tuple[Element, ...]:
@@ -161,7 +161,7 @@ def portrait(g: Element, depth: int) -> Portrait:
 
 def signature(g: Element, depth: int) -> int:
     """Portrait to ``depth`` packed into an int (2^depth - 1 label bits)."""
-    if depth == 0 or g.word.length == 0:
+    if depth == 0 or not g.word:
         return 0
     d = decompose(g)
     half = (1 << (depth - 1)) - 1
@@ -190,7 +190,7 @@ def level_table(g: Element, depth: int) -> bytes:
 
 
 def _leaf_images(g: Element, depth: int) -> list[int]:
-    if g.word.length == 0:
+    if not g.word:
         return list(range(1 << depth))
     if depth == 0:
         return [0]
@@ -241,21 +241,21 @@ def table_signer(depth: int):
 def is_identity(g: Element) -> bool:
     """Exact word-problem decision by contracting section descent."""
     word = g.word
-    if word.length == 0:
+    if not word:
         return True
-    if word.a_count % 2 == 1:
+    if a_count(word) % 2 == 1:
         return False
     memo = g.omega.trivial
     key = (g.shift, word)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if word.length == 1:
+    if len(word) == 1:
         # A single letter is trivial iff it fixes every level of its spine;
         # levels shift + 1 .. shift + cycle_length cover the rest of the
         # preperiod and a full period, so every symbol still to come.
         result = all(
-            spine_root_label(word.spine[0], g.omega, g.shift, lev) == "I"
+            spine_root_label(word[0], g.omega, g.shift, lev) == "I"
             for lev in range(1, g.omega.cycle_length + 1)
         )
     else:
@@ -268,15 +268,13 @@ def is_identity(g: Element) -> bool:
 def mul(g: Element, h: Element) -> Element:
     if g.omega != h.omega or g.shift != h.shift:
         raise ContextMismatch("operands must share sequence and shift")
-    return Element(
-        reduce(g.word.letters() + h.word.letters()).word, g.omega, g.shift
-    )
+    return Element(reduce(g.word + h.word).word, g.omega, g.shift)
 
 
 def inverse(g: Element) -> Element:
     # Every letter is an involution, so the inverse word is the reverse,
     # which is automatically reduced.
-    return Element(g.word.reversed(), g.omega, g.shift)
+    return Element(g.word[::-1], g.omega, g.shift)
 
 
 def _common_prefix(u: bytes, v: bytes) -> int:
@@ -300,15 +298,20 @@ def equal(g: Element, h: Element) -> bool:
     """
     if g.omega != h.omega or g.shift != h.shift:
         raise ContextMismatch("operands must share sequence and shift")
-    if g.word == h.word:
+    u, v = g.word, h.word
+    if u == v:
         return True
-    u, v = bytes(g.word.letters()), bytes(h.word.letters())
     p = _common_prefix(u, v)
     # Reversed, the rests after the prefix start with the suffix.
     u, v = u[p:][::-1], v[p:][::-1]
     s = _common_prefix(u, v)
-    diff = reduce(u[s:][::-1] + v[s:])
-    return is_identity(Element(diff.word, g.omega, g.shift))
+    x, y = u[s:][::-1], v[s:]
+    # x and y are reduced, and when both are nonempty the last letter of x
+    # and the first of y differ (s is the longest common suffix): at most
+    # two spine letters meet at the junction, and they merge into a
+    # nontrivial one, so x y reduces by one ``extend``.
+    diff = extend(x, y[0]) + y[1:] if y else x
+    return is_identity(Element(diff, g.omega, g.shift))
 
 
 def power(g: Element, k: int) -> Element:
@@ -332,7 +335,7 @@ def _order_rec(g: Element, bound: int, known: dict) -> Optional[int]:
     hit = known.get(key)
     if hit is not None:
         return hit if hit <= bound else None
-    if g.word.length == 1:
+    if len(g.word) == 1:
         known[key] = 2
         return 2 if bound >= 2 else None
     if not g.in_stabilizer:

@@ -26,7 +26,6 @@ from .omega import (
 )
 from .words import (
     A,
-    ReducedWord,
     SPINE_LETTERS,
     X,
     extend,
@@ -79,7 +78,7 @@ def dedup_depth_for(radius: int) -> int:
 class BallEntry:
     eid: int
     length: int
-    word: ReducedWord
+    word: bytes
     element: Element
     perm: bytes  # level_table(element, dedup_depth)
     links: list = field(default_factory=list)  # (predecessor id, letter)
@@ -172,7 +171,7 @@ def enumerate_ball(
             # word; any other product lands in an already-complete stratum.
             if level == 0:
                 letters = GENERATOR_LETTERS
-            elif word.trailing_a or not word.spine:
+            elif word[-1] == A:
                 letters = SPINE_LETTERS
             else:
                 letters = (A,)
@@ -445,7 +444,7 @@ class LevelSectionTrace:
 def stabilizes_level(g: Element, s: int) -> bool:
     """True when g fixes every vertex of level s: by the section recursion,
     g has an even ``a`` count and both sections stabilize level s - 1."""
-    if s == 0 or g.word.length == 0:
+    if s == 0 or not g.word:
         return True
     if not g.in_stabilizer:
         return False
@@ -528,7 +527,7 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
             traces[w] = trace
             checked += 1
             n_w = len(w)
-            total_s = sum(e.word.length for e in trace.levels[s - 1].words)
+            total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
             x0 = xyz_profile(el.word)[sym1]
             at_t, at_s = trace.levels[t - 2], trace.levels[s - 2]
             y_t1 = (at_t.x, at_t.y, at_t.z)[sym2]
@@ -578,7 +577,7 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
                 el = Element(reduce(w).word, omega_here, table.shift)
                 trace = level_section_trace(el, s)
             checked_b += 1
-            total_s = sum(e.word.length for e in trace.levels[s - 1].words)
+            total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
             if total_s > headline:
                 violations_b.append(
                     {

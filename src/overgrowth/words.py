@@ -4,6 +4,11 @@ Letters are small integers: ``a`` is 0, the seven remaining letters are
 1..7 read as 3-bit vectors over the basis (b, c, x), so that the product
 of two non-``a`` letters is bitwise XOR.  Text I/O uses ``a b c d x B C D``
 where B, C, D are the x-twisted partners of b, c, d.
+
+A reduced word is the ``bytes`` of its letters: ``a`` alternating with
+the spine letters 1..7, as [a] s1 a s2 a ... a sm [a].  Letters are
+checked where they enter (``reduce``, ``extend``, ``parse_letters``), so
+a reduced word is never checked again.
 """
 
 from __future__ import annotations
@@ -55,12 +60,6 @@ def letter_label(k: int, symbol: int) -> bool:
     return bit % 2 == 1
 
 
-# Letters acting trivially at a level carrying symbol q (frozen per symbol).
-I_LETTERS = {
-    q: frozenset(k for k in SPINE_LETTERS if not letter_label(k, q))
-    for q in (0, 1, 2)
-}
-
 # SWAPS[q][k] is letter_label(k, q); the entry for ``a`` is unused.
 SWAPS = tuple(tuple(letter_label(k, q) for k in range(8)) for q in (0, 1, 2))
 
@@ -81,57 +80,15 @@ def render_letters(letters: Iterable[int]) -> str:
     return " ".join(LETTER_NAMES[k] for k in letters)
 
 
-@dataclass(frozen=True)
-class ReducedWord:
-    """An alternating word: optional a, then spine letters separated by a.
-
-    ``spine`` holds the non-``a`` letters in order; the rendered word is
-    [a] s1 a s2 a ... a sm [a].  The empty word and the bare word "a" are
-    the two degenerate empty-spine cases (the latter stored as leading_a).
-    """
-
-    leading_a: bool
-    spine: tuple[int, ...]
-    trailing_a: bool
-
-    def __post_init__(self):
-        if any(not 1 <= k <= 7 for k in self.spine):
-            raise ValueError("spine letters must be nontrivial (1..7)")
-        if not self.spine and self.trailing_a:
-            object.__setattr__(self, "leading_a", True)
-            object.__setattr__(self, "trailing_a", False)
-
-    def letters(self) -> tuple[int, ...]:
-        spine, lead = self.spine, self.leading_a
-        if not spine:
-            return (A,) if lead else ()
-        out = [A] * (2 * len(spine) - 1 + lead + self.trailing_a)
-        out[lead::2] = spine
-        return tuple(out)
-
-    @property
-    def a_count(self) -> int:
-        if not self.spine:
-            return 1 if self.leading_a else 0
-        return len(self.spine) - 1 + self.leading_a + self.trailing_a
-
-    @property
-    def length(self) -> int:
-        return len(self.spine) + self.a_count
-
-    def reversed(self) -> "ReducedWord":
-        return ReducedWord(self.trailing_a, self.spine[::-1], self.leading_a)
-
-    def __str__(self) -> str:
-        return render_letters(self.letters())
-
-
-EMPTY_WORD = ReducedWord(False, (), False)
+def a_count(word: bytes) -> int:
+    """Number of ``a`` letters of a reduced word: every other letter,
+    counting from the first when the word starts with ``a``."""
+    return (len(word) + (word[:1] == b"\0")) // 2
 
 
 @dataclass(frozen=True)
 class ReductionReceipt:
-    word: ReducedWord
+    word: bytes
     contractions: int
 
 
@@ -165,45 +122,26 @@ def reduce(raw: Iterable[int]) -> ReductionReceipt:
                 continue
             stack.append(let)
             break
-    return ReductionReceipt(_stack_word(stack), alpha)
+    return ReductionReceipt(bytes(stack), alpha)
 
 
-def _stack_word(stack: list[int]) -> ReducedWord:
-    """The reduced word of an alternating letter stack."""
-    if not stack:
-        return EMPTY_WORD
-    leading = stack[0] == A
-    trailing = len(stack) > 1 and stack[-1] == A
-    return ReducedWord(leading, tuple(stack[leading::2]), trailing)
-
-
-def extend(word: ReducedWord, letter: int) -> ReducedWord:
+def extend(word: bytes, letter: int) -> bytes:
     """Right product of a reduced word by one letter, in reduced form.
 
-    Equal to ``reduce(word.letters() + (letter,)).word`` but touches only
-    the last letter: an ``a`` cancels a trailing ``a``; a spine letter
-    merges with a last spine letter and the merge drops out when trivial.
+    Equal to ``reduce(word + bytes((letter,))).word`` but touches only the
+    last letter: a letter of the other kind (``a`` against a spine letter)
+    is appended; one of the same kind merges with it by XOR, and the merge
+    drops out when trivial (as ``a a`` always does).
     """
-    leading, spine, trailing = word.leading_a, word.spine, word.trailing_a
-    if letter == A:
-        if trailing:
-            return ReducedWord(leading, spine, False)
-        if not spine:
-            return EMPTY_WORD if leading else ReducedWord(True, (), False)
-        return ReducedWord(leading, spine, True)
-    if not 1 <= letter <= 7:
+    if not 0 <= letter <= 7:
         raise ValueError("letters are encoded as 0..7")
-    if trailing or not spine:
-        return ReducedWord(leading, spine + (letter,), False)
-    merged = spine[-1] ^ letter
-    if merged:
-        return ReducedWord(leading, spine[:-1] + (merged,), False)
-    if len(spine) > 1:
-        return ReducedWord(leading, spine[:-1], True)
-    return ReducedWord(True, (), False) if leading else EMPTY_WORD
+    if not word or (word[-1] == A) != (letter == A):
+        return word + bytes((letter,))
+    merged = word[-1] ^ letter
+    return word[:-1] + bytes((merged,)) if merged else word[:-1]
 
 
-def split_reduce(word: ReducedWord, symbol: int):
+def split_reduce(word: bytes, symbol: int):
     """One-level substitution at a level carrying ``symbol``, reduced.
 
     Returns ``(top_swap, left, right, left_alpha, right_alpha)``: whether
@@ -219,9 +157,10 @@ def split_reduce(word: ReducedWord, symbol: int):
     swaps = SWAPS[symbol]
     stacks: tuple[list[int], list[int]] = ([], [])
     alphas = [0, 0]
-    top_swap = word.a_count & 1
-    take = (top_swap ^ word.leading_a) ^ 1  # child receiving the first spine letter
-    for k in word.spine:
+    lead = word[:1] == b"\0"
+    top_swap = a_count(word) & 1
+    take = (top_swap ^ lead) ^ 1  # child receiving the first spine letter
+    for k in word[lead::2]:
         stack = stacks[take]
         if stack and stack[-1]:
             alphas[take] += 1
@@ -240,26 +179,26 @@ def split_reduce(word: ReducedWord, symbol: int):
                 stack.append(A)
     return (
         bool(top_swap),
-        _stack_word(stacks[0]),
-        _stack_word(stacks[1]),
+        bytes(stacks[0]),
+        bytes(stacks[1]),
         alphas[0],
         alphas[1],
     )
 
 
-def letter_counts(word: ReducedWord) -> dict[str, int]:
+def letter_counts(word: bytes) -> dict[str, int]:
     counts = {name: 0 for name in LETTER_NAMES}
-    for k in word.letters():
+    for k in word:
         counts[LETTER_NAMES[k]] += 1
     return counts
 
 
-def xyz_profile(word: ReducedWord) -> tuple[int, int, int]:
+def xyz_profile(word: bytes) -> tuple[int, int, int]:
     """(x, y, z) letter-frequency aggregates of a word.
 
     x counts d, B, C; y counts c, B, D; z counts b, C, D -- i.e. for each
     symbol q in 0,1,2 the letters that act trivially at a level carrying q.
     """
     return tuple(
-        sum(1 for k in word.spine if k in I_LETTERS[q]) for q in (0, 1, 2)
+        sum(word.count(k) for k in SPINE_LETTERS if not SWAPS[q][k]) for q in (0, 1, 2)
     )

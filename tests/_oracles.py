@@ -80,16 +80,17 @@ def split_letters(letters, omega: OmegaSpec, shift: int):
     return bool(total_a & 1), kids[0], kids[1]
 
 
-def letters_by_append(word) -> tuple:
-    """Letters of a reduced word [a] s1 a s2 ... a sm [a], one by one."""
-    out = [A] if word.leading_a else []
-    for i, k in enumerate(word.spine):
+def word_from_parts(leading_a: bool, spine, trailing_a: bool) -> bytes:
+    """The reduced word [a] s1 a s2 ... a sm [a], appended letter by letter;
+    with an empty spine either flag gives the one-letter word ``a``."""
+    out = [A] if leading_a else []
+    for i, k in enumerate(spine):
         if i:
             out.append(A)
         out.append(k)
-    if word.trailing_a:
+    if trailing_a and (spine or not leading_a):
         out.append(A)
-    return tuple(out)
+    return bytes(out)
 
 
 def portrait_via_act(letters, omega: OmegaSpec, shift: int, depth: int) -> dict:

@@ -16,8 +16,10 @@ from overgrowth.words import (
     A,
     REFERENCE_PRODUCTS,
     SPINE_LETTERS,
+    a_count,
     parse_letters,
     reduce,
+    render_letters,
     spine_mul,
 )
 from overgrowth.elements import (
@@ -102,8 +104,8 @@ def test_c02_one_level_substitution():
                 assert d.top_swap and d.left.length == 0 and d.right.length == 0
             else:
                 assert not d.top_swap
-                assert str(d.left.word) == EQ2_LEFT[sym][k]
-                assert d.right.word.spine == (k,) and d.right.word.a_count == 0
+                assert render_letters(d.left.word) == EQ2_LEFT[sym][k]
+                assert tuple(d.right.word) == (k,) and a_count(d.right.word) == 0
                 assert d.right.shift == shift_normalize(omega, 1)
             for depth in range(1, 7):
                 for i in range(1 << depth):
@@ -166,7 +168,7 @@ def test_c06_word_problem_soundness():
         raw1 = random_raw_word(rng, 10)
         if i % 25 == 0:
             prefix = random_raw_word(rng, 2)
-            raw2 = tuple(reduce(prefix + relator).word.letters())
+            raw2 = tuple(reduce(prefix + relator).word)
             raw1 = prefix
         else:
             raw2 = random_raw_word(rng, 10)
@@ -231,10 +233,10 @@ def test_c09_iterated_contraction():
         for w in geodesic_words(t, entry.eid):
             el = Element(reduce(w).word, W012, 0)
             tr = level_section_trace(el, 3)
-            total = sum(e.word.length for e in tr.levels[2].words)
-            x0 = sum(1 for k in el.word.spine if k in (3, 5, 6))
-            y1 = sum(1 for e in tr.levels[0].words for k in e.word.spine if k in (2, 5, 7))
-            z2 = sum(1 for e in tr.levels[1].words for k in e.word.spine if k in (1, 6, 7))
+            total = sum(len(e.word) for e in tr.levels[2].words)
+            x0 = sum(1 for k in el.word if k in (3, 5, 6))
+            y1 = sum(1 for e in tr.levels[0].words for k in e.word if k in (2, 5, 7))
+            z2 = sum(1 for e in tr.levels[1].words for k in e.word if k in (1, 6, 7))
             alphas = tr.levels[0].alpha + tr.levels[1].alpha
             if total > len(w) + 7 - x0 - y1 - z2 - alphas:
                 violations += 1

@@ -1,8 +1,16 @@
 """Command-line surface: flags, outputs, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from overgrowth.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -157,6 +165,66 @@ def test_verify_all_entry_point(capsys):
         "eq1": None, "eq2": None, "lemma4": None, "lemma9": None,
         "lemma3": 8, "lemma8": 8, "lemma11": 8, "prop6": 20,
     }
+
+
+def test_verify_all_skips_suites_a_sequence_cannot_run(capsys):
+    # lemma11 needs all three symbols in the first cycle, prop6 an
+    # eventually constant sequence; under "all" they are skipped, which is
+    # neither a violation nor an incomplete run.
+    for text, skipped in (
+        ("(012)", {"prop6"}),
+        ("(01)", {"lemma11", "prop6"}),
+        ("(0)", {"lemma11"}),
+    ):
+        code, data = run_json(
+            capsys, "verify", "--suite", "all", "--omega", text, "--radius", "5"
+        )
+        assert code == 0 and data["passed"], text
+        for name, rep in data["suites"].items():
+            if name in skipped:
+                assert rep["status"] == "skipped" and rep["checks"] == 0, (text, name)
+                assert not rep["passed"] and rep["violations"] == [] and rep["detail"]
+            else:
+                assert rep["status"] == "passed", (text, name)
+    # Asked for by name, an inapplicable suite is still a usage error.
+    assert main(["verify", "--suite", "prop6", "--omega", "(012)", "--radius", "5"]) == 2
+    assert main(["verify", "--suite", "lemma11", "--omega", "(01)", "--radius", "5"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_shift_only_where_it_is_read(capsys):
+    for argv in (
+        ["verify", "--suite", "eq1", "--shift", "1"],
+        ["classify", "--omega", "(012)", "--shift", "1"],
+        ["reduce", "--word", "a", "--shift", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    code, data = run_json(capsys, "sections", "--omega", "(012)", "--word", "b", "--shift", "1")
+    assert code == 0 and data["shift"] == 2
+
+
+def run_with_hash_seed(seed, *argv):
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "overgrowth.cli", *argv],
+        env=env, capture_output=True, check=True,
+    ).stdout
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # Words are bytes, whose hashes are salted per process; the memo and
+    # dedup dicts keyed by them must not leak that order into a report.
+    outputs = []
+    for seed in ("0", "1"):
+        ball = tmp_path / f"ball{seed}.jsonl"
+        growth = run_with_hash_seed(
+            seed, "growth", "--omega", "(012)", "--radius", "6", "--export-ball", str(ball)
+        )
+        verify = run_with_hash_seed(seed, "verify", "--suite", "all", "--radius", "4")
+        outputs.append((growth, ball.read_bytes(), verify))
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_lemma3_radius(capsys):

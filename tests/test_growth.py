@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from overgrowth.omega import parse_omega
-from overgrowth.words import SPINE_LETTERS, parse_letters, reduce
+from overgrowth.words import SPINE_LETTERS, parse_letters, reduce, render_letters
 from overgrowth.elements import Element, generator, mul
 from overgrowth.growth import (
     GeodesicCapExceeded,
@@ -60,24 +60,33 @@ def test_generators_distinct_over_012():
     assert len(ids) == 8 and t.lookup(Element.identity(W012)) not in ids
 
 
-def test_ball_gamma_against_exhaustive_words():
-    # every product of at most 5 generators, deduplicated by the letterwise
-    # action on all depth-10 vertices, reproduces the ball strata exactly
-    t = ball("(012)", 5)
+def exhaustive_gamma(omega_text, shift, radius, depth):
+    """Growth of the ball from every product of at most ``radius``
+    generators, deduplicated by the letterwise action on all vertices of
+    level ``depth``."""
+    omega = parse_omega(omega_text)
     best = {}
-    for L in range(6):
+    for L in range(radius + 1):
         for raw in itertools.product(range(8), repeat=L):
             w = reduce(raw).word
             if w not in best or best[w][0] > L:
                 best[w] = (L, raw)
-    leaves = [format(i, "010b") for i in range(1 << 10)]
+    leaves = [format(i, f"0{depth}b") for i in range(1 << depth)]
     seen = {}
     for L, raw in best.values():
-        key = tuple(act_word(raw, W012, 0, v) for v in leaves)
+        key = tuple(act_word(raw, omega, shift, v) for v in leaves)
         if key not in seen or seen[key] > L:
             seen[key] = L
-    oracle = [sum(1 for L in seen.values() if L <= n) for n in range(6)]
-    assert oracle == t.gamma()
+    return [sum(1 for L in seen.values() if L <= n) for n in range(radius + 1)]
+
+
+def test_ball_gamma_against_exhaustive_words():
+    # Level 10 separates the elements of each ball: the smallest separating
+    # levels are 5, 4, 5, 4 and 3 in the order below.
+    cases = (("(012)", 0, 5), ("01(2)", 0, 4), ("(0012)", 1, 4), ("(01)", 0, 4), ("(0)", 0, 4))
+    for text, shift, radius in cases:
+        oracle = exhaustive_gamma(text, shift, radius, 10)
+        assert oracle == ball(text, radius, shift).gamma(), (text, shift)
 
 
 def test_ball_determinism():
@@ -118,8 +127,8 @@ def test_ball_budget_cap():
 def test_strata_lengths_and_canonical_words():
     t = ball("(012)", 6)
     for entry in t.entries:
-        assert entry.word.length == entry.length
-        assert reduce(entry.word.letters()).contractions == 0
+        assert len(entry.word) == entry.length
+        assert reduce(entry.word).contractions == 0
     gam = t.gamma()
     assert all(gam[i] < gam[i + 1] for i in range(len(gam) - 1))
 
@@ -133,7 +142,7 @@ def test_geodesic_words_structure():
             for w in words:
                 assert len(w) == n
                 assert reduce(w).contractions == 0
-                assert reduce(w).word.length == n
+                assert len(reduce(w).word) == n
 
 
 def test_geodesic_links_complete_small_radius():
@@ -146,7 +155,7 @@ def test_geodesic_links_complete_small_radius():
     for L in range(5):
         for raw in itertools.product(range(8), repeat=L):
             r = reduce(raw)
-            if r.contractions or r.word.length != L:
+            if r.contractions or len(r.word) != L:
                 continue  # not a reduced word of this length
             eid = t.lookup(Element(r.word, W012, 0))
             assert eid is not None
@@ -271,7 +280,7 @@ def test_level_section_trace():
     )
     tr = level_section_trace(generator("b", W012), 1)
     words = tr.levels[0].words
-    assert str(words[0].word) == "a" and str(words[1].word) == "b"
+    assert render_letters(words[0].word) == "a" and render_letters(words[1].word) == "b"
     assert words[1].shift == 1
     assert tr.levels[0].alpha == 0
     assert (tr.levels[0].x, tr.levels[0].y, tr.levels[0].z) == (0, 0, 1)

@@ -22,7 +22,7 @@ from overgrowth.elements import (
 )
 from overgrowth.growth import dedup_depth_for, enumerate_ball
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
-from overgrowth.words import reduce
+from overgrowth.words import reduce, render_letters
 
 
 def reference_ball(omega, shift, radius):
@@ -103,7 +103,7 @@ def test_stored_tables_and_exported_hashes(tmp_path):
         for record, entry in zip(records, table.entries):
             sig = signature(entry.element, depth)
             digest = sha256(sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big"))
-            assert record["id"] == entry.eid and record["word"] == str(entry.word)
+            assert record["id"] == entry.eid and record["word"] == render_letters(entry.word)
             assert record["portrait_hash"] == digest.hexdigest()[:16]
 
 

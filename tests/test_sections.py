@@ -1,8 +1,8 @@
-"""The fused section kernel, prefix/suffix-cancelling equality, slice-built
-letters and the recursive level-stabilizer test, each checked against the
+"""The fused section kernel, prefix/suffix-cancelling equality, reduced
+words and the recursive level-stabilizer test, each checked against the
 slow path it replaced: ``split_letters`` followed by ``reduce``,
-``is_identity(mul(g, inverse(h)))`` with the letterwise vertex action, the
-append loop, and ``act`` on every vertex of the level."""
+``is_identity(mul(g, inverse(h)))`` with the letterwise vertex action,
+``reduce``, and ``act`` on every vertex of the level."""
 
 from functools import lru_cache
 
@@ -19,9 +19,9 @@ from overgrowth.elements import (
 )
 from overgrowth.growth import enumerate_ball, geodesic_words, stabilizes_level
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize, symbol_at
-from overgrowth.words import ReducedWord, reduce, split_reduce
+from overgrowth.words import a_count, reduce, render_letters, split_reduce
 
-from _oracles import identity_to_depth, letters_by_append, split_letters
+from _oracles import identity_to_depth, split_letters, word_from_parts
 
 SEQUENCES = st.builds(
     OmegaSpec,
@@ -32,7 +32,7 @@ SEQUENCES = st.builds(
 
 def reduced_words(max_spine):
     return st.builds(
-        ReducedWord,
+        word_from_parts,
         st.booleans(),
         st.lists(st.integers(1, 7), max_size=max_spine).map(tuple),
         st.booleans(),
@@ -41,12 +41,12 @@ def reduced_words(max_spine):
 
 @settings(max_examples=400, deadline=None)
 @given(reduced_words(100), SEQUENCES, st.integers(0, 3))
-@example(ReducedWord(True, (1, 1, 2, 3), False), parse_omega("01(2)"), 0)
-@example(ReducedWord(True, (7, 3, 3, 5), True), parse_omega("(0)"), 1)
-@example(ReducedWord(False, (4, 4, 4), True), parse_omega("(0012)"), 3)
+@example(word_from_parts(True, (1, 1, 2, 3), False), parse_omega("01(2)"), 0)
+@example(word_from_parts(True, (7, 3, 3, 5), True), parse_omega("(0)"), 1)
+@example(word_from_parts(False, (4, 4, 4), True), parse_omega("(0012)"), 3)
 def test_split_reduce_matches_split_then_reduce(word, omega, shift):
     shift = shift_normalize(omega, shift)
-    swap, raw_left, raw_right = split_letters(word.letters(), omega, shift)
+    swap, raw_left, raw_right = split_letters(word, omega, shift)
     left, right = reduce(raw_left), reduce(raw_right)
     assert split_reduce(word, symbol_at(omega, shift + 1)) == (
         swap, left.word, right.word, left.contractions, right.contractions,
@@ -56,10 +56,11 @@ def test_split_reduce_matches_split_then_reduce(word, omega, shift):
 
 
 @settings(max_examples=300, deadline=None)
-@given(reduced_words(100))
-def test_letters_match_append_loop(word):
-    assert word.letters() == letters_by_append(word)
-    assert reduce(word.letters()).word == word
+@given(st.booleans(), st.lists(st.integers(1, 7), max_size=100), st.booleans())
+def test_letters_match_append_loop(leading_a, spine, trailing_a):
+    word = word_from_parts(leading_a, spine, trailing_a)
+    assert bytes(k for k in word if k) == bytes(spine)
+    assert reduce(word).word == word
 
 
 EQUAL_SEQUENCES = ("(012)", "01(2)", "(0012)", "(01)")
@@ -91,7 +92,7 @@ def word_pairs(draw):
     elif kind == "random":
         u, v = draw(raw_words), draw(raw_words)
     else:
-        u = reduce(draw(raw_words)).word.letters()
+        u = tuple(reduce(draw(raw_words)).word)
         cut = draw(st.integers(0, len(u)))
         v = u[:cut] if kind == "prefix" else u[cut:]
     if draw(st.booleans()):
@@ -109,10 +110,10 @@ def test_equal_matches_product_descent_and_vertex_action(pair):
     same = equal(g, h)
     assert same == is_identity(mul(g, inverse(h)))
     assert same == equal(h, g)
-    quotient = g.word.letters() + h.word.letters()[::-1]
+    quotient = g.word + h.word[::-1]
     if same:
         assert identity_to_depth(quotient, omega, 0, 7)
-    elif g.word.a_count % 2 != h.word.a_count % 2:
+    elif a_count(g.word) % 2 != a_count(h.word) % 2:
         assert not identity_to_depth(quotient, omega, 0, 1)
 
 
@@ -142,4 +143,4 @@ def test_stabilizes_level_matches_vertex_action():
             fixed = True  # fixing level s fixes every level above it
             for s in range(10):
                 fixed = fixed and stabilizes_by_act(g, s)
-                assert stabilizes_level(g, s) == fixed, (text, str(g.word), s)
+                assert stabilizes_level(g, s) == fixed, (text, render_letters(g.word), s)

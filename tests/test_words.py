@@ -5,14 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from overgrowth.elements import generator
 from overgrowth.growth import enumerate_ball
 from overgrowth.omega import parse_omega
 from overgrowth.words import (
-    EMPTY_WORD,
+    A,
     LETTER_NAMES,
     REFERENCE_PRODUCTS,
-    ReducedWord,
     WordParseError,
+    a_count,
     extend,
     letter_counts,
     parse_letters,
@@ -22,7 +23,12 @@ from overgrowth.words import (
     xyz_profile,
 )
 
-from _oracles import min_contractions, random_raw_word, reduce_random_order
+from _oracles import (
+    min_contractions,
+    random_raw_word,
+    reduce_random_order,
+    word_from_parts,
+)
 
 
 def _letters(text):
@@ -50,11 +56,11 @@ def test_reference_table_matches_xor():
 
 def test_reduce_examples():
     r = reduce(_letters("b b"))
-    assert r.word == EMPTY_WORD and r.contractions == 1
+    assert r.word == b"" and r.contractions == 1
     r = reduce(_letters("b c"))
-    assert str(r.word) == "d" and r.contractions == 1
+    assert render_letters(r.word) == "d" and r.contractions == 1
     r = reduce(_letters("a b a a c"))
-    assert str(r.word) == "a d" and r.contractions == 2
+    assert render_letters(r.word) == "a d" and r.contractions == 2
 
 
 def test_reduce_idempotent():
@@ -62,7 +68,7 @@ def test_reduce_idempotent():
     for _ in range(500):
         raw = random_raw_word(rng, 16)
         word = reduce(raw).word
-        again = reduce(word.letters())
+        again = reduce(word)
         assert again.word == word
         assert again.contractions == 0
 
@@ -73,7 +79,7 @@ def test_reduce_confluent_random_order():
         raw = random_raw_word(rng, 20)
         stack_word = reduce(raw).word
         random_word, _ = reduce_random_order(raw, rng)
-        assert random_word == stack_word.letters()
+        assert random_word == tuple(stack_word)
 
 
 def test_reduce_contraction_count_vs_smallest_derivation():
@@ -101,27 +107,31 @@ def test_reduce_parity_and_length_bounds():
         raw = random_raw_word(rng, 18)
         receipt = reduce(raw)
         a_in = sum(1 for v in raw if v == 0)
-        assert receipt.word.a_count % 2 == a_in % 2
-        assert receipt.word.length <= len(raw)
-        assert receipt.word.length >= len(raw) - 2 * receipt.contractions
+        assert a_count(receipt.word) % 2 == a_in % 2
+        assert len(receipt.word) <= len(raw)
+        assert len(receipt.word) >= len(raw) - 2 * receipt.contractions
 
 
 def test_reduced_word_structure():
     w = reduce(_letters("a b a c a")).word
-    assert w.leading_a and w.trailing_a and w.spine == (1, 2)
-    assert w.length == 5 and w.a_count == 3
-    assert ReducedWord(False, (), True) == ReducedWord(True, (), False)
+    assert w[0] == A and w[-1] == A and tuple(w[1::2]) == (1, 2)
+    assert len(w) == 5 and a_count(w) == 3
+    # the bare word "a" has one form, however it is reached
+    assert reduce((A,)).word == extend(b"", A) == word_from_parts(False, (), True) == b"\0"
+    # letters are checked where they enter
     with pytest.raises(ValueError):
-        ReducedWord(False, (0,), False)
+        generator(9, parse_omega("(012)"))
     with pytest.raises(ValueError):
-        ReducedWord(False, (9,), False)
+        extend(w, 8)
+    with pytest.raises(ValueError):
+        reduce((9,))
 
 
 def test_word_text_round_trip():
     rng = random.Random(31)
     for _ in range(300):
         word = reduce(random_raw_word(rng, 12)).word
-        assert reduce(parse_letters(str(word))).word == word
+        assert reduce(parse_letters(render_letters(word))).word == word
     assert parse_letters("Bx") == parse_letters("B x")
     with pytest.raises(WordParseError):
         parse_letters("b q")
@@ -131,7 +141,7 @@ def test_letter_counts():
     counts = letter_counts(reduce(_letters("a d a")).word)
     assert counts["a"] == 2 and counts["d"] == 1
     assert sum(counts.values()) == 3
-    assert all(v == 0 for v in letter_counts(EMPTY_WORD).values())
+    assert all(v == 0 for v in letter_counts(b"").values())
     counts = letter_counts(reduce(_letters("b a c a b")).word)
     assert counts["b"] == 2 and counts["c"] == 1 and counts["a"] == 2
 
@@ -152,11 +162,11 @@ def test_render_letters_names():
 def test_extend_matches_reduce_over_a_ball():
     for entry in enumerate_ball(parse_omega("(012)"), 0, 6).entries:
         for k in range(8):
-            assert extend(entry.word, k) == reduce(entry.word.letters() + (k,)).word
+            assert extend(entry.word, k) == reduce(entry.word + bytes((k,))).word
 
 
 REDUCED_WORDS = st.builds(
-    ReducedWord,
+    word_from_parts,
     st.booleans(),
     st.lists(st.integers(1, 7), max_size=19).map(tuple),
     st.booleans(),
@@ -166,12 +176,12 @@ REDUCED_WORDS = st.builds(
 @settings(max_examples=400, deadline=None)
 @given(REDUCED_WORDS, st.integers(0, 7))
 def test_extend_matches_reduce_on_random_words(word, letter):
-    assert word.length <= 40
-    assert extend(word, letter) == reduce(word.letters() + (letter,)).word
+    assert len(word) <= 40
+    assert extend(word, letter) == reduce(word + bytes((letter,))).word
 
 
 def test_extend_rejects_bad_letters():
     with pytest.raises(ValueError):
-        extend(EMPTY_WORD, 8)
+        extend(b"", 8)
     with pytest.raises(ValueError):
-        extend(ReducedWord(False, (1,), False), -1)
+        extend(word_from_parts(False, (1,), False), -1)
