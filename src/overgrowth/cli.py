@@ -3,7 +3,8 @@
 Every library operation is exposed as a subcommand emitting JSON (or CSV
 for growth tables).  Exit codes: 0 success, 1 a verification suite found
 violations, 2 usage or parse errors, 3 a growth table or a verification
-suite did not complete (a ball hit the element budget).  Reports carry a
+suite did not complete (a ball hit the element budget, or an element had
+more minimal words than a suite keeps).  Reports carry a
 header block (tool version, canonical sequence, budget, seed) and reruns
 with equal headers are byte-identical.
 """
@@ -31,6 +32,7 @@ from .omega import (
 )
 from .words import WordParseError, parse_letters, reduce, render_letters
 from .elements import (
+    TABLE_DEPTH_MAX,
     Element,
     all_generators,
     act,
@@ -236,24 +238,19 @@ def cmd_growth(args) -> int:
     header["radius"] = table.radius
     header["complete"] = table.complete
     if args.export_ball:
-        sign = table_signer(table.dedup_depth)
+        sign = table_signer(gr.dedup_depth_for(args.radius), TABLE_DEPTH_MAX)
         with open(args.export_ball, "w", encoding="utf-8") as fh:
+            # The bytes of json.dumps(record, sort_keys=True): every field
+            # is an int or an ASCII string that needs no escaping.
             for entry in table.entries:
                 sig = sign(entry.perm)
                 digest = sha256(
                     sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big")
                 ).hexdigest()[:16]
                 fh.write(
-                    json.dumps(
-                        {
-                            "id": entry.eid,
-                            "length": entry.length,
-                            "word": render_letters(entry.word),
-                            "portrait_hash": digest,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
+                    f'{{"id": {entry.eid}, "length": {entry.length}, '
+                    f'"portrait_hash": "{digest}", '
+                    f'"word": "{render_letters(entry.word)}"}}\n'
                 )
     if args.format == "json":
         _emit({"header": header, "rows": rows}, args.output)
@@ -389,12 +386,15 @@ def _suite_lemma8(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
     eps = cfg.epsilon or Fraction(1, 10)
     table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
     rep = gr.lemma8_check(table, eps)
-    return {
+    result = {
         "checks": rep["checked_words"],
         "violations": rep["violations"],
-        "radius": table.radius,
-        "complete": table.complete,
+        "radius": rep["radius"],
+        "complete": table.complete and "cap_exceeded" not in rep,
     }
+    if "cap_exceeded" in rep:
+        result["detail"] = rep["cap_exceeded"]
+    return result
 
 
 def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
@@ -426,9 +426,9 @@ def _suite_lemma11(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
     return {
         "checks": rep["checked_words"],
         "violations": violations,
-        "radius": table.radius,
-        "complete": table.complete,
-        "detail": {"s": rep["s"], "part_b": rep["part_b"]},
+        "radius": rep["radius"],
+        "complete": table.complete and "cap_exceeded" not in rep,
+        "detail": rep.get("cap_exceeded", {"s": rep["s"], "part_b": rep["part_b"]}),
     }
 
 

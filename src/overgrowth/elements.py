@@ -106,6 +106,51 @@ def spine_root_label(letter: int, omega: OmegaSpec, shift: int, level: int) -> s
     return "P" if letter_label(letter, sym) else "I"
 
 
+def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int]:
+    """First level of its spine at which a spine letter swaps, or None.
+
+    Levels 1 .. cycle_length cover the rest of the preperiod and a full
+    period, so every symbol still to come: a letter that swaps at none of
+    them is trivial.
+    """
+    for level in range(1, omega.cycle_length + 1):
+        if letter_label(letter, symbol_at(omega, shift + level)):
+            return level
+    return None
+
+
+def tail(omega: OmegaSpec, shift: int) -> int:
+    """Least depth whose level tables at ``shift`` tell apart any two
+    distinct elements of length at most one.
+
+    Level 1 separates ``a`` from the empty word and the spine letters.  Two
+    spine letters differ by their product, a spine letter, and one whose
+    first swap is at level j moves the vertex 1...10 (j - 1 ones) and so
+    shows at level j + 1.
+    """
+    firsts = (_first_swap_level(k, omega, shift) for k in range(1, 8))
+    return 1 + max((j for j in firsts if j is not None), default=0)
+
+
+def exact_radius(omega: OmegaSpec, shift: int) -> int:
+    """Word length up to which level-8 tables at ``shift`` decide equality.
+
+    By the contraction bound |section| <= (|g| + 1) / 2, every level-h
+    section of a word of length at most 2^h has at most one letter, so two
+    such elements are equal exactly when their level tables agree at depth
+    h + tail(omega, shift + h).  The radius is the largest such 2^h with
+    that depth at most 8, or 0 when there is none.
+    """
+    return max(
+        (
+            1 << h
+            for h in range(TABLE_DEPTH_MAX + 1)
+            if h + tail(omega, shift + h) <= TABLE_DEPTH_MAX
+        ),
+        default=0,
+    )
+
+
 def decompose(g: Element) -> WreathDecomposition:
     memo = g.omega.sections
     key = (g.shift, g.word)
@@ -186,37 +231,46 @@ def level_table(g: Element, depth: int) -> bytes:
     """
     if not 0 <= depth <= TABLE_DEPTH_MAX:
         raise ValueError(f"level tables cover depths 0..{TABLE_DEPTH_MAX}")
-    return bytes(_leaf_images(g, depth)) + IDENTITY_TABLE[1 << depth:]
+    return _leaf_images(g, depth) + IDENTITY_TABLE[1 << depth:]
 
 
-def _leaf_images(g: Element, depth: int) -> list[int]:
-    if not g.word:
-        return list(range(1 << depth))
-    if depth == 0:
-        return [0]
+# _RAISE[k] adds 2^k (mod 256) to every byte: it moves the leaf images of
+# a depth-(k + 1) subtree's left half into its right half.
+_RAISE = tuple(
+    IDENTITY_TABLE[1 << k:] + IDENTITY_TABLE[: 1 << k] for k in range(TABLE_DEPTH_MAX)
+)
+
+
+def _leaf_images(g: Element, depth: int) -> bytes:
+    if not g.word or depth == 0:
+        return IDENTITY_TABLE[: 1 << depth]
     d = decompose(g)
-    top = 1 << (depth - 1)
     left = _leaf_images(d.left, depth - 1)
     right = _leaf_images(d.right, depth - 1)
+    up = _RAISE[depth - 1]
     if d.top_swap:
-        return [v + top for v in left] + right
-    return left + [v + top for v in right]
+        return left.translate(up) + right
+    return left + right.translate(up)
 
 
-def table_signer(depth: int):
-    """Function taking ``level_table(g, depth)`` to ``signature(g, depth)``.
+def table_signer(depth: int, table_depth: Optional[int] = None):
+    """Function taking ``level_table(g, table_depth)`` to ``signature(g, depth)``.
 
-    The label of a depth-k vertex u is bit ``depth - 1 - k`` of the image
-    of the leaf u0...0, so one stride slice per depth reads all its labels;
-    they are then permuted into the preorder bit layout of ``signature``.
+    ``table_depth`` defaults to ``depth`` and may be any level at or below
+    it.  The label of a depth-k vertex u is bit ``table_depth - 1 - k`` of
+    the image of the leaf u0...0, so one stride slice per depth reads all
+    its labels; they are then permuted into the preorder bit layout of
+    ``signature``.
     """
-    if not 0 <= depth <= TABLE_DEPTH_MAX:
-        raise ValueError(f"level tables cover depths 0..{TABLE_DEPTH_MAX}")
+    if table_depth is None:
+        table_depth = depth
+    if not 0 <= depth <= table_depth <= TABLE_DEPTH_MAX:
+        raise ValueError(f"need 0 <= depth <= table_depth <= {TABLE_DEPTH_MAX}")
     reads = []
     for k in range(depth):
-        bit = depth - 1 - k
+        bit = table_depth - 1 - k
         digits = bytes(0x30 | (v >> bit) & 1 for v in range(256))
-        reads.append((slice(0, 1 << depth, 1 << (depth - k)), digits))
+        reads.append((slice(0, 1 << table_depth, 1 << (table_depth - k)), digits))
     # order[p] = index, in the depth-by-depth label string, of signature bit p
     order = [0] * ((1 << depth) - 1)
 
@@ -251,13 +305,7 @@ def is_identity(g: Element) -> bool:
     if hit is not None:
         return hit
     if len(word) == 1:
-        # A single letter is trivial iff it fixes every level of its spine;
-        # levels shift + 1 .. shift + cycle_length cover the rest of the
-        # preperiod and a full period, so every symbol still to come.
-        result = all(
-            spine_root_label(word[0], g.omega, g.shift, lev) == "I"
-            for lev in range(1, g.omega.cycle_length + 1)
-        )
+        result = _first_swap_level(word[0], g.omega, g.shift) is None
     else:
         d = decompose(g)
         result = is_identity(d.left) and is_identity(d.right)
@@ -386,19 +434,3 @@ def order_bounded(g: Element, max_order: int) -> Optional[int]:
         raise RuntimeError("order recursion returned a non-minimal order")
     return k
 
-
-def parse_element(text: str, omega: Optional[OmegaSpec] = None) -> Element:
-    """Parse ``word @ shift @ omega`` text (omega part optional if given)."""
-    from .omega import parse_omega
-
-    parts = [p.strip() for p in text.split("@")]
-    if len(parts) == 3:
-        word_text, shift_text, omega_text = parts
-        omega = parse_omega(omega_text)
-    elif len(parts) == 2 and omega is not None:
-        word_text, shift_text = parts
-    elif len(parts) == 1 and omega is not None:
-        word_text, shift_text = parts[0], "0"
-    else:
-        raise ValueError("expected 'word @ shift @ omega'")
-    return Element.from_text(word_text, omega, int(shift_text))

@@ -2,9 +2,9 @@
 
 Balls are built breadth-first over right multiplication by the eight
 generators in the fixed order a < b < c < d < x < B < C < D, deduplicating
-elements by their action on a level of the tree (a 256-byte table that
-composes by ``bytes.translate``), every key hit confirmed by the exact
-equality test.
+elements by their action on level 8 of the tree (a 256-byte table that
+composes by ``bytes.translate``).  Up to ``exact_radius`` the table alone
+decides equality; above it every key hit is confirmed by the word problem.
 All geodesic derivations are kept as predecessor links, which is what the
 frequency (F/D) classification and the contraction checkers consume.
 """
@@ -35,10 +35,13 @@ from .words import (
     xyz_profile,
 )
 from .elements import (
+    IDENTITY_TABLE,
     TABLE_DEPTH_MAX,
+    ContextMismatch,
     Element,
     decompose,
     equal,
+    exact_radius,
     generator,
     is_identity,
     level_table,
@@ -54,7 +57,11 @@ class BudgetExceeded(RuntimeError):
 
 
 class GeodesicCapExceeded(RuntimeError):
-    pass
+    """An element has more minimal words than the cap; ``length`` is its length."""
+
+    def __init__(self, message: str, length: int):
+        super().__init__(message)
+        self.length = length
 
 
 class NotLevelStabilizer(ValueError):
@@ -69,8 +76,8 @@ def as_fraction(value) -> Fraction:
 
 
 def dedup_depth_for(radius: int) -> int:
-    """Tree level whose action keys the ball's dedup, capped at the deepest
-    level a 256-byte table covers; the cap lowers it from radius 31 on."""
+    """Portrait depth of the ``--export-ball`` hashes for a radius, capped
+    at the deepest level a 256-byte table covers (from radius 31 on)."""
     return min(math.ceil(math.log2(radius + 2)) + 3, TABLE_DEPTH_MAX)
 
 
@@ -80,18 +87,20 @@ class BallEntry:
     length: int
     word: bytes
     element: Element
-    perm: bytes  # level_table(element, dedup_depth)
+    perm: bytes  # level_table(element, TABLE_DEPTH_MAX)
     links: list = field(default_factory=list)  # (predecessor id, letter)
 
 
 class BallTable:
     """Ball of a given radius with per-length strata and geodesic links."""
 
-    def __init__(self, omega: OmegaSpec, shift: int, radius: int, dedup_depth: int):
+    dedup_depth = TABLE_DEPTH_MAX
+
+    def __init__(self, omega: OmegaSpec, shift: int, radius: int):
         self.omega = omega
         self.shift = shift_normalize(omega, shift)
         self.radius = radius
-        self.dedup_depth = dedup_depth
+        self.exact_radius = exact_radius(omega, self.shift)
         self.complete = True
         self.entries: list[BallEntry] = []
         self.strata: list[list[int]] = []
@@ -111,13 +120,25 @@ class BallTable:
     def lookup(self, element: Element, perm: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
 
-        ``perm`` is the element's level table at the dedup depth, built
-        from ``decompose`` when not given; a table match is only a
-        candidate until the word problem confirms it.
+        ``perm`` is the element's level-8 table, built from ``decompose``
+        when not given.  While the element's word and every stored word
+        (the last stored is the longest) are at most ``exact_radius`` long,
+        a table match is the answer; above that it is only a candidate until
+        the word problem confirms it.
         """
+        if element.shift != self.shift or (
+            element.omega is not self.omega and element.omega != self.omega
+        ):
+            raise ContextMismatch("element and ball must share sequence and shift")
         if perm is None:
-            perm = level_table(element, self.dedup_depth)
-        for cand in self._by_perm.get(perm, ()):
+            perm = level_table(element, TABLE_DEPTH_MAX)
+        ids = self._by_perm.get(perm)
+        if ids is None:
+            return None
+        exact = self.exact_radius
+        if len(element.word) <= exact and self.entries[-1].length <= exact:
+            return ids[0]
+        for cand in ids:
             if equal(element, self.entries[cand].element):
                 return cand
         return None
@@ -151,15 +172,14 @@ def enumerate_ball(
         raise ValueError("radius must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be positive")
-    table = BallTable(omega, shift, radius, dedup_depth_for(radius))
+    table = BallTable(omega, shift, radius)
     shift = table.shift
     letter_perms = [
-        level_table(generator(k, omega, shift), table.dedup_depth)
+        level_table(generator(k, omega, shift), TABLE_DEPTH_MAX)
         for k in GENERATOR_LETTERS
     ]
     identity = Element.identity(omega, shift)
-    perm = level_table(identity, table.dedup_depth)
-    table._register(BallEntry(0, 0, identity.word, identity, perm))
+    table._register(BallEntry(0, 0, identity.word, identity, IDENTITY_TABLE))
     table.strata.append([0])
     for level in range(radius):
         frontier: list[int] = []
@@ -219,7 +239,8 @@ def geodesic_words(table: BallTable, eid: int, cap: int = 200_000) -> tuple:
                 acc.append(w + (letter,))
                 if len(acc) > cap:
                     raise GeodesicCapExceeded(
-                        f"element {eid} has more than {cap} minimal words"
+                        f"element {eid} has more than {cap} minimal words",
+                        entry.length,
                     )
         result = tuple(sorted(acc))
     table._geodesics[eid] = result
@@ -402,27 +423,36 @@ def lemma8_map(letters: Iterable[int], epsilon) -> Lemma8Result:
 
 def lemma8_check(table: BallTable, epsilon, n_values: Optional[Iterable[int]] = None) -> dict:
     """Apply the a-deletion map to every minimal word of every F-type
-    element at each requested radius; collect violations verbatim."""
+    element at each requested radius; collect violations verbatim.
+
+    When an element has more minimal words than ``geodesic_words`` keeps,
+    the check stops there: ``cap_exceeded`` holds the message and
+    ``radius`` the strata below that element (spheres are checked in
+    increasing order).
+    """
     eps = as_fraction(epsilon)
     if n_values is None:
         n_values = range(2, table.radius + 1)
     violations = []
     checked = 0
-    for n in n_values:
-        cls = classify_geodesics(table, eps, n)
-        for eid in sorted(cls.F):
-            for w in geodesic_words(table, eid):
-                checked += 1
-                try:
-                    lemma8_map(w, eps)
-                except LemmaViolation as exc:
-                    violations.append({"n": n, "eid": eid, "detail": str(exc)})
-    return {
-        "epsilon": str(eps),
-        "checked_words": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
+    report = {"epsilon": str(eps), "radius": table.radius}
+    try:
+        for n in n_values:
+            cls = classify_geodesics(table, eps, n)
+            for eid in sorted(cls.F):
+                for w in geodesic_words(table, eid):
+                    checked += 1
+                    try:
+                        lemma8_map(w, eps)
+                    except LemmaViolation as exc:
+                        violations.append({"n": n, "eid": eid, "detail": str(exc)})
+    except GeodesicCapExceeded as exc:
+        report["radius"] = exc.length - 1
+        report["cap_exceeded"] = str(exc)
+    report["checked_words"] = checked
+    report["violations"] = violations
+    report["passed"] = not violations and "cap_exceeded" not in report
+    return report
 
 
 @dataclass(frozen=True)
@@ -496,6 +526,9 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
 
     Part B (gated on radius * epsilon > 5/2): every D-type witness word at
     the sphere radius additionally obeys (1 - epsilon/5) * n + 2^s - 1.
+
+    When an element has more minimal words than ``geodesic_words`` keeps,
+    the check stops there, as ``lemma8_check`` does, and part B with it.
     """
     eps = as_fraction(epsilon)
     omega_here = table.omega
@@ -517,50 +550,69 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
     violations_a = []
     checked = 0
     traces: dict[tuple, LevelSectionTrace] = {}
-    for eid in stab_ids:
-        entry = table.entries[eid]
-        for w in geodesic_words(table, eid):
-            receipt = reduce(w)
-            assert receipt.contractions == 0, "minimal words must be reduced"
-            el = Element(receipt.word, omega_here, table.shift)
-            trace = level_section_trace(el, s)
-            traces[w] = trace
-            checked += 1
-            n_w = len(w)
-            total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
-            x0 = xyz_profile(el.word)[sym1]
-            at_t, at_s = trace.levels[t - 2], trace.levels[s - 2]
-            y_t1 = (at_t.x, at_t.y, at_t.z)[sym2]
-            z_s1 = (at_s.x, at_s.y, at_s.z)[sym3]
-            alpha_sum = sum(trace.levels[j].alpha for j in range(s - 1))
-            rhs = n_w + (1 << s) - 1 - x0 - y_t1 - z_s1 - alpha_sum
-            if total_s > rhs:
-                violations_a.append(
-                    {
-                        "eid": eid,
-                        "word": render_letters(w),
-                        "total": total_s,
-                        "rhs": rhs,
-                    }
-                )
     report = {
         "s": s,
         "t": t,
         "epsilon": str(eps),
         "stabilizer_elements": len(stab_ids),
-        "checked_words": checked,
-        "part_a_violations": violations_a,
-        "part_a_passed": not violations_a,
+        "radius": table.radius,
     }
+    try:
+        for eid in stab_ids:
+            for w in geodesic_words(table, eid):
+                receipt = reduce(w)
+                assert receipt.contractions == 0, "minimal words must be reduced"
+                el = Element(receipt.word, omega_here, table.shift)
+                trace = level_section_trace(el, s)
+                traces[w] = trace
+                checked += 1
+                n_w = len(w)
+                total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
+                x0 = xyz_profile(el.word)[sym1]
+                at_t, at_s = trace.levels[t - 2], trace.levels[s - 2]
+                y_t1 = (at_t.x, at_t.y, at_t.z)[sym2]
+                z_s1 = (at_s.x, at_s.y, at_s.z)[sym3]
+                alpha_sum = sum(trace.levels[j].alpha for j in range(s - 1))
+                rhs = n_w + (1 << s) - 1 - x0 - y_t1 - z_s1 - alpha_sum
+                if total_s > rhs:
+                    violations_a.append(
+                        {
+                            "eid": eid,
+                            "word": render_letters(w),
+                            "total": total_s,
+                            "rhs": rhs,
+                        }
+                    )
+        n = table.radius
+        if n * eps <= Fraction(5, 2):
+            part_b = "precondition unmet, skipped"
+        else:
+            part_b = _lemma11_part_b(table, eps, s, set(stab_ids), traces)
+    except GeodesicCapExceeded as exc:
+        # Stabilizers are checked in order of length, and part B last.
+        report["radius"] = exc.length - 1
+        report["cap_exceeded"] = str(exc)
+        part_b = "stopped at the geodesic cap"
+    report["checked_words"] = checked
+    report["part_a_violations"] = violations_a
+    report["part_a_passed"] = not violations_a
+    report["part_b"] = part_b
+    report["passed"] = (
+        not violations_a
+        and "cap_exceeded" not in report
+        and (not isinstance(part_b, dict) or part_b["passed"])
+    )
+    return report
+
+
+def _lemma11_part_b(
+    table: BallTable, eps: Fraction, s: int, stab_set: set, traces: dict
+) -> dict:
+    """Headline bound for the spread witnesses at the sphere radius."""
     n = table.radius
-    if n * eps <= Fraction(5, 2):
-        report["part_b"] = "precondition unmet, skipped"
-        report["passed"] = not violations_a
-        return report
     threshold = (Fraction(1, 2) - eps) * n
     headline = (1 - eps / 5) * n + (1 << s) - 1
     cls = classify_geodesics(table, eps, n)
-    stab_set = set(stab_ids)
     violations_b = []
     checked_b = 0
     for eid in sorted(cls.D):
@@ -574,7 +626,7 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
                 continue  # not a spread witness
             trace = traces.get(w)
             if trace is None:
-                el = Element(reduce(w).word, omega_here, table.shift)
+                el = Element(reduce(w).word, table.omega, table.shift)
                 trace = level_section_trace(el, s)
             checked_b += 1
             total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
@@ -587,14 +639,12 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
                         "bound": float(headline),
                     }
                 )
-    report["part_b"] = {
+    return {
         "bound": float(headline),
         "checked_words": checked_b,
         "violations": violations_b,
         "passed": not violations_b,
     }
-    report["passed"] = not violations_a and not violations_b
-    return report
 
 
 def lemma3_check(omega: OmegaSpec, n: int, shift: int = 0, budget: int = DEFAULT_BUDGET) -> dict:

@@ -76,8 +76,11 @@ def parse_letters(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+_LETTER_TEXT = bytes.maketrans(bytes(range(8)), LETTER_NAMES.encode())
+
+
 def render_letters(letters: Iterable[int]) -> str:
-    return " ".join(LETTER_NAMES[k] for k in letters)
+    return " ".join(bytes(letters).translate(_LETTER_TEXT).decode())
 
 
 def a_count(word: bytes) -> int:

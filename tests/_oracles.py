@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
-from overgrowth.omega import OmegaSpec, symbol_at
+from overgrowth.elements import Element
+from overgrowth.omega import OmegaSpec, parse_omega, symbol_at
 
 A = 0
 
@@ -170,3 +172,18 @@ def ftilde_count_exhaustive(delta, k: int) -> int:
 
 def random_raw_word(rng, max_len: int) -> tuple[int, ...]:
     return tuple(rng.randrange(8) for _ in range(rng.randrange(max_len + 1)))
+
+
+def parse_element(text: str, omega: Optional[OmegaSpec] = None) -> Element:
+    """Parse ``word @ shift @ omega`` text (omega part optional if given)."""
+    parts = [p.strip() for p in text.split("@")]
+    if len(parts) == 3:
+        word_text, shift_text, omega_text = parts
+        omega = parse_omega(omega_text)
+    elif len(parts) == 2 and omega is not None:
+        word_text, shift_text = parts
+    elif len(parts) == 1 and omega is not None:
+        word_text, shift_text = parts[0], "0"
+    else:
+        raise ValueError("expected 'word @ shift @ omega'")
+    return Element.from_text(word_text, omega, int(shift_text))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import overgrowth.growth as gr
 from overgrowth.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -314,3 +315,26 @@ def test_verify_budget_overrun_is_incomplete(capsys):
         assert rep["status"] == "incomplete" and rep["violations"] == []
         assert rep["radius"] == radius, suite
 
+
+def test_geodesic_cap_makes_a_suite_incomplete(capsys, monkeypatch):
+    # Over (0) the minimal words quadruple every other sphere: element 34,
+    # of length 17, is the first with more than 200,000 of them.
+    code, data = run_json(
+        capsys, "verify", "--suite", "lemma8", "--omega", "(0)", "--radius", "40"
+    )
+    rep = data["suites"]["lemma8"]
+    assert code == 3 and not data["passed"] and not rep["passed"]
+    assert rep["status"] == "incomplete" and rep["violations"] == []
+    assert rep["detail"] == "element 34 has more than 200000 minimal words"
+    assert rep["radius"] == 16 and rep["checks"] > 0
+
+    # At a cap of 3, the first (012) level-3 stabilizer with more minimal
+    # words has length 5.
+    real = gr.geodesic_words
+    monkeypatch.setattr(gr, "geodesic_words", lambda table, eid, cap=3: real(table, eid, 3))
+    code, data = run_json(capsys, "verify", "--suite", "lemma11", "--radius", "6")
+    rep = data["suites"]["lemma11"]
+    assert code == 3 and not data["passed"] and not rep["passed"]
+    assert rep["status"] == "incomplete" and rep["violations"] == []
+    assert rep["detail"].endswith("has more than 3 minimal words")
+    assert rep["radius"] == 4 and rep["checks"] > 0

@@ -23,7 +23,6 @@ from overgrowth.elements import (
     is_identity,
     mul,
     order_bounded,
-    parse_element,
     portrait,
     power,
     sections,
@@ -34,6 +33,7 @@ from overgrowth.elements import (
 from _oracles import (
     act_word,
     identity_to_depth,
+    parse_element,
     portrait_via_act,
     random_raw_word,
     word_from_parts,

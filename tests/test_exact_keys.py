@@ -1,0 +1,233 @@
+"""The exact level-8 ball key.
+
+``tail`` and ``exact_radius`` are checked against a brute-force search
+over letterwise vertex actions, the contraction lemma behind them on whole
+balls, and balls whose lookups cross ``exact_radius`` against a ball
+deduplicated by the word problem alone.
+"""
+
+import json
+import random
+
+import pytest
+
+import overgrowth.growth as growth
+from overgrowth.cli import main
+from overgrowth.elements import (
+    TABLE_DEPTH_MAX,
+    ContextMismatch,
+    Element,
+    decompose,
+    equal,
+    exact_radius,
+    generator,
+    level_table,
+    signature,
+    table_signer,
+    tail,
+)
+from overgrowth.growth import enumerate_ball
+from overgrowth.omega import parse_omega, shift_normalize
+from overgrowth.words import LETTER_NAMES, reduce
+
+from _oracles import act_word, random_raw_word
+
+ONE_LETTER_WORDS = [b""] + [bytes((k,)) for k in range(8)]
+
+
+def separating_level(omega, shift):
+    """Least level whose vertex actions, letter by letter, tell apart every
+    two elements of length at most one that ``equal`` calls distinct."""
+    elements = [Element(w, omega, shift) for w in ONE_LETTER_WORDS]
+    distinct = [
+        (i, j)
+        for i in range(len(elements))
+        for j in range(i)
+        if not equal(elements[i], elements[j])
+    ]
+    for level in range(1, 13):
+        vertices = [format(v, f"0{level}b") for v in range(1 << level)]
+        tables = [
+            tuple(act_word(w, omega, shift, v) for v in vertices) for w in ONE_LETTER_WORDS
+        ]
+        if all(tables[i] != tables[j] for i, j in distinct):
+            return level
+    raise AssertionError("no level up to 12 separates the one-letter elements")
+
+
+def halvings(n):
+    """Number of halvings n -> ceil(n / 2) that bring n down to 1."""
+    h = 0
+    while n > 1:
+        n, h = (n + 1) // 2, h + 1
+    return h
+
+
+def test_tail_and_exact_radius_match_brute_force():
+    radii = {}
+    for text in ("(012)", "(0012)", "01(2)", "(0)", "2(01)"):
+        omega = parse_omega(text)
+        shifts = range(omega.cycle_length)
+        tails = {s: separating_level(omega, s) for s in shifts}
+        for s in shifts:
+            assert tail(omega, s) == tails[s], (text, s)
+            want = max(
+                (
+                    1 << h
+                    for h in range(TABLE_DEPTH_MAX + 1)
+                    if h + tails[shift_normalize(omega, s + h)] <= TABLE_DEPTH_MAX
+                ),
+                default=0,
+            )
+            assert exact_radius(omega, s) == want, (text, s)
+        radii[text] = [exact_radius(omega, s) for s in shifts]
+    assert radii["(012)"] == [16, 16, 16]
+    assert radii["01(2)"] == [64, 64, 64]
+    assert radii["(0)"] == [64]
+    assert radii["(0012)"] == [8, 16, 16, 8]
+    assert exact_radius(parse_omega("(01)"), 0) == 32
+
+
+def test_exact_radius_is_zero_when_no_level_fits():
+    # Over (00000001) the letter C first swaps at level 8, so telling it
+    # from the identity takes level 9.
+    omega = parse_omega("(00000001)")
+    assert tail(omega, 0) == 9
+    assert exact_radius(omega, 0) == 0
+
+
+def level_sections(g, h):
+    """The 2^h level-h sections of g, checking the contraction bound
+    |section| <= (|g| + 1) / 2 at every step."""
+    out = [g]
+    for _ in range(h):
+        nxt = []
+        for e in out:
+            d = decompose(e)
+            for sec in (d.left, d.right):
+                assert len(sec.word) <= (len(e.word) + 1) // 2
+                nxt.append(sec)
+        out = nxt
+    return out
+
+
+def test_level_h_sections_have_at_most_one_letter():
+    assert (halvings(8), halvings(12), halvings(16), halvings(17)) == (3, 4, 4, 5)
+    for text, radius in (("(012)", 8), ("01(2)", 12)):
+        table = enumerate_ball(parse_omega(text), 0, radius)
+        h = halvings(radius)
+        for entry in table.entries:
+            assert all(len(s.word) <= 1 for s in level_sections(entry.element, h))
+
+
+def equal_only_ball(omega, shift, radius):
+    """Breadth-first ball whose merges are decided by ``equal`` alone; the
+    level-6 table only narrows the elements it is asked about, since equal
+    elements act alike on every level.  Returns (words, links, gamma)."""
+    shift = shift_normalize(omega, shift)
+    elements = [Element.identity(omega, shift)]
+    links = [[]]
+    strata = [[0]]
+    buckets = {level_table(elements[0], 6): [0]}
+    for level in range(radius):
+        frontier = []
+        for eid in strata[level]:
+            for letter in range(8):
+                cand = Element(reduce(elements[eid].word + bytes((letter,))).word, omega, shift)
+                if len(cand.word) <= level:
+                    continue
+                bucket = buckets.setdefault(level_table(cand, 6), [])
+                found = next((i for i in bucket if equal(cand, elements[i])), None)
+                if found is None:
+                    found = len(elements)
+                    elements.append(cand)
+                    links.append([])
+                    bucket.append(found)
+                    frontier.append(found)
+                if len(elements[found].word) == level + 1:
+                    links[found].append((eid, letter))
+        strata.append(frontier)
+    gamma, total = [], 0
+    for stratum in strata:
+        total += len(stratum)
+        gamma.append(total)
+    return [e.word for e in elements], links, gamma
+
+
+def test_balls_crossing_exact_radius_match_equal_only_dedup(monkeypatch):
+    confirmed = []
+    real_equal = growth.equal
+
+    def counting_equal(g, h):
+        confirmed.append(len(g.word))
+        return real_equal(g, h)
+
+    monkeypatch.setattr(growth, "equal", counting_equal)
+    # Over (000001) at shift 4, distinct elements share level-8 tables from
+    # radius 8 on, and only the word problem tells them apart.  (0012) is
+    # exact to 8 at shifts 0 and 3, so strata 9 and 10 confirm every key
+    # hit by the word problem; (012) asked for radius 18 (above its exact
+    # radius 16) stops at radius 7 under the budget.
+    for text, shift, radius, budget, reached, exact in (
+        ("(000001)", 4, 10, 20_000, 10, 2),
+        ("(0012)", 0, 10, 20_000, 10, 8),
+        ("(0012)", 3, 10, 20_000, 10, 8),
+        ("(012)", 0, 18, 3_000, 7, 16),
+    ):
+        omega = parse_omega(text)
+        confirmed.clear()
+        table = enumerate_ball(omega, shift, radius, budget)
+        assert (table.radius, table.exact_radius) == (reached, exact)
+        monkeypatch.setattr(growth, "equal", real_equal)
+        words, links, gamma = equal_only_ball(omega, shift, table.radius)
+        monkeypatch.setattr(growth, "equal", counting_equal)
+        assert table.gamma() == gamma
+        assert [e.word for e in table.entries] == words
+        assert [e.links for e in table.entries] == links
+        # Every stratum above the exact radius, and none below, asked equal.
+        assert set(confirmed) == set(range(exact + 1, table.radius + 1)), text
+        if text == "(000001)":
+            assert len({e.perm for e in table.entries}) < len(table.entries)
+
+
+def test_lookup_rejects_a_foreign_shift_or_sequence():
+    omega = parse_omega("(012)")
+    table = enumerate_ball(omega, 0, 3)
+    b = table.entries[2]
+    for foreign in (generator("b", omega, 1), generator("b", parse_omega("(0012)"))):
+        with pytest.raises(ContextMismatch):
+            table.lookup(foreign)
+        with pytest.raises(ContextMismatch):
+            table.lookup(foreign, b.perm)
+    # An equal spec parsed on its own is the same sequence.
+    assert table.lookup(generator("b", parse_omega("(012)"))) == b.eid
+
+
+def test_portraits_read_off_level_eight_tables():
+    rng = random.Random(3)
+    elements = [Element.identity(parse_omega("(012)"))]
+    for text in ("(012)", "01(2)", "(0012)"):
+        omega = parse_omega(text)
+        elements += [
+            Element(reduce(random_raw_word(rng, 30)).word, omega, rng.randrange(3))
+            for _ in range(20)
+        ]
+    for depth in range(TABLE_DEPTH_MAX + 1):
+        sign = table_signer(depth, TABLE_DEPTH_MAX)
+        for g in elements:
+            assert sign(level_table(g, TABLE_DEPTH_MAX)) == signature(g, depth)
+    with pytest.raises(ValueError):
+        table_signer(8, 7)
+
+
+def test_ball_export_lines_are_sorted_json(tmp_path):
+    path = tmp_path / "ball.jsonl"
+    argv = ["growth", "--omega", "01(2)", "--radius", "7", "--export-ball", str(path)]
+    assert main(argv + ["--output", str(tmp_path / "rows.csv")]) == 0
+    table = enumerate_ball(parse_omega("01(2)"), 0, 7)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert len(lines) == len(table.entries)
+    for line, entry in zip(lines, table.entries):
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True)
+        assert record["word"] == " ".join(LETTER_NAMES[k] for k in entry.word)

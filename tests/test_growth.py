@@ -8,7 +8,7 @@ import pytest
 
 from overgrowth.omega import parse_omega
 from overgrowth.words import SPINE_LETTERS, parse_letters, reduce, render_letters
-from overgrowth.elements import Element, generator, mul
+from overgrowth.elements import Element, equal, generator, mul
 from overgrowth.growth import (
     GeodesicCapExceeded,
     LemmaViolation,
@@ -104,6 +104,9 @@ def test_equal_specs_keep_separate_memos():
     assert str(warm) == "(012)"
     assert repr(warm) == "OmegaSpec(preperiod='', period='012')"
     t1 = enumerate_ball(warm, 0, 5)
+    # The ball decides equality by its level tables alone; the word problem
+    # fills the identity memo.
+    assert not equal(generator("b", warm), generator("c", warm))
     assert warm.sections and warm.trivial
     assert cold.sections == {} and cold.trivial == {}
     assert warm == cold and hash(warm) == hash(cold)
