@@ -242,15 +242,15 @@ def cmd_growth(args) -> int:
         with open(args.export_ball, "w", encoding="utf-8") as fh:
             # The bytes of json.dumps(record, sort_keys=True): every field
             # is an int or an ASCII string that needs no escaping.
-            for entry in table.entries:
-                sig = sign(entry.perm)
+            for eid, (word, perm) in enumerate(zip(table.entries, table.perms)):
+                sig = sign(perm)
                 digest = sha256(
                     sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big")
                 ).hexdigest()[:16]
                 fh.write(
-                    f'{{"id": {entry.eid}, "length": {entry.length}, '
+                    f'{{"id": {eid}, "length": {len(word)}, '
                     f'"portrait_hash": "{digest}", '
-                    f'"word": "{render_letters(entry.word)}"}}\n'
+                    f'"word": "{render_letters(word)}"}}\n'
                 )
     if args.format == "json":
         _emit({"header": header, "rows": rows}, args.output)
@@ -345,7 +345,7 @@ def _suite_lemma3(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
     try:
         rep = gr.lemma3_check(omega, radius, budget=cfg.budget)
     except gr.BudgetExceeded as exc:
-        # Both balls are needed for any check, so none was made.
+        # The shifted ball completed no sphere, so no check was made.
         return {
             "checks": 0,
             "violations": [],
@@ -355,7 +355,8 @@ def _suite_lemma3(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
         }
     return {
         "checks": rep["gamma"][-1],
-        "radius": radius,
+        "radius": rep["radius"],
+        "complete": rep["complete"],
         "violations": rep["violations"]
         + ([] if rep["numeric_inequality"]["passed"] else [rep["numeric_inequality"]]),
         "detail": rep["numeric_inequality"],

@@ -12,7 +12,7 @@ frequency (F/D) classification and the contraction checkers consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -81,20 +81,14 @@ def dedup_depth_for(radius: int) -> int:
     return min(math.ceil(math.log2(radius + 2)) + 3, TABLE_DEPTH_MAX)
 
 
-@dataclass
-class BallEntry:
-    eid: int
-    length: int
-    word: bytes
-    element: Element
-    perm: bytes  # level_table(element, TABLE_DEPTH_MAX)
-    links: list = field(default_factory=list)  # (predecessor id, letter)
-
-
 class BallTable:
-    """Ball of a given radius with per-length strata and geodesic links."""
+    """Ball of a given radius as parallel lists indexed by element id.
 
-    dedup_depth = TABLE_DEPTH_MAX
+    ``entries[i]`` is element i's minimal word, so its length is its sphere;
+    ``perms[i]`` is its level-8 table and ``links[i]`` its geodesic
+    predecessors as (id, letter) pairs.  ``strata[n]`` lists the ids of
+    sphere n in increasing order.
+    """
 
     def __init__(self, omega: OmegaSpec, shift: int, radius: int):
         self.omega = omega
@@ -102,13 +96,12 @@ class BallTable:
         self.radius = radius
         self.exact_radius = exact_radius(omega, self.shift)
         self.complete = True
-        self.entries: list[BallEntry] = []
+        self.entries: list[bytes] = []
+        self.perms: list[bytes] = []
+        self.links: list[list[tuple[int, int]]] = []
         self.strata: list[list[int]] = []
         self._by_perm: dict[bytes, list[int]] = {}
         self._geodesics: dict[int, tuple] = {}
-
-    def sphere(self, n: int) -> list[int]:
-        return self.strata[n]
 
     def gamma(self) -> list[int]:
         out, total = [], 0
@@ -116,6 +109,9 @@ class BallTable:
             total += len(stratum)
             out.append(total)
         return out
+
+    def element(self, eid: int) -> Element:
+        return Element(self.entries[eid], self.omega, self.shift)
 
     def lookup(self, element: Element, perm: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
@@ -136,23 +132,20 @@ class BallTable:
         if ids is None:
             return None
         exact = self.exact_radius
-        if len(element.word) <= exact and self.entries[-1].length <= exact:
+        if len(element.word) <= exact and len(self.entries[-1]) <= exact:
             return ids[0]
         for cand in ids:
-            if equal(element, self.entries[cand].element):
+            if equal(element, self.element(cand)):
                 return cand
         return None
 
-    def _register(self, entry: BallEntry) -> None:
-        self.entries.append(entry)
-        self._by_perm.setdefault(entry.perm, []).append(entry.eid)
-
-    def _unregister_last(self) -> None:
-        entry = self.entries.pop()
-        ids = self._by_perm[entry.perm]
-        ids.remove(entry.eid)
-        if not ids:
-            del self._by_perm[entry.perm]
+    def _add(self, word: bytes, perm: bytes, links: list) -> int:
+        eid = len(self.entries)
+        self.entries.append(word)
+        self.perms.append(perm)
+        self.links.append(links)
+        self._by_perm.setdefault(perm, []).append(eid)
+        return eid
 
 
 def enumerate_ball(
@@ -178,15 +171,14 @@ def enumerate_ball(
         level_table(generator(k, omega, shift), TABLE_DEPTH_MAX)
         for k in GENERATOR_LETTERS
     ]
-    identity = Element.identity(omega, shift)
-    table._register(BallEntry(0, 0, identity.word, identity, IDENTITY_TABLE))
+    words, perms, links = table.entries, table.perms, table.links
+    table._add(b"", IDENTITY_TABLE, [])
     table.strata.append([0])
     for level in range(radius):
-        frontier: list[int] = []
-        overrun = False
+        start = len(words)  # the first id of sphere level + 1
         for eid in table.strata[level]:
-            base = table.entries[eid]
-            word = base.word
+            word = words[eid]
+            base_perm = perms[eid]
             # Only a letter alternating with the last one lengthens the
             # word; any other product lands in an already-complete stratum.
             if level == 0:
@@ -197,30 +189,25 @@ def enumerate_ball(
                 letters = (A,)
             for letter in letters:
                 cand = Element(extend(word, letter), omega, shift)
-                perm = letter_perms[letter].translate(base.perm)
+                perm = letter_perms[letter].translate(base_perm)
                 found = table.lookup(cand, perm)
                 if found is not None:
-                    target = table.entries[found]
-                    if target.length == level + 1:
-                        target.links.append((eid, letter))
+                    if found >= start:
+                        links[found].append((eid, letter))
                     continue
-                new_id = len(table.entries)
-                entry = BallEntry(new_id, level + 1, cand.word, cand, perm)
-                entry.links.append((eid, letter))
-                table._register(entry)
-                frontier.append(new_id)
-                if len(table.entries) > budget:
-                    overrun = True
-                    break
-            if overrun:
-                break
-        if overrun:
-            for _ in frontier:
-                table._unregister_last()
-            table.complete = False
-            table.radius = level
-            return table
-        table.strata.append(frontier)
+                table._add(cand.word, perm, [(eid, letter)])
+                if len(words) > budget:
+                    for key in set(perms[start:]):
+                        kept = [i for i in table._by_perm[key] if i < start]
+                        if kept:
+                            table._by_perm[key] = kept
+                        else:
+                            del table._by_perm[key]
+                    del words[start:], perms[start:], links[start:]
+                    table.complete = False
+                    table.radius = level
+                    return table
+        table.strata.append(list(range(start, len(words))))
     return table
 
 
@@ -229,18 +216,18 @@ def geodesic_words(table: BallTable, eid: int, cap: int = 200_000) -> tuple:
     hit = table._geodesics.get(eid)
     if hit is not None:
         return hit
-    entry = table.entries[eid]
-    if entry.length == 0:
+    word = table.entries[eid]
+    if not word:
         result: tuple = ((),)
     else:
         acc = []
-        for pred, letter in entry.links:
+        for pred, letter in table.links[eid]:
             for w in geodesic_words(table, pred, cap):
                 acc.append(w + (letter,))
                 if len(acc) > cap:
                     raise GeodesicCapExceeded(
                         f"element {eid} has more than {cap} minimal words",
-                        entry.length,
+                        len(word),
                     )
         result = tuple(sorted(acc))
     table._geodesics[eid] = result
@@ -273,7 +260,7 @@ def classify_geodesics(
         raise ValueError("sphere radius outside the computed ball")
     threshold = (Fraction(1, 2) - eps) * n
     f_ids, d_ids = set(), set()
-    for eid in table.sphere(n):
+    for eid in table.strata[n]:
         spread = False
         for w in geodesic_words(table, eid):
             counts = [0] * 8
@@ -545,7 +532,8 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
     sym2 = symbol_at(omega_here, t)
     sym3 = symbol_at(omega_here, s)
     stab_ids = [
-        e.eid for e in table.entries if stabilizes_level(e.element, s)
+        eid for eid in range(len(table.entries))
+        if stabilizes_level(table.element(eid), s)
     ]
     violations_a = []
     checked = 0
@@ -650,47 +638,56 @@ def _lemma11_part_b(
 def lemma3_check(omega: OmegaSpec, n: int, shift: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
     """Section-length bound and the one-step growth inequality.
 
-    For every even-parity element g of the radius-n ball, both sections
+    For every even-parity element g of the radius-m ball, both sections
     must have geodesic length at most (|g| + 1) / 2 in the shifted ball;
-    numerically, gamma(n) <= 2 * gamma_shifted(ceil((n + 2) / 2)) ** 2.
+    numerically, gamma(m) <= 2 * gamma_shifted(ceil((m + 2) / 2)) ** 2.
+    Here m is n, or on a budget overrun the largest radius both balls
+    cover; ``complete`` is unset then.  Raises ``BudgetExceeded`` when
+    they cover none.
     """
     table = enumerate_ball(omega, shift, n, budget)
-    half = (n + 2 + 1) // 2  # ceil((n + 2) / 2)
-    table_s = enumerate_ball(omega, shift + 1, half, budget)
-    if not (table.complete and table_s.complete):
+    table_s = enumerate_ball(omega, shift + 1, (table.radius + 3) // 2, budget)
+    # The largest m <= table.radius with ceil((m + 2) / 2) <= table_s.radius.
+    m = min(table.radius, 2 * table_s.radius - 2)
+    if m < 0:
         raise BudgetExceeded("ball enumeration hit the element budget")
+    half = (m + 3) // 2
+    g_here = table.gamma()[: m + 1]
+    g_shift = table_s.gamma()[: half + 1]
     violations = []
-    for entry in table.entries:
-        if not entry.element.in_stabilizer:
+    for eid in range(g_here[m]):
+        g = table.element(eid)
+        if not g.in_stabilizer:
             continue
-        dec = decompose(entry.element)
-        bound = Fraction(entry.length + 1, 2)
+        dec = decompose(g)
+        bound = Fraction(len(g.word) + 1, 2)
         for side, sec in (("left", dec.left), ("right", dec.right)):
-            eid = table_s.lookup(sec)
-            assert eid is not None, "section must lie in the shifted ball"
-            if table_s.entries[eid].length > bound:
+            found = table_s.lookup(sec)
+            assert found is not None, "section must lie in the shifted ball"
+            length = len(table_s.entries[found])
+            if length > bound:
                 violations.append(
                     {
-                        "eid": entry.eid,
+                        "eid": eid,
                         "side": side,
-                        "section_length": table_s.entries[eid].length,
+                        "section_length": length,
                         "bound": float(bound),
                     }
                 )
-    g_here = table.gamma()
-    g_shift = table_s.gamma()
-    numeric_ok = g_here[n] <= 2 * g_shift[half] ** 2
+    numeric_ok = g_here[m] <= 2 * g_shift[half] ** 2
+    complete = table.complete and table_s.complete
     return {
-        "radius": n,
+        "radius": m,
+        "complete": complete,
         "gamma": g_here,
         "gamma_shifted": g_shift,
         "numeric_inequality": {
-            "lhs": g_here[n],
+            "lhs": g_here[m],
             "rhs": 2 * g_shift[half] ** 2,
             "passed": numeric_ok,
         },
         "violations": violations,
-        "passed": numeric_ok and not violations,
+        "passed": numeric_ok and not violations and complete,
     }
 
 
@@ -805,18 +802,3 @@ def bound_curves(n_max: int, epsilon, samples: Optional[Iterable[int]] = None):
         tuple(p * math.log(math.log(p)) / math.log(p) for p in upper_pts),
     )
     return lower, upper
-
-
-def curve_crossover(lower: BoundCurve, upper: BoundCurve) -> Optional[int]:
-    """Least sampled n from which on the lower curve stays below the upper."""
-    common = sorted(set(lower.samples) & set(upper.samples))
-    lo = {n: lv for n, lv in zip(lower.samples, lower.log_values)}
-    up = {n: lv for n, lv in zip(upper.samples, upper.log_values)}
-    crossover = None
-    for n in common:
-        if lo[n] < up[n]:
-            if crossover is None:
-                crossover = n
-        else:
-            crossover = None
-    return crossover

@@ -301,9 +301,10 @@ def test_verify_zero_delta_is_not_replaced_by_default(capsys):
 
 def test_verify_budget_overrun_is_incomplete(capsys):
     # (012) at budget 50 completes radius 2 (23 elements) of the radius-8
-    # ball; (0) at budget 30 holds 29 of the 41 dihedral elements.
+    # ball, and so does the shifted ball lemma3 needs; (0) at budget 30
+    # holds 29 of the 41 dihedral elements.
     for suite, budget, radius in (
-        ("lemma3", "50", None),
+        ("lemma3", "50", 2),
         ("lemma8", "50", 2),
         ("lemma11", "50", 2),
         ("prop6", "30", 14),

@@ -116,8 +116,8 @@ def test_level_h_sections_have_at_most_one_letter():
     for text, radius in (("(012)", 8), ("01(2)", 12)):
         table = enumerate_ball(parse_omega(text), 0, radius)
         h = halvings(radius)
-        for entry in table.entries:
-            assert all(len(s.word) <= 1 for s in level_sections(entry.element, h))
+        for eid in range(len(table.entries)):
+            assert all(len(s.word) <= 1 for s in level_sections(table.element(eid), h))
 
 
 def equal_only_ball(omega, shift, radius):
@@ -182,25 +182,25 @@ def test_balls_crossing_exact_radius_match_equal_only_dedup(monkeypatch):
         words, links, gamma = equal_only_ball(omega, shift, table.radius)
         monkeypatch.setattr(growth, "equal", counting_equal)
         assert table.gamma() == gamma
-        assert [e.word for e in table.entries] == words
-        assert [e.links for e in table.entries] == links
+        assert table.entries == words
+        assert table.links == links
         # Every stratum above the exact radius, and none below, asked equal.
         assert set(confirmed) == set(range(exact + 1, table.radius + 1)), text
         if text == "(000001)":
-            assert len({e.perm for e in table.entries}) < len(table.entries)
+            assert len(set(table.perms)) < len(table.entries)
 
 
 def test_lookup_rejects_a_foreign_shift_or_sequence():
     omega = parse_omega("(012)")
     table = enumerate_ball(omega, 0, 3)
-    b = table.entries[2]
+    b = 2
     for foreign in (generator("b", omega, 1), generator("b", parse_omega("(0012)"))):
         with pytest.raises(ContextMismatch):
             table.lookup(foreign)
         with pytest.raises(ContextMismatch):
-            table.lookup(foreign, b.perm)
+            table.lookup(foreign, table.perms[b])
     # An equal spec parsed on its own is the same sequence.
-    assert table.lookup(generator("b", parse_omega("(012)"))) == b.eid
+    assert table.lookup(generator("b", parse_omega("(012)"))) == b
 
 
 def test_portraits_read_off_level_eight_tables():
@@ -227,7 +227,7 @@ def test_ball_export_lines_are_sorted_json(tmp_path):
     table = enumerate_ball(parse_omega("01(2)"), 0, 7)
     lines = path.read_text(encoding="ascii").splitlines()
     assert len(lines) == len(table.entries)
-    for line, entry in zip(lines, table.entries):
+    for line, word in zip(lines, table.entries):
         record = json.loads(line)
         assert line == json.dumps(record, sort_keys=True)
-        assert record["word"] == " ".join(LETTER_NAMES[k] for k in entry.word)
+        assert record["word"] == " ".join(LETTER_NAMES[k] for k in word)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from overgrowth.omega import parse_omega
 from overgrowth.words import SPINE_LETTERS, parse_letters, reduce, render_letters
 from overgrowth.elements import Element, equal, generator, mul
 from overgrowth.growth import (
+    BudgetExceeded,
     GeodesicCapExceeded,
     LemmaViolation,
     NotLevelStabilizer,
@@ -17,7 +19,6 @@ from overgrowth.growth import (
     classify_geodesics,
     count_ftilde,
     count_ftilde_exhaustive,
-    curve_crossover,
     dedup_depth_for,
     enumerate_ball,
     geodesic_words,
@@ -93,8 +94,8 @@ def test_ball_determinism():
     t1 = enumerate_ball(W012, 0, 6)
     # A freshly parsed spec starts with an empty memo: a cold run.
     t2 = enumerate_ball(parse_omega("(012)"), 0, 6)
-    assert [e.word for e in t1.entries] == [e.word for e in t2.entries]
-    assert [e.links for e in t1.entries] == [e.links for e in t2.entries]
+    assert t1.entries == t2.entries
+    assert t1.links == t2.links
     assert t1.strata == t2.strata
 
 
@@ -111,9 +112,9 @@ def test_equal_specs_keep_separate_memos():
     assert cold.sections == {} and cold.trivial == {}
     assert warm == cold and hash(warm) == hash(cold)
     t2 = enumerate_ball(cold, 0, 5)
-    assert [e.word for e in t1.entries] == [e.word for e in t2.entries]
-    assert [e.links for e in t1.entries] == [e.links for e in t2.entries]
-    assert [e.perm for e in t1.entries] == [e.perm for e in t2.entries]
+    assert t1.entries == t2.entries
+    assert t1.links == t2.links
+    assert t1.perms == t2.perms
     assert t1.strata == t2.strata
 
 
@@ -124,14 +125,29 @@ def test_ball_budget_cap():
     assert t.gamma()[-1] <= 50
     # the surviving table is still coherent
     assert len(t.entries) == t.gamma()[-1]
-    assert all(t.lookup(e.element) == e.eid for e in t.entries)
+    assert all(t.lookup(t.element(i)) == i for i in range(len(t.entries)))
+
+
+def test_ball_memory_per_element():
+    # An element is its word, its level-8 table, its links and its key
+    # bucket: about 700 traced bytes at (012) r=10 (890 while each element
+    # also kept an entry object and an Element).
+    tracemalloc.start()
+    try:
+        table = enumerate_ball(parse_omega("(012)"), 0, 10)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 13_883
+    assert traced / len(table.entries) < 780
 
 
 def test_strata_lengths_and_canonical_words():
     t = ball("(012)", 6)
-    for entry in t.entries:
-        assert len(entry.word) == entry.length
-        assert reduce(entry.word).contractions == 0
+    for n, stratum in enumerate(t.strata):
+        for eid in stratum:
+            assert len(t.entries[eid]) == n
+            assert reduce(t.entries[eid]).contractions == 0
     gam = t.gamma()
     assert all(gam[i] < gam[i + 1] for i in range(len(gam) - 1))
 
@@ -139,7 +155,7 @@ def test_strata_lengths_and_canonical_words():
 def test_geodesic_words_structure():
     t = ball("(012)", 4)
     for n in range(5):
-        for eid in t.sphere(n):
+        for eid in t.strata[n]:
             words = geodesic_words(t, eid)
             assert words
             for w in words:
@@ -162,16 +178,16 @@ def test_geodesic_links_complete_small_radius():
                 continue  # not a reduced word of this length
             eid = t.lookup(Element(r.word, W012, 0))
             assert eid is not None
-            if t.entries[eid].length == L:
+            if len(t.entries[eid]) == L:
                 brute[eid].add(raw)
-    assert set(brute) == {e.eid for e in t.entries}
+    assert set(brute) == set(range(len(t.entries)))
     for eid, words in brute.items():
         assert set(geodesic_words(t, eid)) == words
 
 
 def test_geodesic_words_cap():
     t = ball("(012)", 4)
-    eid = t.sphere(4)[0]
+    eid = t.strata[4][0]
     with pytest.raises(GeodesicCapExceeded):
         geodesic_words(enumerate_ball(W012, 0, 4), eid, cap=0)
 
@@ -202,7 +218,7 @@ def test_classify_geodesics_small():
     cls2 = classify_geodesics(t, "0.1", 2)
     ab = t.lookup(mul(generator("a", W012), generator("b", W012)))
     assert ab in cls2.F
-    assert cls2.F | cls2.D == frozenset(t.sphere(2))
+    assert cls2.F | cls2.D == frozenset(t.strata[2])
     assert not (cls2.F & cls2.D)
 
 
@@ -210,7 +226,7 @@ def test_classify_geodesics_partition_to_6():
     t = ball("(012)", 6)
     for n in range(7):
         cls = classify_geodesics(t, Fraction(1, 10), n)
-        assert cls.F | cls.D == frozenset(t.sphere(n))
+        assert cls.F | cls.D == frozenset(t.strata[n])
         assert not (cls.F & cls.D)
 
 
@@ -220,7 +236,7 @@ def test_classify_geodesics_brute_force_reclassification():
     for n in (4, 5, 6):
         cls = classify_geodesics(t, eps, n)
         threshold = (Fraction(1, 2) - eps) * n
-        for eid in t.sphere(n):
+        for eid in t.strata[n]:
             spread_words = []
             for w in geodesic_words(t, eid):
                 counts = [0] * 8
@@ -358,6 +374,20 @@ def test_lemma3_check():
     assert lemma3_check(parse_omega("01(2)"), 6)["passed"]
 
 
+def test_lemma3_checks_the_radius_both_balls_cover():
+    # At budget 300 both (012) balls complete radius 4, and the sections of
+    # a length-m element need the shifted ball to ceil((m + 2) / 2).
+    rep = lemma3_check(W012, 10, budget=300)
+    assert (rep["radius"], rep["complete"], rep["passed"]) == (4, False, False)
+    assert rep["gamma"] == ball("(012)", 4).gamma()
+    assert rep["gamma_shifted"] == ball("(012)", 3, shift=1).gamma()
+    assert rep["numeric_inequality"] == {"lhs": 168, "rhs": 2 * 79**2, "passed": True}
+    assert rep["violations"] == []
+    assert lemma3_check(W012, 6, budget=9)["radius"] == 0
+    with pytest.raises(BudgetExceeded):
+        lemma3_check(W012, 6, budget=8)
+
+
 def test_prop6():
     rep = prop6_check(W0, 12)
     assert rep["passed"]
@@ -375,7 +405,6 @@ def test_bound_curves():
     assert lower.value(i) == pytest.approx(math.exp(16 / math.log(16) ** 3))
     assert min(upper.samples) == 3  # loglog(3) > 0 is fine with natural logs
     lower, upper = bound_curves(10**6, 1)
-    assert curve_crossover(lower, upper) == 5
     # upper grows monotonically from 16 on
     ups = [lv for n, lv in zip(upper.samples, upper.log_values) if n >= 16]
     assert all(ups[i] < ups[i + 1] for i in range(len(ups) - 1))

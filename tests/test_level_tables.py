@@ -77,23 +77,23 @@ def test_table_keyed_ball_matches_word_problem_dedup(omega, shift, radius):
     table = enumerate_ball(omega, shift, radius)
     words, links, gamma = reference_ball(omega, shift, radius)
     assert table.gamma() == gamma
-    assert [e.word for e in table.entries] == words
-    assert [e.links for e in table.entries] == links
+    assert table.entries == words
+    assert table.links == links
 
     partial = enumerate_ball(omega, shift, radius, budget=50)
     kept = len(partial.entries)
-    assert [e.word for e in partial.entries] == words[:kept]
+    assert partial.entries == words[:kept]
     assert partial.complete == (kept == len(words))
-    for entry in table.entries[kept:]:
-        assert partial.lookup(entry.element) is None
-        assert partial.lookup(entry.element, entry.perm) is None
+    for eid in range(kept, len(words)):
+        assert partial.lookup(table.element(eid)) is None
+        assert partial.lookup(table.element(eid), table.perms[eid]) is None
 
 
 def test_stored_tables_and_exported_hashes(tmp_path):
     for text in ("(012)", "01(2)"):
         table = enumerate_ball(parse_omega(text), 0, 6)
-        for entry in table.entries:
-            assert entry.perm == table_by_act(entry.element, 8)
+        for eid, perm in enumerate(table.perms):
+            assert perm == table_by_act(table.element(eid), 8)
         # The keys are level-8 tables; the hashes keep the portrait depth.
         depth = dedup_depth_for(6)
         path = tmp_path / "ball.jsonl"
@@ -101,10 +101,10 @@ def test_stored_tables_and_exported_hashes(tmp_path):
         assert main(argv + ["--output", str(tmp_path / "rows.csv")]) == 0
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == len(table.entries)
-        for record, entry in zip(records, table.entries):
-            sig = signature(entry.element, depth)
+        for eid, (record, word) in enumerate(zip(records, table.entries)):
+            sig = signature(table.element(eid), depth)
             digest = sha256(sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big"))
-            assert record["id"] == entry.eid and record["word"] == render_letters(entry.word)
+            assert record["id"] == eid and record["word"] == render_letters(word)
             assert record["portrait_hash"] == digest.hexdigest()[:16]
 
 
@@ -141,13 +141,12 @@ def test_dedup_depth_is_capped_at_eight():
 def test_budget_limited_ball_at_the_depth_cap_is_coherent():
     omega = parse_omega("(012)")
     table = enumerate_ball(omega, radius=40, budget=2000)
-    assert table.dedup_depth == 8
     assert not table.complete and table.radius < 40
     assert len(table.entries) == table.gamma()[-1] <= 2000
     assert len(table.strata) == table.radius + 1
     sign = table_signer(8)
-    for entry in table.entries:
-        assert entry.perm == level_table(entry.element, 8)
-        assert table.lookup(entry.element) == entry.eid
-    for entry in table.entries[::97]:
-        assert sign(entry.perm) == signature(entry.element, 8)
+    for eid, perm in enumerate(table.perms):
+        assert perm == level_table(table.element(eid), 8)
+        assert table.lookup(table.element(eid)) == eid
+    for eid in range(0, len(table.perms), 97):
+        assert sign(table.perms[eid]) == signature(table.element(eid), 8)

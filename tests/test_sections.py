@@ -71,8 +71,8 @@ def distinct_geodesics(text):
     """Pairs of distinct minimal words of one element, from the r=5 ball."""
     table = enumerate_ball(parse_omega(text), 0, 5)
     pairs = []
-    for entry in table.entries:
-        words = geodesic_words(table, entry.eid)
+    for eid in range(len(table.entries)):
+        words = geodesic_words(table, eid)
         pairs.extend(zip(words, words[1:]))
     return tuple(pairs)
 
@@ -138,8 +138,8 @@ def stabilizes_by_act(g, s):
 def test_stabilizes_level_matches_vertex_action():
     for text in ("(012)", "01(2)", "(0012)"):
         table = enumerate_ball(parse_omega(text), 0, 6)
-        for entry in table.entries:
-            g = entry.element
+        for eid in range(len(table.entries)):
+            g = table.element(eid)
             fixed = True  # fixing level s fixes every level above it
             for s in range(10):
                 fixed = fixed and stabilizes_by_act(g, s)

@@ -160,9 +160,9 @@ def test_render_letters_names():
 
 
 def test_extend_matches_reduce_over_a_ball():
-    for entry in enumerate_ball(parse_omega("(012)"), 0, 6).entries:
+    for word in enumerate_ball(parse_omega("(012)"), 0, 6).entries:
         for k in range(8):
-            assert extend(entry.word, k) == reduce(entry.word + bytes((k,))).word
+            assert extend(word, k) == reduce(word + bytes((k,))).word
 
 
 REDUCED_WORDS = st.builds(
