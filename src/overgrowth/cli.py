@@ -450,7 +450,7 @@ def _suite_prop6(cfg: RunConfig, radius: int) -> dict:
             "collapsed_set": rep["collapsed_set"],
             "degree_estimate": rep["degree_estimate"],
         }
-        if not rep["passed"]:
+        if not rep["dihedral_exact"] or rep["collapsed_set"] != ["a", "x"]:
             violations.append({"omega": str(omega), "detail": rep["collapse"]})
     return {
         "checks": len(targets),

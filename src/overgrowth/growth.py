@@ -86,8 +86,8 @@ class BallTable:
 
     ``entries[i]`` is element i's minimal word, so its length is its sphere;
     ``perms[i]`` is its level-8 table and ``links[i]`` its geodesic
-    predecessors as (id, letter) pairs.  ``strata[n]`` lists the ids of
-    sphere n in increasing order.
+    predecessors as (id, letter) pairs.  ``strata[n]`` is the range of the
+    ids of sphere n.  ``letter_perms[k]`` is the level-8 table of letter k.
     """
 
     def __init__(self, omega: OmegaSpec, shift: int, radius: int):
@@ -99,7 +99,11 @@ class BallTable:
         self.entries: list[bytes] = []
         self.perms: list[bytes] = []
         self.links: list[list[tuple[int, int]]] = []
-        self.strata: list[list[int]] = []
+        self.strata: list[range] = []
+        self.letter_perms = [
+            level_table(generator(k, omega, self.shift), TABLE_DEPTH_MAX)
+            for k in GENERATOR_LETTERS
+        ]
         self._by_perm: dict[bytes, list[int]] = {}
         self._geodesics: dict[int, tuple] = {}
 
@@ -113,21 +117,28 @@ class BallTable:
     def element(self, eid: int) -> Element:
         return Element(self.entries[eid], self.omega, self.shift)
 
+    def perm_of(self, word: bytes) -> bytes:
+        """Level-8 table of a word, composed from the letter tables."""
+        perm = IDENTITY_TABLE
+        for letter in word:
+            perm = self.letter_perms[letter].translate(perm)
+        return perm
+
     def lookup(self, element: Element, perm: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
 
-        ``perm`` is the element's level-8 table, built from ``decompose``
-        when not given.  While the element's word and every stored word
-        (the last stored is the longest) are at most ``exact_radius`` long,
-        a table match is the answer; above that it is only a candidate until
-        the word problem confirms it.
+        ``perm`` is the element's level-8 table, ``perm_of`` its word when
+        not given.  While the element's word and every stored word (the last
+        stored is the longest) are at most ``exact_radius`` long, a table
+        match is the answer; above that it is only a candidate until the
+        word problem confirms it.
         """
         if element.shift != self.shift or (
             element.omega is not self.omega and element.omega != self.omega
         ):
             raise ContextMismatch("element and ball must share sequence and shift")
         if perm is None:
-            perm = level_table(element, TABLE_DEPTH_MAX)
+            perm = self.perm_of(element.word)
         ids = self._by_perm.get(perm)
         if ids is None:
             return None
@@ -167,13 +178,10 @@ def enumerate_ball(
         raise ValueError("budget must be positive")
     table = BallTable(omega, shift, radius)
     shift = table.shift
-    letter_perms = [
-        level_table(generator(k, omega, shift), TABLE_DEPTH_MAX)
-        for k in GENERATOR_LETTERS
-    ]
+    letter_perms = table.letter_perms
     words, perms, links = table.entries, table.perms, table.links
     table._add(b"", IDENTITY_TABLE, [])
-    table.strata.append([0])
+    table.strata.append(range(1))
     for level in range(radius):
         start = len(words)  # the first id of sphere level + 1
         for eid in table.strata[level]:
@@ -207,31 +215,36 @@ def enumerate_ball(
                     table.complete = False
                     table.radius = level
                     return table
-        table.strata.append(list(range(start, len(words))))
+        table.strata.append(range(start, len(words)))
     return table
 
 
 def geodesic_words(table: BallTable, eid: int, cap: int = 200_000) -> tuple:
-    """All minimal words of a ball element, as letter tuples, sorted."""
+    """All minimal words of a ball element, as ``bytes``, sorted."""
     hit = table._geodesics.get(eid)
     if hit is not None:
         return hit
     word = table.entries[eid]
     if not word:
-        result: tuple = ((),)
+        result: tuple = (b"",)
     else:
         acc = []
         for pred, letter in table.links[eid]:
-            for w in geodesic_words(table, pred, cap):
-                acc.append(w + (letter,))
-                if len(acc) > cap:
-                    raise GeodesicCapExceeded(
-                        f"element {eid} has more than {cap} minimal words",
-                        len(word),
-                    )
+            suffix = bytes((letter,))
+            acc += [w + suffix for w in geodesic_words(table, pred, cap)]
+            if len(acc) > cap:
+                raise GeodesicCapExceeded(
+                    f"element {eid} has more than {cap} minimal words",
+                    len(word),
+                )
         result = tuple(sorted(acc))
     table._geodesics[eid] = result
     return result
+
+
+def _max_spine_count(word: bytes) -> int:
+    """Largest number of times a single non-``a`` letter occurs in a word."""
+    return max(map(word.count, SPINE_LETTERS))
 
 
 @dataclass(frozen=True)
@@ -261,14 +274,9 @@ def classify_geodesics(
     threshold = (Fraction(1, 2) - eps) * n
     f_ids, d_ids = set(), set()
     for eid in table.strata[n]:
-        spread = False
-        for w in geodesic_words(table, eid):
-            counts = [0] * 8
-            for let in w:
-                counts[let] += 1
-            if all(counts[k] <= threshold for k in SPINE_LETTERS):
-                spread = True
-                break
+        spread = any(
+            _max_spine_count(w) <= threshold for w in geodesic_words(table, eid)
+        )
         (d_ids if spread else f_ids).add(eid)
     return GeodesicClassification(eps, n, frozenset(f_ids), frozenset(d_ids))
 
@@ -369,7 +377,7 @@ def lemma9_report(delta, k_max: int) -> dict:
 
 @dataclass(frozen=True)
 class Lemma8Result:
-    mapped: tuple
+    mapped: bytes
     n_prime: int
     delta: Fraction
 
@@ -382,49 +390,42 @@ def lemma8_map(letters: Iterable[int], epsilon) -> Lemma8Result:
     """Delete the ``a``'s of a reduced word of length n >= 2 and check the
     mapped word keeps a letter above the (1 - delta) frequency line with
     delta = 2 * epsilon + 3 / (n - 1)."""
-    w = tuple(letters)
+    w = bytes(letters)
     n = len(w)
     if n < 2:
         raise ValueError("word must have length at least 2")
     if reduce(w).contractions != 0:
         raise ValueError("word must be reduced")
     eps = as_fraction(epsilon)
-    mapped = tuple(let for let in w if let != A)
+    mapped = w.replace(b"\0", b"")
     n_prime = len(mapped)
     delta = 2 * eps + Fraction(3, n - 1)
     if not Fraction(n - 1, 2) <= n_prime:
         raise LemmaViolation(f"{render_letters(w)}: n'={n_prime} below (n-1)/2")
     if not n_prime <= Fraction(n + 1, 2):
         raise LemmaViolation(f"{render_letters(w)}: n'={n_prime} above (n+1)/2")
-    counts = [0] * 8
-    for let in mapped:
-        counts[let] += 1
-    if n_prime and not any(
-        counts[k] > (1 - delta) * n_prime for k in SPINE_LETTERS
-    ):
+    if n_prime and not _max_spine_count(mapped) > (1 - delta) * n_prime:
         raise LemmaViolation(
             f"{render_letters(w)}: no letter above (1-delta)n' after deletion"
         )
     return Lemma8Result(mapped, n_prime, delta)
 
 
-def lemma8_check(table: BallTable, epsilon, n_values: Optional[Iterable[int]] = None) -> dict:
+def lemma8_check(table: BallTable, epsilon) -> dict:
     """Apply the a-deletion map to every minimal word of every F-type
-    element at each requested radius; collect violations verbatim.
+    element of spheres 2..radius; collect violations verbatim.
 
     When an element has more minimal words than ``geodesic_words`` keeps,
     the check stops there: ``cap_exceeded`` holds the message and
     ``radius`` the strata below that element (spheres are checked in
-    increasing order).
+    increasing order).  ``passed`` needs a complete ball.
     """
     eps = as_fraction(epsilon)
-    if n_values is None:
-        n_values = range(2, table.radius + 1)
     violations = []
     checked = 0
     report = {"epsilon": str(eps), "radius": table.radius}
     try:
-        for n in n_values:
+        for n in range(2, table.radius + 1):
             cls = classify_geodesics(table, eps, n)
             for eid in sorted(cls.F):
                 for w in geodesic_words(table, eid):
@@ -438,7 +439,9 @@ def lemma8_check(table: BallTable, epsilon, n_values: Optional[Iterable[int]] = 
         report["cap_exceeded"] = str(exc)
     report["checked_words"] = checked
     report["violations"] = violations
-    report["passed"] = not violations and "cap_exceeded" not in report
+    report["passed"] = (
+        not violations and "cap_exceeded" not in report and table.complete
+    )
     return report
 
 
@@ -502,8 +505,9 @@ def _second_symbol_index(omega: OmegaSpec) -> Optional[int]:
     return None
 
 
-def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
-    """Two-part contraction check over level-s stabilizer elements.
+def lemma11_check(table: BallTable, epsilon) -> dict:
+    """Two-part contraction check over level-s stabilizer elements, where s
+    is the first position at which the sequence has shown all three symbols.
 
     Part A (unconditional): for every minimal word W of every element of
     the ball stabilizing level s, the total length after s substitution
@@ -511,21 +515,21 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
     i < s), where t marks the first position of the second distinct symbol
     and the x/y/z roles follow the actual first/second/third symbols.
 
-    Part B (gated on radius * epsilon > 5/2): every D-type witness word at
-    the sphere radius additionally obeys (1 - epsilon/5) * n + 2^s - 1.
+    Part B (gated on radius * epsilon > 5/2): every spread minimal word of
+    length n = radius (no non-``a`` letter above (1/2 - epsilon) * n) of
+    such an element additionally obeys (1 - epsilon/5) * n + 2^s - 1.  A
+    spread word makes its element D-type, so these are the D-type witness
+    words, checked in the same pass as part A.
 
     When an element has more minimal words than ``geodesic_words`` keeps,
     the check stops there, as ``lemma8_check`` does, and part B with it.
+    ``passed`` needs a complete ball.
     """
     eps = as_fraction(epsilon)
     omega_here = table.omega
-    first_third = first_third_symbol_index(omega_here)
-    if first_third is None:
-        raise ValueError("sequence never shows all three symbols")
+    s = first_third_symbol_index(omega_here)
     if s is None:
-        s = first_third
-    elif s != first_third:
-        raise ValueError(f"s must be the first three-symbol position, {first_third}")
+        raise ValueError("sequence never shows all three symbols")
     t = _second_symbol_index(omega_here)
     assert t is not None and 2 <= t < s + 1
     sym1 = symbol_at(omega_here, 1)
@@ -535,28 +539,30 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
         eid for eid in range(len(table.entries))
         if stabilizes_level(table.element(eid), s)
     ]
+    n = table.radius
+    gated = n * eps > Fraction(5, 2)
+    threshold = (Fraction(1, 2) - eps) * n
+    headline = (1 - eps / 5) * n + (1 << s) - 1
     violations_a = []
-    checked = 0
-    traces: dict[tuple, LevelSectionTrace] = {}
+    violations_b = []
+    checked = checked_b = 0
     report = {
         "s": s,
         "t": t,
         "epsilon": str(eps),
         "stabilizer_elements": len(stab_ids),
-        "radius": table.radius,
+        "radius": n,
     }
     try:
         for eid in stab_ids:
             for w in geodesic_words(table, eid):
-                receipt = reduce(w)
-                assert receipt.contractions == 0, "minimal words must be reduced"
-                el = Element(receipt.word, omega_here, table.shift)
+                assert reduce(w).contractions == 0, "minimal words must be reduced"
+                el = Element(w, omega_here, table.shift)
                 trace = level_section_trace(el, s)
-                traces[w] = trace
                 checked += 1
                 n_w = len(w)
                 total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
-                x0 = xyz_profile(el.word)[sym1]
+                x0 = xyz_profile(w)[sym1]
                 at_t, at_s = trace.levels[t - 2], trace.levels[s - 2]
                 y_t1 = (at_t.x, at_t.y, at_t.z)[sym2]
                 z_s1 = (at_s.x, at_s.y, at_s.z)[sym3]
@@ -571,13 +577,28 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
                             "rhs": rhs,
                         }
                     )
-        n = table.radius
-        if n * eps <= Fraction(5, 2):
-            part_b = "precondition unmet, skipped"
+                if gated and n_w == n and _max_spine_count(w) <= threshold:
+                    checked_b += 1
+                    if total_s > headline:
+                        violations_b.append(
+                            {
+                                "eid": eid,
+                                "word": render_letters(w),
+                                "total": total_s,
+                                "bound": float(headline),
+                            }
+                        )
+        if gated:
+            part_b = {
+                "bound": float(headline),
+                "checked_words": checked_b,
+                "violations": violations_b,
+                "passed": not violations_b,
+            }
         else:
-            part_b = _lemma11_part_b(table, eps, s, set(stab_ids), traces)
+            part_b = "precondition unmet, skipped"
     except GeodesicCapExceeded as exc:
-        # Stabilizers are checked in order of length, and part B last.
+        # Stabilizers are checked in order of length.
         report["radius"] = exc.length - 1
         report["cap_exceeded"] = str(exc)
         part_b = "stopped at the geodesic cap"
@@ -587,52 +608,11 @@ def lemma11_check(table: BallTable, epsilon, s: Optional[int] = None) -> dict:
     report["part_b"] = part_b
     report["passed"] = (
         not violations_a
+        and not violations_b
         and "cap_exceeded" not in report
-        and (not isinstance(part_b, dict) or part_b["passed"])
+        and table.complete
     )
     return report
-
-
-def _lemma11_part_b(
-    table: BallTable, eps: Fraction, s: int, stab_set: set, traces: dict
-) -> dict:
-    """Headline bound for the spread witnesses at the sphere radius."""
-    n = table.radius
-    threshold = (Fraction(1, 2) - eps) * n
-    headline = (1 - eps / 5) * n + (1 << s) - 1
-    cls = classify_geodesics(table, eps, n)
-    violations_b = []
-    checked_b = 0
-    for eid in sorted(cls.D):
-        if eid not in stab_set:
-            continue
-        for w in geodesic_words(table, eid):
-            counts = [0] * 8
-            for let in w:
-                counts[let] += 1
-            if any(counts[k] > threshold for k in SPINE_LETTERS):
-                continue  # not a spread witness
-            trace = traces.get(w)
-            if trace is None:
-                el = Element(reduce(w).word, table.omega, table.shift)
-                trace = level_section_trace(el, s)
-            checked_b += 1
-            total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
-            if total_s > headline:
-                violations_b.append(
-                    {
-                        "eid": eid,
-                        "word": render_letters(w),
-                        "total": total_s,
-                        "bound": float(headline),
-                    }
-                )
-    return {
-        "bound": float(headline),
-        "checked_words": checked_b,
-        "violations": violations_b,
-        "passed": not violations_b,
-    }
 
 
 def lemma3_check(omega: OmegaSpec, n: int, shift: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
@@ -708,7 +688,7 @@ def prop6_check(
     generators reduce to {identity, a, x} and growth is exactly 2n + 1;
     the unshifted ball yields a polynomial-degree estimate.  When a ball
     hits the budget, growth is checked up to the ``radius`` it completed
-    and ``complete`` is unset."""
+    and ``complete`` and ``passed`` are unset."""
     if classify(omega).kind is not OmegaKind.OMEGA2:
         raise ValueError("sequence must be eventually constant")
     pre = len(omega.preperiod)
@@ -742,7 +722,8 @@ def prop6_check(
         if len(g_unshifted) > 2
         else float("nan")
     )
-    passed = dihedral_ok and collapsed_set == {"a", "x"}
+    complete = table.complete and unshifted.complete
+    passed = dihedral_ok and collapsed_set == {"a", "x"} and complete
     return {
         "preperiod": pre,
         "collapse": collapse,
@@ -752,7 +733,7 @@ def prop6_check(
         "degree_estimate": degree,
         "degree_radius": deg_radius,
         "radius": table.radius,
-        "complete": table.complete and unshifted.complete,
+        "complete": complete,
         "passed": passed,
     }
 

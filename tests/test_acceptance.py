@@ -223,7 +223,7 @@ def test_c08_frequency_counts():
 
 def test_c09_iterated_contraction():
     t = ball("(012)", 8)
-    rep = lemma11_check(t, Fraction(1, 5), s=3)
+    rep = lemma11_check(t, Fraction(1, 5))
     assert rep["part_a_passed"], rep["part_a_violations"]
     assert rep["checked_words"] > 0
     # independent re-check of the inequality on every traced word

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from overgrowth.omega import parse_omega
+from overgrowth.omega import first_third_symbol_index, parse_omega
 from overgrowth.words import SPINE_LETTERS, parse_letters, reduce, render_letters
 from overgrowth.elements import Element, equal, generator, mul
 from overgrowth.growth import (
@@ -31,6 +31,7 @@ from overgrowth.growth import (
     lemma11_check,
     level_section_trace,
     prop6_check,
+    stabilizes_level,
 )
 
 from _oracles import act_word, ftilde_count_exhaustive
@@ -179,7 +180,7 @@ def test_geodesic_links_complete_small_radius():
             eid = t.lookup(Element(r.word, W012, 0))
             assert eid is not None
             if len(t.entries[eid]) == L:
-                brute[eid].add(raw)
+                brute[eid].add(bytes(raw))
     assert set(brute) == set(range(len(t.entries)))
     for eid, words in brute.items():
         assert set(geodesic_words(t, eid)) == words
@@ -277,7 +278,7 @@ def test_lemma9_report():
 
 def test_lemma8_map():
     res = lemma8_map(parse_letters("a b a b a"), "0.1")
-    assert res.mapped == (1, 1) and res.n_prime == 2
+    assert res.mapped == b"\x01\x01" and res.n_prime == 2
     with pytest.raises(ValueError):
         lemma8_map(parse_letters("a"), "0.1")
     with pytest.raises(ValueError):
@@ -344,8 +345,6 @@ def test_lemma11_symbol_roles_generalize():
 
 def test_lemma11_rejects_wrong_level():
     with pytest.raises(ValueError):
-        lemma11_check(ball("(012)", 4), "0.3", s=2)
-    with pytest.raises(ValueError):
         lemma11_check(enumerate_ball(parse_omega("(01)"), 0, 3), "0.3")
 
 
@@ -363,6 +362,61 @@ def test_lemma11_full_scale():
     assert rep["part_b"]["bound"] == pytest.approx(19.48)
     assert rep["part_b"]["checked_words"] == 1676
     assert rep["part_b"]["passed"]
+
+
+def reference_part_b(t, eps):
+    """Lemma 11 part B as a separate pass: the spread minimal words of the
+    D-type level-s stabilizers of the outer sphere, each traced afresh."""
+    s = first_third_symbol_index(t.omega)
+    n = t.radius
+    threshold = (Fraction(1, 2) - eps) * n
+    headline = (1 - eps / 5) * n + (1 << s) - 1
+    checked, violations = 0, []
+    for eid in sorted(classify_geodesics(t, eps, n).D):
+        if not stabilizes_level(t.element(eid), s):
+            continue
+        for w in geodesic_words(t, eid):
+            counts = [0] * 8
+            for let in w:
+                counts[let] += 1
+            if any(counts[k] > threshold for k in SPINE_LETTERS):
+                continue
+            tr = level_section_trace(Element(w, t.omega, t.shift), s)
+            checked += 1
+            total = sum(len(e.word) for e in tr.levels[s - 1].words)
+            if total > headline:
+                violations.append(
+                    {"eid": eid, "word": render_letters(w), "total": total,
+                     "bound": float(headline)}
+                )
+    return checked, violations
+
+
+@pytest.mark.parametrize(
+    "text, radius, eps, checked",
+    [("(012)", 12, Fraction(1, 4), 256), ("(120)", 9, Fraction(2, 5), 0)],
+)
+def test_lemma11_part_b_matches_a_separate_pass(text, radius, eps, checked):
+    t = ball(text, radius)
+    part_b = lemma11_check(t, eps)["part_b"]
+    assert (part_b["checked_words"], part_b["violations"]) == reference_part_b(t, eps)
+    assert part_b["checked_words"] == checked
+
+
+def test_checkers_never_pass_an_incomplete_ball():
+    # At budget 200 the (012) ball stops at radius 4; the checks find no
+    # violation there, but what they did not reach is unchecked.
+    t = enumerate_ball(W012, 0, 10, budget=200)
+    assert (t.radius, t.complete) == (4, False)
+    rep = lemma8_check(t, "0.1")
+    assert rep["checked_words"] > 0 and rep["violations"] == []
+    assert not rep["passed"]
+    rep = lemma11_check(t, Fraction(8, 25))
+    assert rep["checked_words"] > 0 and rep["part_a_passed"]
+    assert not rep["passed"]
+    rep = prop6_check(parse_omega("01(2)"), 20, budget=100)
+    assert rep["dihedral_exact"] and rep["collapsed_set"] == ["a", "x"]
+    assert (rep["complete"], rep["passed"]) == (False, False)
 
 
 def test_lemma3_check():

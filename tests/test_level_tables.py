@@ -20,7 +20,7 @@ from overgrowth.elements import (
     signature,
     table_signer,
 )
-from overgrowth.growth import dedup_depth_for, enumerate_ball
+from overgrowth.growth import BallTable, dedup_depth_for, enumerate_ball
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
 from overgrowth.words import reduce, render_letters
 
@@ -129,6 +129,21 @@ def test_level_tables_compose_like_products():
         h = Element(reduce([rng.randrange(8) for _ in range(12)]).word, omega, 0)
         composed = level_table(h, 8).translate(level_table(g, 8))
         assert composed == level_table(mul(g, h), 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("(012)", "01(2)", "(0012)")),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 7), max_size=60),
+)
+def test_lookup_key_composed_from_letter_tables(text, shift, raw):
+    # An element given to ``lookup`` without its table is keyed by composing
+    # the letter tables along its word, the path the ball loop takes.
+    table = BallTable(parse_omega(text), shift, 0)
+    word = reduce(raw).word
+    element = Element(word, table.omega, table.shift)
+    assert table.perm_of(word) == level_table(element, 8)
 
 
 def test_dedup_depth_is_capped_at_eight():

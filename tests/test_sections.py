@@ -72,7 +72,7 @@ def distinct_geodesics(text):
     table = enumerate_ball(parse_omega(text), 0, 5)
     pairs = []
     for eid in range(len(table.entries)):
-        words = geodesic_words(table, eid)
+        words = [tuple(w) for w in geodesic_words(table, eid)]
         pairs.extend(zip(words, words[1:]))
     return tuple(pairs)
 
