@@ -32,7 +32,6 @@ from .omega import (
 )
 from .words import WordParseError, parse_letters, reduce, render_letters
 from .elements import (
-    TABLE_DEPTH_MAX,
     Element,
     all_generators,
     act,
@@ -42,8 +41,8 @@ from .elements import (
     is_identity,
     order_bounded,
     portrait,
+    portrait_bytes,
     sections,
-    table_signer,
 )
 from . import growth as gr
 
@@ -238,15 +237,12 @@ def cmd_growth(args) -> int:
     header["radius"] = table.radius
     header["complete"] = table.complete
     if args.export_ball:
-        sign = table_signer(gr.dedup_depth_for(args.radius), TABLE_DEPTH_MAX)
+        portraits = portrait_bytes(table.perms, gr.dedup_depth_for(args.radius))
         with open(args.export_ball, "w", encoding="utf-8") as fh:
             # The bytes of json.dumps(record, sort_keys=True): every field
             # is an int or an ASCII string that needs no escaping.
-            for eid, (word, perm) in enumerate(zip(table.entries, table.perms)):
-                sig = sign(perm)
-                digest = sha256(
-                    sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big")
-                ).hexdigest()[:16]
+            for eid, (word, sig) in enumerate(zip(table.entries, portraits)):
+                digest = sha256(sig).hexdigest()[:16]
                 fh.write(
                     f'{{"id": {eid}, "length": {len(word)}, '
                     f'"portrait_hash": "{digest}", '

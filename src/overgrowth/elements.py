@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
 from typing import Optional
 
 from .omega import OmegaSpec, shift_normalize, symbol_at
@@ -253,43 +252,52 @@ def _leaf_images(g: Element, depth: int) -> bytes:
     return left + right.translate(up)
 
 
-def table_signer(depth: int, table_depth: Optional[int] = None):
-    """Function taking ``level_table(g, table_depth)`` to ``signature(g, depth)``.
+# Tables read per bulk pass of ``portrait_bytes``: joined, a chunk is 64 KB.
+_PORTRAIT_CHUNK = 256
 
-    ``table_depth`` defaults to ``depth`` and may be any level at or below
-    it.  The label of a depth-k vertex u is bit ``table_depth - 1 - k`` of
-    the image of the leaf u0...0, so one stride slice per depth reads all
-    its labels; they are then permuted into the preorder bit layout of
-    ``signature``.
+# _BIT[b][j] takes a byte to its bit b, moved to bit j.
+_BIT = tuple(
+    tuple(bytes((v >> b & 1) << j for v in range(256)) for j in range(8))
+    for b in range(8)
+)
+
+
+def portrait_bytes(tables, depth: int):
+    """Yield ``signature(g, depth)`` as minimal big-endian bytes (``b"\\0"``
+    for 0) for each ``level_table(g, 8)`` in the sequence ``tables``.
+
+    The label of the depth-k vertex u is bit 7 - k of the image of the leaf
+    u << (8 - k).  The signature's bits, most significant first, are the
+    labels in reversed preorder, and preorder sorts vertices by that leaf,
+    then by depth.  Over a chunk of tables joined into one ``bytes``, one
+    stride slice and one ``translate`` read a label of every table at once;
+    eight of them, moved to their bits and OR-ed as ints, make one byte
+    column of fixed-width records, which lose their leading zero bytes.
     """
-    if table_depth is None:
-        table_depth = depth
-    if not 0 <= depth <= table_depth <= TABLE_DEPTH_MAX:
-        raise ValueError(f"need 0 <= depth <= table_depth <= {TABLE_DEPTH_MAX}")
-    reads = []
-    for k in range(depth):
-        bit = table_depth - 1 - k
-        digits = bytes(0x30 | (v >> bit) & 1 for v in range(256))
-        reads.append((slice(0, 1 << table_depth, 1 << (table_depth - k)), digits))
-    # order[p] = index, in the depth-by-depth label string, of signature bit p
-    order = [0] * ((1 << depth) - 1)
-
-    def place(k: int, u: int, p: int) -> None:
-        if k < depth:
-            order[p] = (1 << k) - 1 + u
-            place(k + 1, 2 * u, p + 1)
-            place(k + 1, 2 * u + 1, p + (1 << (depth - k - 1)))
-
-    place(0, 0, 0)
-    # Most significant bit first, behind a zero digit picked twice so that
-    # itemgetter returns a tuple even at depths 0 and 1.
-    pick = itemgetter(0, 0, *(1 + i for i in reversed(order)))
-
-    def sign(table: bytes) -> int:
-        labels = b"0" + b"".join([table[cut].translate(digits) for cut, digits in reads])
-        return int(bytes(pick(labels)), 2)
-
-    return sign
+    if not 0 <= depth <= TABLE_DEPTH_MAX:
+        raise ValueError(f"portraits cover depths 0..{TABLE_DEPTH_MAX}")
+    preorder = sorted(
+        (u << (TABLE_DEPTH_MAX - k), k) for k in range(depth) for u in range(1 << k)
+    )
+    width = max(1, (len(preorder) + 7) // 8)
+    # columns[m] reads the bits of record byte m: (leaf, its label's move).
+    columns = [[] for _ in range(width)]
+    pad = 8 * width - len(preorder)
+    for q, (leaf, k) in enumerate(reversed(preorder), start=pad):
+        columns[q // 8].append((leaf, _BIT[TABLE_DEPTH_MAX - 1 - k][7 - q % 8]))
+    stride = 1 << TABLE_DEPTH_MAX
+    for start in range(0, len(tables), _PORTRAIT_CHUNK):
+        chunk = b"".join(tables[start : start + _PORTRAIT_CHUNK])
+        n = len(chunk) // stride
+        records = bytearray(n * width)
+        for m, reads in enumerate(columns):
+            acc = 0
+            for leaf, move in reads:
+                acc |= int.from_bytes(chunk[leaf::stride].translate(move), "big")
+            records[m::width] = acc.to_bytes(n, "big")
+        records = bytes(records)
+        for i in range(0, n * width, width):
+            yield records[i : i + width].lstrip(b"\0") or b"\0"
 
 
 def is_identity(g: Element) -> bool:

@@ -418,11 +418,13 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
     When an element has more minimal words than ``geodesic_words`` keeps,
     the check stops there: ``cap_exceeded`` holds the message and
     ``radius`` the strata below that element (spheres are checked in
-    increasing order).  ``passed`` needs a complete ball.
+    increasing order).  ``passed`` needs a complete ball.  Once sphere n
+    is checked, the ``geodesic_words`` memo drops the spheres below it, so
+    a later caller recomputes those words.
     """
     eps = as_fraction(epsilon)
     violations = []
-    checked = 0
+    checked = first_kept = 0
     report = {"epsilon": str(eps), "radius": table.radius}
     try:
         for n in range(2, table.radius + 1):
@@ -434,6 +436,10 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
                         lemma8_map(w, eps)
                     except LemmaViolation as exc:
                         violations.append({"n": n, "eid": eid, "detail": str(exc)})
+            # Sphere n + 1's words extend sphere n's only: drop the rest.
+            for eid in range(first_kept, table.strata[n].start):
+                table._geodesics.pop(eid, None)
+            first_kept = table.strata[n].start
     except GeodesicCapExceeded as exc:
         report["radius"] = exc.length - 1
         report["cap_exceeded"] = str(exc)
@@ -470,6 +476,23 @@ def stabilizes_level(g: Element, s: int) -> bool:
         return False
     d = decompose(g)
     return stabilizes_level(d.left, s - 1) and stabilizes_level(d.right, s - 1)
+
+
+def _level_stabilizers(table: BallTable, s: int) -> list[int]:
+    """Ids of the ball elements that fix every vertex of level s.
+
+    Down to level 8 the stored tables answer: an element fixes level s
+    exactly when its level-8 table keeps the top s bits of every byte.
+    """
+    if s > TABLE_DEPTH_MAX:
+        return [
+            eid for eid in range(len(table.entries))
+            if stabilizes_level(table.element(eid), s)
+        ]
+    mask = 0xFF << (TABLE_DEPTH_MAX - s) & 0xFF
+    top = bytes(v & mask for v in range(256))
+    fixed = IDENTITY_TABLE.translate(top)
+    return [eid for eid, perm in enumerate(table.perms) if perm.translate(top) == fixed]
 
 
 def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
@@ -535,10 +558,7 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     sym1 = symbol_at(omega_here, 1)
     sym2 = symbol_at(omega_here, t)
     sym3 = symbol_at(omega_here, s)
-    stab_ids = [
-        eid for eid in range(len(table.entries))
-        if stabilizes_level(table.element(eid), s)
-    ]
+    stab_ids = _level_stabilizers(table, s)
     n = table.radius
     gated = n * eps > Fraction(5, 2)
     threshold = (Fraction(1, 2) - eps) * n

@@ -170,6 +170,11 @@ def ftilde_count_exhaustive(delta, k: int) -> int:
     return total
 
 
+def signature_bytes(sig: int) -> bytes:
+    """Minimal big-endian bytes of a packed portrait, ``b"\\0"`` for 0."""
+    return sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big")
+
+
 def random_raw_word(rng, max_len: int) -> tuple[int, ...]:
     return tuple(rng.randrange(8) for _ in range(rng.randrange(max_len + 1)))
 

@@ -14,6 +14,7 @@ import pytest
 import overgrowth.growth as growth
 from overgrowth.cli import main
 from overgrowth.elements import (
+    _PORTRAIT_CHUNK,
     TABLE_DEPTH_MAX,
     ContextMismatch,
     Element,
@@ -22,15 +23,15 @@ from overgrowth.elements import (
     exact_radius,
     generator,
     level_table,
+    portrait_bytes,
     signature,
-    table_signer,
     tail,
 )
 from overgrowth.growth import enumerate_ball
 from overgrowth.omega import parse_omega, shift_normalize
 from overgrowth.words import LETTER_NAMES, reduce
 
-from _oracles import act_word, random_raw_word
+from _oracles import act_word, random_raw_word, signature_bytes
 
 ONE_LETTER_WORDS = [b""] + [bytes((k,)) for k in range(8)]
 
@@ -212,12 +213,29 @@ def test_portraits_read_off_level_eight_tables():
             Element(reduce(random_raw_word(rng, 30)).word, omega, rng.randrange(3))
             for _ in range(20)
         ]
+    tables = [level_table(g, TABLE_DEPTH_MAX) for g in elements]
     for depth in range(TABLE_DEPTH_MAX + 1):
-        sign = table_signer(depth, TABLE_DEPTH_MAX)
-        for g in elements:
-            assert sign(level_table(g, TABLE_DEPTH_MAX)) == signature(g, depth)
-    with pytest.raises(ValueError):
-        table_signer(8, 7)
+        signs = portrait_bytes(tables, depth)
+        for g, sign in zip(elements, signs, strict=True):
+            assert sign == signature_bytes(signature(g, depth))
+    for depth in (-1, TABLE_DEPTH_MAX + 1):
+        with pytest.raises(ValueError):
+            list(portrait_bytes(tables, depth))
+
+
+def test_portrait_chunks_cover_any_number_of_tables():
+    # The identity (signature 0 -> b"\0") comes first; the lengths straddle
+    # the chunk size, and the whole ball is not a multiple of it.
+    table = enumerate_ball(parse_omega("(012)"), 0, 6)
+    size, chunk = len(table.perms), _PORTRAIT_CHUNK
+    assert size % chunk
+    for depth in (0, 1, 3, 7, 8):
+        signs = [
+            signature_bytes(signature(table.element(eid), depth)) for eid in range(size)
+        ]
+        assert signs[0] == b"\0"
+        for n in (0, 1, chunk - 1, chunk, chunk + 1, size):
+            assert list(portrait_bytes(table.perms[:n], depth)) == signs[:n]
 
 
 def test_ball_export_lines_are_sorted_json(tmp_path):

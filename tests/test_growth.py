@@ -293,6 +293,19 @@ def test_lemma8_check_clean():
     assert rep["passed"] and rep["checked_words"] > 0
 
 
+def test_lemma8_check_keeps_only_the_last_spheres_words():
+    table = enumerate_ball(W012, 0, 8)
+    rep = lemma8_check(table, "0.1")
+    assert rep["passed"] and rep["checked_words"] > 0
+    low = table.strata[table.radius - 1].start
+    assert table._geodesics and min(table._geodesics) >= low
+    # Evicted words are recomputed on demand, the same as on a fresh table.
+    fresh = enumerate_ball(W012, 0, 8)
+    for eid in range(0, low, 37):
+        assert geodesic_words(table, eid) == geodesic_words(fresh, eid)
+    assert lemma8_check(table, "0.1") == rep == lemma8_check(fresh, "0.1")
+
+
 def test_level_section_trace():
     tr = level_section_trace(Element.identity(W012), 3)
     assert all(

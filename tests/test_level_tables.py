@@ -17,12 +17,14 @@ from overgrowth.elements import (
     generator,
     level_table,
     mul,
+    portrait_bytes,
     signature,
-    table_signer,
 )
 from overgrowth.growth import BallTable, dedup_depth_for, enumerate_ball
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
 from overgrowth.words import reduce, render_letters
+
+from _oracles import signature_bytes
 
 
 def reference_ball(omega, shift, radius):
@@ -115,10 +117,12 @@ def test_table_signer_matches_signature_at_every_depth():
         Element(reduce([rng.randrange(8) for _ in range(rng.randrange(1, 30))]).word, omega, 0)
         for _ in range(40)
     ]
+    tables = [level_table(g, 8) for g in elements]
     for depth in range(9):
-        sign = table_signer(depth)
-        for g in elements:
-            assert sign(level_table(g, depth)) == signature(g, depth)
+        signs = list(portrait_bytes(tables, depth))
+        assert len(signs) == len(elements)
+        for g, sign in zip(elements, signs):
+            assert sign == signature_bytes(signature(g, depth))
 
 
 def test_level_tables_compose_like_products():
@@ -159,9 +163,9 @@ def test_budget_limited_ball_at_the_depth_cap_is_coherent():
     assert not table.complete and table.radius < 40
     assert len(table.entries) == table.gamma()[-1] <= 2000
     assert len(table.strata) == table.radius + 1
-    sign = table_signer(8)
     for eid, perm in enumerate(table.perms):
         assert perm == level_table(table.element(eid), 8)
         assert table.lookup(table.element(eid)) == eid
+    signs = list(portrait_bytes(table.perms, 8))
     for eid in range(0, len(table.perms), 97):
-        assert sign(table.perms[eid]) == signature(table.element(eid), 8)
+        assert signs[eid] == signature_bytes(signature(table.element(eid), 8))

@@ -17,7 +17,12 @@ from overgrowth.elements import (
     is_identity,
     mul,
 )
-from overgrowth.growth import enumerate_ball, geodesic_words, stabilizes_level
+from overgrowth.growth import (
+    _level_stabilizers,
+    enumerate_ball,
+    geodesic_words,
+    stabilizes_level,
+)
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize, symbol_at
 from overgrowth.words import a_count, reduce, render_letters, split_reduce
 
@@ -144,3 +149,17 @@ def test_stabilizes_level_matches_vertex_action():
             for s in range(10):
                 fixed = fixed and stabilizes_by_act(g, s)
                 assert stabilizes_level(g, s) == fixed, (text, render_letters(g.word), s)
+
+
+def test_level_stabilizers_read_off_tables_match_the_recursion():
+    # Levels up to 8 are read off the stored tables; (0000000012) shows its
+    # third symbol at s = 10, which takes the recursion.
+    cases = [(text, 6) for text in ("(012)", "01(2)", "(0012)")]
+    for text, radius in cases + [("(0000000012)", 5)]:
+        table = enumerate_ball(parse_omega(text), 0, radius)
+        for s in range(11):
+            expected = [
+                eid for eid in range(len(table.entries))
+                if stabilizes_level(table.element(eid), s)
+            ]
+            assert _level_stabilizers(table, s) == expected, (text, s)
