@@ -2,11 +2,11 @@
 
 Every library operation is exposed as a subcommand emitting JSON (or CSV
 for growth tables).  Exit codes: 0 success, 1 a verification suite found
-violations, 2 usage or parse errors, 3 a growth table or a verification
-suite did not complete (a ball hit the element budget, or an element had
-more minimal words than a suite keeps).  Reports carry a
-header block (tool version, canonical sequence, budget, seed) and reruns
-with equal headers are byte-identical.
+violations, 2 usage or parse errors or an unwritable output file, 3 a
+growth table or a verification suite did not complete (a ball hit the
+element budget, or an element had more minimal words than a suite keeps).
+Reports carry a header block (tool version, canonical sequence, budget,
+seed) and reruns with equal headers are byte-identical.
 """
 
 from __future__ import annotations
@@ -337,9 +337,9 @@ def _suite_eq2(cfg: RunConfig) -> dict:
     return {"checks": checks, "violations": violations}
 
 
-def _suite_lemma3(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
+def _suite_lemma3(cfg: RunConfig, table: gr.BallTable) -> dict:
     try:
-        rep = gr.lemma3_check(omega, radius, budget=cfg.budget)
+        rep = gr.lemma3_check(table, cfg.budget)
     except gr.BudgetExceeded as exc:
         # The shifted ball completed no sphere, so no check was made.
         return {
@@ -379,15 +379,14 @@ def _suite_lemma4(cfg: RunConfig) -> dict:
     return {"checks": 7, "violations": violations}
 
 
-def _suite_lemma8(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
+def _suite_lemma8(cfg: RunConfig, table: gr.BallTable) -> dict:
     eps = cfg.epsilon or Fraction(1, 10)
-    table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
     rep = gr.lemma8_check(table, eps)
     result = {
         "checks": rep["checked_words"],
         "violations": rep["violations"],
         "radius": rep["radius"],
-        "complete": table.complete and "cap_exceeded" not in rep,
+        "complete": rep["complete"],
     }
     if "cap_exceeded" in rep:
         result["detail"] = rep["cap_exceeded"]
@@ -413,9 +412,8 @@ def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
     return {"checks": len(rep["rows"]), "violations": violations, "detail": rep}
 
 
-def _suite_lemma11(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
+def _suite_lemma11(cfg: RunConfig, table: gr.BallTable) -> dict:
     eps = cfg.epsilon or Fraction(8, 25)
-    table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
     rep = gr.lemma11_check(table, eps)
     violations = list(rep["part_a_violations"])
     if isinstance(rep["part_b"], dict):
@@ -424,7 +422,7 @@ def _suite_lemma11(cfg: RunConfig, omega: OmegaSpec, radius: int) -> dict:
         "checks": rep["checked_words"],
         "violations": violations,
         "radius": rep["radius"],
-        "complete": table.complete and "cap_exceeded" not in rep,
+        "complete": rep["complete"],
         "detail": rep.get("cap_exceeded", {"s": rep["s"], "part_b": rep["part_b"]}),
     }
 
@@ -457,7 +455,10 @@ def _suite_prop6(cfg: RunConfig, radius: int) -> dict:
     }
 
 
-_SUITES = ("eq1", "eq2", "lemma3", "lemma4", "lemma8", "lemma9", "lemma11", "prop6")
+# The ball suites share one ball and run last, so it is not alive while
+# prop6 builds its balls; reports sort their keys, so run order never shows.
+_BALL_SUITES = ("lemma3", "lemma8", "lemma11")
+_SUITES = ("eq1", "eq2", "lemma4", "lemma9", "prop6") + _BALL_SUITES
 
 
 def _inapplicable(name: str, cfg: RunConfig, omega: OmegaSpec) -> Optional[str]:
@@ -481,6 +482,7 @@ def cmd_verify(args) -> int:
     # One spec for every suite on the default sequence, so later suites
     # reuse the sections and identities earlier ones memoized on it.
     omega = cfg.omega or parse_omega("(012)")
+    table = None  # the (omega, shift 0, radius) ball of the ball suites
     suites = {}
     total_violations = 0
     incomplete = 0
@@ -495,20 +497,22 @@ def cmd_verify(args) -> int:
                 "passed": False,
             }
             continue
+        if name in _BALL_SUITES and table is None:
+            table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
         if name == "eq1":
             result = _suite_eq1(omega)
         elif name == "eq2":
             result = _suite_eq2(cfg)
         elif name == "lemma3":
-            result = _suite_lemma3(cfg, omega, radius)
+            result = _suite_lemma3(cfg, table)
         elif name == "lemma4":
             result = _suite_lemma4(cfg)
         elif name == "lemma8":
-            result = _suite_lemma8(cfg, omega, radius)
+            result = _suite_lemma8(cfg, table)
         elif name == "lemma9":
             result = _suite_lemma9(cfg, k_max)
         elif name == "lemma11":
-            result = _suite_lemma11(cfg, omega, radius)
+            result = _suite_lemma11(cfg, table)
         else:
             result = _suite_prop6(cfg, 20 if args.radius is None else radius)
         complete = result.pop("complete", True)
@@ -621,7 +625,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OmegaParseError, WordParseError, ValueError) as exc:
+    except (OmegaParseError, WordParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

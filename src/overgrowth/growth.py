@@ -418,9 +418,10 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
     When an element has more minimal words than ``geodesic_words`` keeps,
     the check stops there: ``cap_exceeded`` holds the message and
     ``radius`` the strata below that element (spheres are checked in
-    increasing order).  ``passed`` needs a complete ball.  Once sphere n
-    is checked, the ``geodesic_words`` memo drops the spheres below it, so
-    a later caller recomputes those words.
+    increasing order).  ``complete`` means the ball is complete and the
+    cap was not hit; ``passed`` needs it.  Once sphere n is checked, the
+    ``geodesic_words`` memo drops the spheres below it, so a later caller
+    recomputes those words.
     """
     eps = as_fraction(epsilon)
     violations = []
@@ -445,9 +446,8 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
         report["cap_exceeded"] = str(exc)
     report["checked_words"] = checked
     report["violations"] = violations
-    report["passed"] = (
-        not violations and "cap_exceeded" not in report and table.complete
-    )
+    report["complete"] = table.complete and "cap_exceeded" not in report
+    report["passed"] = not violations and report["complete"]
     return report
 
 
@@ -546,7 +546,7 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
 
     When an element has more minimal words than ``geodesic_words`` keeps,
     the check stops there, as ``lemma8_check`` does, and part B with it.
-    ``passed`` needs a complete ball.
+    ``complete`` and ``passed`` are as in ``lemma8_check``.
     """
     eps = as_fraction(epsilon)
     omega_here = table.omega
@@ -626,27 +626,22 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     report["part_a_violations"] = violations_a
     report["part_a_passed"] = not violations_a
     report["part_b"] = part_b
-    report["passed"] = (
-        not violations_a
-        and not violations_b
-        and "cap_exceeded" not in report
-        and table.complete
-    )
+    report["complete"] = table.complete and "cap_exceeded" not in report
+    report["passed"] = not violations_a and not violations_b and report["complete"]
     return report
 
 
-def lemma3_check(omega: OmegaSpec, n: int, shift: int = 0, budget: int = DEFAULT_BUDGET) -> dict:
+def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
     """Section-length bound and the one-step growth inequality.
 
-    For every even-parity element g of the radius-m ball, both sections
-    must have geodesic length at most (|g| + 1) / 2 in the shifted ball;
-    numerically, gamma(m) <= 2 * gamma_shifted(ceil((m + 2) / 2)) ** 2.
-    Here m is n, or on a budget overrun the largest radius both balls
-    cover; ``complete`` is unset then.  Raises ``BudgetExceeded`` when
-    they cover none.
+    For every even-parity element g of ``table`` up to radius m, both
+    sections must have geodesic length at most (|g| + 1) / 2 in the shifted
+    ball, built here within ``budget``; numerically, gamma(m) <= 2 *
+    gamma_shifted(ceil((m + 2) / 2)) ** 2.  Here m is the table's radius,
+    or the largest radius both balls cover when either is incomplete;
+    ``complete`` is unset then.  Raises ``BudgetExceeded`` if they cover none.
     """
-    table = enumerate_ball(omega, shift, n, budget)
-    table_s = enumerate_ball(omega, shift + 1, (table.radius + 3) // 2, budget)
+    table_s = enumerate_ball(table.omega, table.shift + 1, (table.radius + 3) // 2, budget)
     # The largest m <= table.radius with ceil((m + 2) / 2) <= table_s.radius.
     m = min(table.radius, 2 * table_s.radius - 2)
     if m < 0:

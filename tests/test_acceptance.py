@@ -133,7 +133,7 @@ def test_c03_section_contraction():
     assert violations == 0
     gam, gam_s = t.gamma(), t_s.gamma()
     assert gam[6] <= 2 * gam_s[4] ** 2
-    rep = lemma3_check(W012, 6)
+    rep = lemma3_check(enumerate_ball(W012, 0, 6))
     assert rep["passed"]
     print("ACCEPTANCE 03 PASS - section lengths and one-step growth inequality")
 

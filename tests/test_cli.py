@@ -228,6 +228,60 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (("--omega", "(012)", "--radius", "7"), set()),
+        (("--omega", "(01)", "--radius", "7"), {"lemma11"}),
+        (("--omega", "(012)", "--radius", "8", "--budget", "200"), set()),
+    ],
+)
+def test_ball_suites_share_a_ball_as_if_each_ran_alone(capsys, argv, skipped):
+    # Under "all" the ball suites read one ball; each entry must equal the
+    # suite's report on a fresh ball of its own.
+    _, together = run_json(capsys, "verify", "--suite", "all", *argv)
+    for name in ("lemma3", "lemma8", "lemma11"):
+        rep = together["suites"][name]
+        if name in skipped:
+            assert rep["status"] == "skipped"
+            assert main(["verify", "--suite", name, *argv]) == 2
+            capsys.readouterr()
+            continue
+        _, alone = run_json(capsys, "verify", "--suite", name, *argv)
+        assert alone["suites"][name] == rep, (argv, name)
+
+
+def test_verify_all_enumerates_the_ball_suites_ball_once(capsys, monkeypatch):
+    real = gr.enumerate_ball
+    calls = []
+
+    def counted(omega, shift=0, radius=0, budget=gr.DEFAULT_BUDGET):
+        calls.append((str(omega), shift, radius))
+        return real(omega, shift, radius, budget)
+
+    monkeypatch.setattr(gr, "enumerate_ball", counted)
+    code, _ = run(capsys, "verify", "--suite", "all", "--radius", "6")
+    assert code == 0
+    assert calls.count(("(012)", 0, 6)) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "--omega", "(012)", "--radius", "2", "--output", "x.csv"),
+        ("growth", "--omega", "(012)", "--radius", "2", "--export-ball", "x.jsonl"),
+        ("verify", "--suite", "eq1", "--output", "x.json"),
+    ],
+)
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    # The file would go in a directory that does not exist.
+    *flags, name = argv
+    assert main([*flags, str(tmp_path / "missing" / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_lemma3_radius(capsys):
     code, data = run_json(
         capsys, "verify", "--suite", "lemma3", "--omega", "(012)", "--radius", "6"

@@ -423,36 +423,39 @@ def test_checkers_never_pass_an_incomplete_ball():
     assert (t.radius, t.complete) == (4, False)
     rep = lemma8_check(t, "0.1")
     assert rep["checked_words"] > 0 and rep["violations"] == []
-    assert not rep["passed"]
+    assert not rep["complete"] and not rep["passed"]
     rep = lemma11_check(t, Fraction(8, 25))
     assert rep["checked_words"] > 0 and rep["part_a_passed"]
-    assert not rep["passed"]
+    assert not rep["complete"] and not rep["passed"]
+    full = ball("(012)", 6)
+    assert lemma8_check(full, "0.1")["complete"]
+    assert lemma11_check(full, Fraction(8, 25))["complete"]
     rep = prop6_check(parse_omega("01(2)"), 20, budget=100)
     assert rep["dihedral_exact"] and rep["collapsed_set"] == ["a", "x"]
     assert (rep["complete"], rep["passed"]) == (False, False)
 
 
 def test_lemma3_check():
-    rep = lemma3_check(W012, 6)
+    rep = lemma3_check(enumerate_ball(W012, 0, 6))
     assert rep["passed"]
     assert rep["numeric_inequality"]["lhs"] <= rep["numeric_inequality"]["rhs"]
     # the contraction is not specific to three-symbol sequences
-    assert lemma3_check(parse_omega("(01)"), 6)["passed"]
-    assert lemma3_check(parse_omega("01(2)"), 6)["passed"]
+    assert lemma3_check(enumerate_ball(parse_omega("(01)"), 0, 6))["passed"]
+    assert lemma3_check(enumerate_ball(parse_omega("01(2)"), 0, 6))["passed"]
 
 
 def test_lemma3_checks_the_radius_both_balls_cover():
     # At budget 300 both (012) balls complete radius 4, and the sections of
     # a length-m element need the shifted ball to ceil((m + 2) / 2).
-    rep = lemma3_check(W012, 10, budget=300)
+    rep = lemma3_check(enumerate_ball(W012, 0, 10, budget=300), budget=300)
     assert (rep["radius"], rep["complete"], rep["passed"]) == (4, False, False)
     assert rep["gamma"] == ball("(012)", 4).gamma()
     assert rep["gamma_shifted"] == ball("(012)", 3, shift=1).gamma()
     assert rep["numeric_inequality"] == {"lhs": 168, "rhs": 2 * 79**2, "passed": True}
     assert rep["violations"] == []
-    assert lemma3_check(W012, 6, budget=9)["radius"] == 0
+    assert lemma3_check(enumerate_ball(W012, 0, 6, budget=9), budget=9)["radius"] == 0
     with pytest.raises(BudgetExceeded):
-        lemma3_check(W012, 6, budget=8)
+        lemma3_check(enumerate_ball(W012, 0, 6, budget=8), budget=8)
 
 
 def test_prop6():
