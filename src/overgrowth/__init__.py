@@ -16,7 +16,6 @@ from .omega import (
 from .words import (
     LETTER_NAMES,
     ReductionReceipt,
-    letter_counts,
     parse_letters,
     reduce,
     render_letters,
@@ -39,18 +38,15 @@ from .elements import (
     order_bounded,
     portrait,
     sections,
-    spine_root_label,
 )
 from .growth import (
     BallTable,
-    BoundCurve,
     GeodesicClassification,
     bound_curves,
     classify_geodesics,
     count_ftilde,
     enumerate_ball,
     geodesic_words,
-    growth_exponent_estimate,
     lemma3_check,
     lemma8_map,
     lemma9_report,

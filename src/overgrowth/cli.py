@@ -2,9 +2,10 @@
 
 Every library operation is exposed as a subcommand emitting JSON (or CSV
 for growth tables).  Exit codes: 0 success, 1 a verification suite found
-violations, 2 usage or parse errors or an unwritable output file, 3 a
-growth table or a verification suite did not complete (a ball hit the
-element budget, or an element had more minimal words than a suite keeps).
+violations, 2 usage or parse errors, an unwritable output file or a
+recursion deeper than Python allows, 3 a growth table or a verification
+suite did not complete (a ball hit the element budget, or an element had
+more minimal words than a suite keeps).
 Reports carry a header block (tool version, canonical sequence, budget,
 seed) and reruns with equal headers are byte-identical.
 """
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
@@ -78,8 +80,12 @@ def _default_budget() -> int:
     return int(raw) if raw else gr.DEFAULT_BUDGET
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(payload: dict, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -208,14 +214,11 @@ def cmd_order(args) -> int:
 def _growth_rows(table: gr.BallTable, curve_eps: Fraction) -> list[dict]:
     gam = table.gamma()
     n_top = table.radius
-    samples = tuple(range(0, n_top + 1))
-    lower, upper = (None, None)
+    lo, up = {}, {}
     if n_top >= 3:
-        lower, upper = gr.bound_curves(n_top, curve_eps, samples=range(2, n_top + 1))
-    lo = dict(zip(lower.samples, lower.log_values)) if lower else {}
-    up = dict(zip(upper.samples, upper.log_values)) if upper else {}
+        lo, up = gr.bound_curves(range(2, n_top + 1), curve_eps)
     rows = []
-    for n in samples:
+    for n in range(n_top + 1):
         rows.append(
             {
                 "n": n,
@@ -231,39 +234,51 @@ def _growth_rows(table: gr.BallTable, curve_eps: Fraction) -> list[dict]:
 
 def cmd_growth(args) -> int:
     cfg = _config(args)
-    table = gr.enumerate_ball(cfg.omega, args.shift, args.radius, cfg.budget)
-    rows = _growth_rows(table, Fraction(args.curve_epsilon))
-    header = cfg.header()
-    header["radius"] = table.radius
-    header["complete"] = table.complete
-    if args.export_ball:
-        portraits = portrait_bytes(table.perms, gr.dedup_depth_for(args.radius))
-        with open(args.export_ball, "w", encoding="utf-8") as fh:
+    # Bad input fails before the output files are created, and the files
+    # are opened before the ball is built, so a bad path fails at once.
+    if args.radius < 0:
+        raise ValueError("radius must be nonnegative")
+    curve_eps = Fraction(args.curve_epsilon)
+    if curve_eps <= 0:
+        raise ValueError("curve epsilon must be positive")
+    with ExitStack() as files:
+        export = (
+            files.enter_context(open(args.export_ball, "w", encoding="utf-8"))
+            if args.export_ball
+            else None
+        )
+        out = (
+            files.enter_context(open(args.output, "w", encoding="utf-8"))
+            if args.output
+            else sys.stdout
+        )
+        table = gr.enumerate_ball(cfg.omega, args.shift, args.radius, cfg.budget)
+        rows = _growth_rows(table, curve_eps)
+        header = cfg.header()
+        header["radius"] = table.radius
+        header["complete"] = table.complete
+        if export:
+            portraits = portrait_bytes(table.perms, gr.export_portrait_depth(args.radius))
             # The bytes of json.dumps(record, sort_keys=True): every field
             # is an int or an ASCII string that needs no escaping.
             for eid, (word, sig) in enumerate(zip(table.entries, portraits)):
                 digest = sha256(sig).hexdigest()[:16]
-                fh.write(
+                export.write(
                     f'{{"id": {eid}, "length": {len(word)}, '
                     f'"portrait_hash": "{digest}", '
                     f'"word": "{render_letters(word)}"}}\n'
                 )
-    if args.format == "json":
-        _emit({"header": header, "rows": rows}, args.output)
-    else:
-        lines = [f"# {k}: {v}" for k, v in sorted(header.items())]
-        lines.append("n,sphere,gamma,gamma_root,lower_curve,upper_curve")
-        for r in rows:
-            lines.append(
-                f"{r['n']},{r['sphere']},{r['gamma']},{r['gamma_root']},"
-                f"{r['lower_curve']},{r['upper_curve']}"
-            )
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        if args.format == "json":
+            out.write(_json_text({"header": header, "rows": rows}))
         else:
-            sys.stdout.write(text)
+            lines = [f"# {k}: {v}" for k, v in sorted(header.items())]
+            lines.append("n,sphere,gamma,gamma_root,lower_curve,upper_curve")
+            for r in rows:
+                lines.append(
+                    f"{r['n']},{r['sphere']},{r['gamma']},{r['gamma_root']},"
+                    f"{r['lower_curve']},{r['upper_curve']}"
+                )
+            out.write("\n".join(lines) + "\n")
     return 0 if table.complete else 3
 
 
@@ -479,8 +494,9 @@ def cmd_verify(args) -> int:
         raise ValueError("radius must be at least 1")
     if k_max < 1:
         raise ValueError("kmax must be at least 1")
-    # One spec for every suite on the default sequence, so later suites
-    # reuse the sections and identities earlier ones memoized on it.
+    # One spec for every suite on the default sequence.  Its memos hold
+    # little beyond the generators' sections: lemma3 and lemma11 split
+    # each word once with split_reduce and write nothing to them.
     omega = cfg.omega or parse_omega("(012)")
     table = None  # the (omega, shift 0, radius) ball of the ball suites
     suites = {}
@@ -625,7 +641,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OmegaParseError, WordParseError, ValueError, OSError) as exc:
+    except (OmegaParseError, WordParseError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

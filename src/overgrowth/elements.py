@@ -95,16 +95,6 @@ class Portrait:
         return all(v == "I" for v in self.labels.values())
 
 
-def spine_root_label(letter: int, omega: OmegaSpec, shift: int, level: int) -> str:
-    """P/I behaviour of a non-``a`` letter at the given level of its spine."""
-    if level < 1:
-        raise ValueError("levels are 1-based")
-    if not 1 <= letter <= 7:
-        raise ValueError("expected a nontrivial non-a letter")
-    sym = symbol_at(omega, shift + level)
-    return "P" if letter_label(letter, sym) else "I"
-
-
 def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int]:
     """First level of its spine at which a spine letter swaps, or None.
 

@@ -28,6 +28,7 @@ from .words import (
     A,
     SPINE_LETTERS,
     X,
+    a_count,
     extend,
     reduce,
     render_letters,
@@ -75,7 +76,7 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def dedup_depth_for(radius: int) -> int:
+def export_portrait_depth(radius: int) -> int:
     """Portrait depth of the ``--export-ball`` hashes for a radius, capped
     at the deepest level a 256-byte table covers (from radius 31 on)."""
     return min(math.ceil(math.log2(radius + 2)) + 3, TABLE_DEPTH_MAX)
@@ -497,11 +498,10 @@ def _level_stabilizers(table: BallTable, s: int) -> list[int]:
 
 def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
     """Iterated one-level substitution with per-level contraction counts
-    and (x, y, z) letter-frequency aggregates."""
+    and (x, y, z) letter-frequency aggregates.  Raises ``NotLevelStabilizer``
+    at the first section that swaps on levels 1..s."""
     if s < 0:
         raise ValueError("level must be nonnegative")
-    if not stabilizes_level(g, s):
-        raise NotLevelStabilizer(f"element does not stabilize level {s}")
     levels = []
     current = [g]
     for j in range(1, s + 1):
@@ -511,7 +511,8 @@ def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
         down = shift_normalize(g.omega, g.shift + j)
         for e in current:
             swap, left, right, alpha_l, alpha_r = split_reduce(e.word, sym)
-            assert not swap
+            if swap:
+                raise NotLevelStabilizer(f"element does not stabilize level {s}")
             alpha += alpha_l + alpha_r
             nxt += (Element(left, g.omega, down), Element(right, g.omega, down))
         x, y, z = map(sum, zip(*(xyz_profile(e.word) for e in nxt)))
@@ -650,14 +651,16 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
     g_here = table.gamma()[: m + 1]
     g_shift = table_s.gamma()[: half + 1]
     violations = []
+    sym = symbol_at(table.omega, table.shift + 1)
     for eid in range(g_here[m]):
-        g = table.element(eid)
-        if not g.in_stabilizer:
+        word = table.entries[eid]
+        if a_count(word) % 2:
             continue
-        dec = decompose(g)
-        bound = Fraction(len(g.word) + 1, 2)
-        for side, sec in (("left", dec.left), ("right", dec.right)):
-            found = table_s.lookup(sec)
+        # Each section is looked up once: split here, not memoized.
+        _, left, right, _, _ = split_reduce(word, sym)
+        bound = Fraction(len(word) + 1, 2)
+        for side, section in (("left", left), ("right", right)):
+            found = table_s.lookup(Element(section, table.omega, table_s.shift))
             assert found is not None, "section must lie in the shifted ball"
             length = len(table_s.entries[found])
             if length > bound:
@@ -684,13 +687,6 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
         "violations": violations,
         "passed": numeric_ok and not violations and complete,
     }
-
-
-def growth_exponent_estimate(gamma: list) -> list[float]:
-    """Pointwise roots gamma(n) ** (1/n) for n >= 1; no convergence claim."""
-    if any(v < 1 for v in gamma):
-        raise ValueError("growth values must be at least 1")
-    return [gamma[n] ** (1.0 / n) for n in range(1, len(gamma))]
 
 
 def prop6_check(
@@ -753,48 +749,14 @@ def prop6_check(
     }
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """Reference growth curve sampled at integers, kept in log scale."""
-
-    kind: str
-    samples: tuple
-    log_values: tuple
-
-    def value(self, i: int) -> float:
-        lv = self.log_values[i]
-        return math.exp(lv) if lv < 700 else math.inf
-
-
-def _default_samples(n_max: int, start: int) -> tuple:
-    dense_top = min(n_max, 512)
-    pts = list(range(start, dense_top + 1))
-    v = float(dense_top)
-    while v < n_max:
-        v *= 1.08
-        pts.append(min(int(v), n_max))
-    return tuple(sorted(set(pts)))
-
-
-def bound_curves(n_max: int, epsilon, samples: Optional[Iterable[int]] = None):
+def bound_curves(samples: Iterable[int], epsilon) -> tuple[dict, dict]:
     """Lower exp(n / log(n)^(2+eps)) and upper exp(n loglog(n) / log(n))
-    reference curves (natural logs), sampled at integers."""
+    reference curves (natural logs) as maps from each sample n to the log
+    of the curve's value, the lower from n = 2 and the upper from n = 3."""
     eps = float(as_fraction(epsilon))
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    pts = tuple(sorted(set(samples))) if samples is not None else _default_samples(n_max, 3)
-    lower_pts = tuple(p for p in pts if p >= 2)
-    upper_pts = tuple(p for p in pts if p >= 3)
-    lower = BoundCurve(
-        f"lower(eps={epsilon})",
-        lower_pts,
-        tuple(p / math.log(p) ** (2 + eps) for p in lower_pts),
-    )
-    upper = BoundCurve(
-        "upper",
-        upper_pts,
-        tuple(p * math.log(math.log(p)) / math.log(p) for p in upper_pts),
-    )
+    pts = tuple(samples)
+    lower = {p: p / math.log(p) ** (2 + eps) for p in pts if p >= 2}
+    upper = {p: p * math.log(math.log(p)) / math.log(p) for p in pts if p >= 3}
     return lower, upper

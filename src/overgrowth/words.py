@@ -189,13 +189,6 @@ def split_reduce(word: bytes, symbol: int):
     )
 
 
-def letter_counts(word: bytes) -> dict[str, int]:
-    counts = {name: 0 for name in LETTER_NAMES}
-    for k in word:
-        counts[LETTER_NAMES[k]] += 1
-    return counts
-
-
 def xyz_profile(word: bytes) -> tuple[int, int, int]:
     """(x, y, z) letter-frequency aggregates of a word.
 

@@ -282,6 +282,38 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--output", "--export-ball"])
+def test_growth_fails_on_a_bad_path_before_building_the_ball(
+    capsys, tmp_path, monkeypatch, flag
+):
+    def not_called(*args):
+        raise AssertionError("the ball was built before the file was opened")
+
+    monkeypatch.setattr(gr, "enumerate_ball", not_called)
+    path = tmp_path / "missing" / "out"
+    assert main(["growth", "--omega", "(012)", "--radius", "13", flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--output", "--export-ball"])
+def test_growth_bad_input_creates_no_file(capsys, tmp_path, flag):
+    for bad in (("--radius", "-1"), ("--radius", "4", "--curve-epsilon", "0")):
+        path = tmp_path / "f"
+        assert main(["growth", "--omega", "(012)", *bad, flag, str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not path.exists()
+
+
+def test_too_deep_recursion_exits_2(capsys):
+    argv = ["portrait", "--omega", "(012)", "--word", "x", "--depth", "3000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_lemma3_radius(capsys):
     code, data = run_json(
         capsys, "verify", "--suite", "lemma3", "--omega", "(012)", "--radius", "6"

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from overgrowth.omega import parse_omega
-from overgrowth.words import a_count, parse_letters, render_letters
+from overgrowth.omega import parse_omega, symbol_at
+from overgrowth.words import a_count, letter_label, parse_letters, render_letters
 from overgrowth.elements import (
     ContextMismatch,
     Element,
@@ -27,7 +27,6 @@ from overgrowth.elements import (
     power,
     sections,
     signature,
-    spine_root_label,
 )
 
 from _oracles import (
@@ -57,24 +56,27 @@ def test_generator_basics():
     assert is_identity(generator("B", W01))
 
 
-def test_spine_root_label_examples():
-    assert spine_root_label(1, W012, 0, 1) == "P"  # b at symbol 0
-    assert spine_root_label(5, W012, 0, 1) == "I"  # B at symbol 0
-    assert spine_root_label(7, W012, 0, 1) == "P"  # D at symbol 0
-    assert spine_root_label(3, W012, 0, 1) == "I"  # d at symbol 0
-    assert spine_root_label(3, W012, 0, 2) == "P"  # d at symbol 1
-    with pytest.raises(ValueError):
-        spine_root_label(0, W012, 0, 1)
+def spine_label(k, omega, shift, level):
+    """Whether spine letter k swaps at the given level of its spine."""
+    return letter_label(k, symbol_at(omega, shift + level))
 
 
-def test_spine_root_label_matches_row_data():
+def test_letter_label_examples():
+    assert spine_label(1, W012, 0, 1)  # b at symbol 0
+    assert not spine_label(5, W012, 0, 1)  # B at symbol 0
+    assert spine_label(7, W012, 0, 1)  # D at symbol 0
+    assert not spine_label(3, W012, 0, 1)  # d at symbol 0
+    assert spine_label(3, W012, 0, 2)  # d at symbol 1
+
+
+def test_letter_label_matches_row_data():
     # left substitution coordinate agrees with the letter's swap parity
     for omega in OMEGA_MATRIX:
         for shift in range(omega.cycle_length):
             for k in range(1, 8):
                 for level in range(1, 13):
                     g = generator(k, omega, shift)
-                    lab = spine_root_label(k, omega, shift, level)
+                    lab = "P" if spine_label(k, omega, shift, level) else "I"
                     # peel level-1 sections down to the queried level
                     cur = g
                     for _ in range(level - 1):

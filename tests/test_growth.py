@@ -9,6 +9,7 @@ import pytest
 
 from overgrowth.omega import first_third_symbol_index, parse_omega
 from overgrowth.words import SPINE_LETTERS, parse_letters, reduce, render_letters
+from overgrowth import growth
 from overgrowth.elements import Element, equal, generator, mul
 from overgrowth.growth import (
     BudgetExceeded,
@@ -19,10 +20,8 @@ from overgrowth.growth import (
     classify_geodesics,
     count_ftilde,
     count_ftilde_exhaustive,
-    dedup_depth_for,
     enumerate_ball,
     geodesic_words,
-    growth_exponent_estimate,
     lemma3_check,
     lemma8_check,
     lemma8_map,
@@ -200,15 +199,6 @@ def test_gamma_submultiplicative():
             assert gam[i + j] <= gam[i] * gam[j]
 
 
-def test_growth_exponent_estimate():
-    est = growth_exponent_estimate([1, 3, 5, 7])
-    assert est[-1] == pytest.approx(7 ** (1 / 3))
-    poly = [2 * n + 1 for n in range(0, 30)]
-    est = growth_exponent_estimate(poly)
-    assert all(est[i + 1] < est[i] for i in range(2, len(est) - 1))
-    assert all(e <= 9 for e in growth_exponent_estimate(ball("(012)", 8).gamma()))
-
-
 def test_classify_geodesics_small():
     t = ball("(012)", 2)
     cls1 = classify_geodesics(t, "0.1", 1)
@@ -321,6 +311,35 @@ def test_level_section_trace():
         level_section_trace(generator("a", W012), 1)
     with pytest.raises(NotLevelStabilizer):
         level_section_trace(generator("b", W012), 2)
+    # a d a fixes level 2, and its level-2 section d a moves level 3.
+    ada = Element.from_text("a d a", W012)
+    assert len(level_section_trace(ada, 2).levels) == 2
+    with pytest.raises(NotLevelStabilizer):
+        level_section_trace(ada, 3)
+
+
+def test_section_walks_write_no_memo(monkeypatch):
+    # lemma3 and the lemma-11 traces visit each section once: they split
+    # words with split_reduce and leave the sequence's memo alone.
+    table = enumerate_ball(parse_omega("(012)"), 0, 8)
+    before = dict(table.omega.sections)
+    assert lemma3_check(table)["passed"]
+    assert table.omega.sections == before
+
+    def not_called(*args):
+        raise AssertionError("level_section_trace must walk the words itself")
+
+    stab = [
+        g for g in map(table.element, range(len(table.entries)))
+        if stabilizes_level(g, 3)
+    ]
+    assert len(stab) > 20
+    monkeypatch.setattr(growth, "stabilizes_level", not_called)
+    monkeypatch.setattr(growth, "decompose", not_called)
+    for g in stab:
+        level_section_trace(g, 3)
+    with pytest.raises(NotLevelStabilizer):
+        level_section_trace(Element.from_text("a d a", table.omega), 3)
 
 
 def test_lemma11_part_a_and_gate():
@@ -470,13 +489,15 @@ def test_prop6():
 
 
 def test_bound_curves():
-    lower, upper = bound_curves(16, 1)
-    i = lower.samples.index(16)
-    assert lower.value(i) == pytest.approx(math.exp(16 / math.log(16) ** 3))
-    assert min(upper.samples) == 3  # loglog(3) > 0 is fine with natural logs
-    lower, upper = bound_curves(10**6, 1)
+    # Every n up to 512, then every 10^4 up to 10^6.
+    samples = (*range(2, 513), *range(10**4, 10**6 + 1, 10**4))
+    lower, upper = bound_curves(samples, 1)
+    assert lower[16] == pytest.approx(16 / math.log(16) ** 3)
+    assert min(lower) == 2
+    assert min(upper) == 3  # loglog(3) > 0 is fine with natural logs
     # upper grows monotonically from 16 on
-    ups = [lv for n, lv in zip(upper.samples, upper.log_values) if n >= 16]
+    ups = [lv for n, lv in upper.items() if n >= 16]
+    assert len(ups) > 100
     assert all(ups[i] < ups[i + 1] for i in range(len(ups) - 1))
     with pytest.raises(ValueError):
-        bound_curves(2, 1)
+        bound_curves(samples, 0)

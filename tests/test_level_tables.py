@@ -20,7 +20,7 @@ from overgrowth.elements import (
     portrait_bytes,
     signature,
 )
-from overgrowth.growth import BallTable, dedup_depth_for, enumerate_ball
+from overgrowth.growth import BallTable, enumerate_ball, export_portrait_depth
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
 from overgrowth.words import reduce, render_letters
 
@@ -97,7 +97,7 @@ def test_stored_tables_and_exported_hashes(tmp_path):
         for eid, perm in enumerate(table.perms):
             assert perm == table_by_act(table.element(eid), 8)
         # The keys are level-8 tables; the hashes keep the portrait depth.
-        depth = dedup_depth_for(6)
+        depth = export_portrait_depth(6)
         path = tmp_path / "ball.jsonl"
         argv = ["growth", "--omega", text, "--radius", "6", "--export-ball", str(path)]
         assert main(argv + ["--output", str(tmp_path / "rows.csv")]) == 0
@@ -151,10 +151,10 @@ def test_lookup_key_composed_from_letter_tables(text, shift, raw):
 
 
 def test_dedup_depth_is_capped_at_eight():
-    assert dedup_depth_for(12) == 7
-    assert dedup_depth_for(30) == 8
-    assert dedup_depth_for(31) == 8
-    assert dedup_depth_for(10_000) == 8
+    assert export_portrait_depth(12) == 7
+    assert export_portrait_depth(30) == 8
+    assert export_portrait_depth(31) == 8
+    assert export_portrait_depth(10_000) == 8
 
 
 def test_budget_limited_ball_at_the_depth_cap_is_coherent():

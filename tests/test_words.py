@@ -15,7 +15,6 @@ from overgrowth.words import (
     WordParseError,
     a_count,
     extend,
-    letter_counts,
     parse_letters,
     reduce,
     render_letters,
@@ -135,15 +134,6 @@ def test_word_text_round_trip():
     assert parse_letters("Bx") == parse_letters("B x")
     with pytest.raises(WordParseError):
         parse_letters("b q")
-
-
-def test_letter_counts():
-    counts = letter_counts(reduce(_letters("a d a")).word)
-    assert counts["a"] == 2 and counts["d"] == 1
-    assert sum(counts.values()) == 3
-    assert all(v == 0 for v in letter_counts(b"").values())
-    counts = letter_counts(reduce(_letters("b a c a b")).word)
-    assert counts["b"] == 2 and counts["c"] == 1 and counts["a"] == 2
 
 
 def test_xyz_profile():
