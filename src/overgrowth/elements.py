@@ -242,7 +242,7 @@ def _leaf_images(g: Element, depth: int) -> bytes:
     return left + right.translate(up)
 
 
-# Tables read per bulk pass of ``portrait_bytes``: joined, a chunk is 64 KB.
+# Half tables read per bulk pass of ``portrait_bytes``: joined, a chunk is 32 KB.
 _PORTRAIT_CHUNK = 256
 
 # _BIT[b][j] takes a byte to its bit b, moved to bit j.
@@ -252,38 +252,41 @@ _BIT = tuple(
 )
 
 
-def portrait_bytes(tables, depth: int):
+def portrait_bytes(halves, depth: int):
     """Yield ``signature(g, depth)`` as minimal big-endian bytes (``b"\\0"``
-    for 0) for each ``level_table(g, 8)`` in the sequence ``tables``.
+    for 0) for each half table ``level_table(g, 8)[::2]`` in the sequence
+    ``halves``.
 
     The label of the depth-k vertex u is bit 7 - k of the image of the leaf
-    u << (8 - k).  The signature's bits, most significant first, are the
-    labels in reversed preorder, and preorder sorts vertices by that leaf,
-    then by depth.  Over a chunk of tables joined into one ``bytes``, one
-    stride slice and one ``translate`` read a label of every table at once;
-    eight of them, moved to their bits and OR-ed as ints, make one byte
-    column of fixed-width records, which lose their leading zero bytes.
+    u << (8 - k).  For k < 8 that leaf is even, and the half table, the
+    images of the 128 even leaves, holds it at index u << (7 - k).  The
+    signature's bits, most significant first, are the labels in reversed
+    preorder, and preorder sorts vertices by that index, then by depth.
+    Over a chunk of half tables joined into one ``bytes``, one stride slice
+    and one ``translate`` read a label of every table at once; eight of
+    them, moved to their bits and OR-ed as ints, make one byte column of
+    fixed-width records, which lose their leading zero bytes.
     """
     if not 0 <= depth <= TABLE_DEPTH_MAX:
         raise ValueError(f"portraits cover depths 0..{TABLE_DEPTH_MAX}")
     preorder = sorted(
-        (u << (TABLE_DEPTH_MAX - k), k) for k in range(depth) for u in range(1 << k)
+        (u << (TABLE_DEPTH_MAX - 1 - k), k) for k in range(depth) for u in range(1 << k)
     )
     width = max(1, (len(preorder) + 7) // 8)
-    # columns[m] reads the bits of record byte m: (leaf, its label's move).
+    # columns[m] reads the bits of record byte m: (index, its label's move).
     columns = [[] for _ in range(width)]
     pad = 8 * width - len(preorder)
-    for q, (leaf, k) in enumerate(reversed(preorder), start=pad):
-        columns[q // 8].append((leaf, _BIT[TABLE_DEPTH_MAX - 1 - k][7 - q % 8]))
-    stride = 1 << TABLE_DEPTH_MAX
-    for start in range(0, len(tables), _PORTRAIT_CHUNK):
-        chunk = b"".join(tables[start : start + _PORTRAIT_CHUNK])
+    for q, (index, k) in enumerate(reversed(preorder), start=pad):
+        columns[q // 8].append((index, _BIT[TABLE_DEPTH_MAX - 1 - k][7 - q % 8]))
+    stride = 1 << (TABLE_DEPTH_MAX - 1)
+    for start in range(0, len(halves), _PORTRAIT_CHUNK):
+        chunk = b"".join(halves[start : start + _PORTRAIT_CHUNK])
         n = len(chunk) // stride
         records = bytearray(n * width)
         for m, reads in enumerate(columns):
             acc = 0
-            for leaf, move in reads:
-                acc |= int.from_bytes(chunk[leaf::stride].translate(move), "big")
+            for index, move in reads:
+                acc |= int.from_bytes(chunk[index::stride].translate(move), "big")
             records[m::width] = acc.to_bytes(n, "big")
         records = bytes(records)
         for i in range(0, n * width, width):

@@ -2,9 +2,10 @@
 
 Balls are built breadth-first over right multiplication by the eight
 generators in the fixed order a < b < c < d < x < B < C < D, deduplicating
-elements by their action on level 8 of the tree (a 256-byte table that
-composes by ``bytes.translate``).  Up to ``exact_radius`` the table alone
-decides equality; above it every key hit is confirmed by the word problem.
+elements by their action on level 8 of the tree, kept as the 128 images of
+the even leaves (half of a 256-byte table that composes by
+``bytes.translate``).  Up to ``exact_radius`` the key alone decides
+equality; above it every key hit is confirmed by the word problem.
 All geodesic derivations are kept as predecessor links, which is what the
 frequency (F/D) classification and the contraction checkers consume.
 """
@@ -12,6 +13,7 @@ frequency (F/D) classification and the contraction checkers consume.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -82,13 +84,23 @@ def export_portrait_depth(radius: int) -> int:
     return min(math.ceil(math.log2(radius + 2)) + 3, TABLE_DEPTH_MAX)
 
 
-class BallTable:
-    """Ball of a given radius as parallel lists indexed by element id.
+# _FLIP[v] is the sibling leaf of leaf v.
+_FLIP = bytes(v ^ 1 for v in range(256))
 
-    ``entries[i]`` is element i's minimal word, so its length is its sphere;
-    ``perms[i]`` is its level-8 table and ``links[i]`` its geodesic
-    predecessors as (id, letter) pairs.  ``strata[n]`` is the range of the
-    ids of sphere n.  ``letter_perms[k]`` is the level-8 table of letter k.
+
+class BallTable:
+    """Ball of a given radius as parallel sequences indexed by element id.
+
+    ``entries[i]`` is element i's minimal word, so its length is its sphere.
+    ``keys[i]`` is its half table: the images of the 128 even leaves of
+    level 8, ``level_table(g, 8)[::2]``.  A tree automorphism maps the
+    siblings 2j, 2j + 1 to siblings, so the odd leaf 2j + 1 goes to the
+    image of 2j XOR 1 and the half decides the whole table.
+    ``first_link[i]`` is its first geodesic predecessor packed as
+    ``pred * 8 + letter`` (-1 at the root), and ``extra_links`` maps an id
+    to its further predecessors, packed alike, in the order found.
+    ``strata[n]`` is the range of the ids of sphere n.  ``letter_perms[k]``
+    is the level-8 table of letter k.
     """
 
     def __init__(self, omega: OmegaSpec, shift: int, radius: int):
@@ -98,14 +110,17 @@ class BallTable:
         self.exact_radius = exact_radius(omega, self.shift)
         self.complete = True
         self.entries: list[bytes] = []
-        self.perms: list[bytes] = []
-        self.links: list[list[tuple[int, int]]] = []
+        self.keys: list[bytes] = []
+        self.first_link = array("q")
+        self.extra_links: dict[int, list[int]] = {}
         self.strata: list[range] = []
         self.letter_perms = [
             level_table(generator(k, omega, self.shift), TABLE_DEPTH_MAX)
             for k in GENERATOR_LETTERS
         ]
-        self._by_perm: dict[bytes, list[int]] = {}
+        # A key's first id; later ids with that key, past exact_radius only.
+        self._by_key: dict[bytes, int] = {}
+        self._shared_keys: dict[bytes, list[int]] = {}
         self._geodesics: dict[int, tuple] = {}
 
     def gamma(self) -> list[int]:
@@ -125,39 +140,54 @@ class BallTable:
             perm = self.letter_perms[letter].translate(perm)
         return perm
 
-    def lookup(self, element: Element, perm: Optional[bytes] = None) -> Optional[int]:
+    def lookup(self, element: Element, key: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
 
-        ``perm`` is the element's level-8 table, ``perm_of`` its word when
-        not given.  While the element's word and every stored word (the last
-        stored is the longest) are at most ``exact_radius`` long, a table
-        match is the answer; above that it is only a candidate until the
-        word problem confirms it.
+        ``key`` is the element's half table, the even bytes of ``perm_of``
+        its word when not given.  While the element's word and every stored
+        word (the last stored is the longest) are at most ``exact_radius``
+        long, a key match is the answer; above that it is only a candidate
+        until the word problem confirms it.
         """
         if element.shift != self.shift or (
             element.omega is not self.omega and element.omega != self.omega
         ):
             raise ContextMismatch("element and ball must share sequence and shift")
-        if perm is None:
-            perm = self.perm_of(element.word)
-        ids = self._by_perm.get(perm)
-        if ids is None:
+        if key is None:
+            key = self.perm_of(element.word)[::2]
+        first = self._by_key.get(key)
+        if first is None:
             return None
         exact = self.exact_radius
         if len(element.word) <= exact and len(self.entries[-1]) <= exact:
-            return ids[0]
-        for cand in ids:
+            return first
+        if equal(element, self.element(first)):
+            return first
+        for cand in self._shared_keys.get(key, ()):
             if equal(element, self.element(cand)):
                 return cand
         return None
 
-    def _add(self, word: bytes, perm: bytes, links: list) -> int:
+    def _add(self, word: bytes, key: bytes, link: int) -> int:
         eid = len(self.entries)
         self.entries.append(word)
-        self.perms.append(perm)
-        self.links.append(links)
-        self._by_perm.setdefault(perm, []).append(eid)
+        self.keys.append(key)
+        self.first_link.append(link)
+        if self._by_key.setdefault(key, eid) != eid:
+            self._shared_keys.setdefault(key, []).append(eid)
         return eid
+
+    def _drop_from(self, start: int) -> None:
+        """Forget the elements with ids from ``start`` on."""
+        for key in self.keys[start:]:
+            kept = [i for i in self._shared_keys.pop(key, ()) if i < start]
+            if kept:
+                self._shared_keys[key] = kept
+            if self._by_key.get(key, -1) >= start:
+                del self._by_key[key]
+        for eid in [i for i in self.extra_links if i >= start]:
+            del self.extra_links[eid]
+        del self.entries[start:], self.keys[start:], self.first_link[start:]
 
 
 def enumerate_ball(
@@ -170,8 +200,10 @@ def enumerate_ball(
     with ``complete`` unset rather than a partial stratum.
 
     A candidate g*s gets its word by extending g's reduced word by the
-    letter s and its dedup key by composing level tables, so neither
-    multiplication nor ``decompose`` runs for it.
+    letter s and its key by composing level tables: g's full table is
+    rebuilt once from its half, and s's half table translated through it
+    is the candidate's half.  Neither multiplication nor ``decompose`` runs
+    for it.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -179,15 +211,19 @@ def enumerate_ball(
         raise ValueError("budget must be positive")
     table = BallTable(omega, shift, radius)
     shift = table.shift
-    letter_perms = table.letter_perms
-    words, perms, links = table.entries, table.perms, table.links
-    table._add(b"", IDENTITY_TABLE, [])
+    letter_halves = [perm[::2] for perm in table.letter_perms]
+    words, keys = table.entries, table.keys
+    extra_links = table.extra_links
+    table._add(b"", IDENTITY_TABLE[::2], -1)
     table.strata.append(range(1))
+    full = bytearray(IDENTITY_TABLE)
     for level in range(radius):
         start = len(words)  # the first id of sphere level + 1
         for eid in table.strata[level]:
             word = words[eid]
-            base_perm = perms[eid]
+            half = keys[eid]
+            full[0::2] = half
+            full[1::2] = half.translate(_FLIP)
             # Only a letter alternating with the last one lengthens the
             # word; any other product lands in an already-complete stratum.
             if level == 0:
@@ -198,21 +234,15 @@ def enumerate_ball(
                 letters = (A,)
             for letter in letters:
                 cand = Element(extend(word, letter), omega, shift)
-                perm = letter_perms[letter].translate(base_perm)
-                found = table.lookup(cand, perm)
+                key = letter_halves[letter].translate(full)
+                found = table.lookup(cand, key)
                 if found is not None:
                     if found >= start:
-                        links[found].append((eid, letter))
+                        extra_links.setdefault(found, []).append(eid * 8 + letter)
                     continue
-                table._add(cand.word, perm, [(eid, letter)])
+                table._add(cand.word, key, eid * 8 + letter)
                 if len(words) > budget:
-                    for key in set(perms[start:]):
-                        kept = [i for i in table._by_perm[key] if i < start]
-                        if kept:
-                            table._by_perm[key] = kept
-                        else:
-                            del table._by_perm[key]
-                    del words[start:], perms[start:], links[start:]
+                    table._drop_from(start)
                     table.complete = False
                     table.radius = level
                     return table
@@ -230,14 +260,17 @@ def geodesic_words(table: BallTable, eid: int, cap: int = 200_000) -> tuple:
         result: tuple = (b"",)
     else:
         acc = []
-        for pred, letter in table.links[eid]:
-            suffix = bytes((letter,))
-            acc += [w + suffix for w in geodesic_words(table, pred, cap)]
+        more = iter(table.extra_links.get(eid, ()))
+        link = table.first_link[eid]
+        while link >= 0:
+            suffix = bytes((link & 7,))
+            acc += [w + suffix for w in geodesic_words(table, link >> 3, cap)]
             if len(acc) > cap:
                 raise GeodesicCapExceeded(
                     f"element {eid} has more than {cap} minimal words",
                     len(word),
                 )
+            link = next(more, -1)
         result = tuple(sorted(acc))
     table._geodesics[eid] = result
     return result
@@ -246,6 +279,13 @@ def geodesic_words(table: BallTable, eid: int, cap: int = 200_000) -> tuple:
 def _max_spine_count(word: bytes) -> int:
     """Largest number of times a single non-``a`` letter occurs in a word."""
     return max(map(word.count, SPINE_LETTERS))
+
+
+def _spread_epsilon(epsilon) -> Fraction:
+    eps = as_fraction(epsilon)
+    if not 0 < eps < Fraction(1, 2):
+        raise ValueError("epsilon must lie strictly between 0 and 1/2")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -265,9 +305,7 @@ def classify_geodesics(
     non-``a`` letter count at or below (1/2 - epsilon) * n, and F-type when
     every minimal word has some letter above that threshold.
     """
-    eps = as_fraction(epsilon)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("epsilon must lie strictly between 0 and 1/2")
+    eps = _spread_epsilon(epsilon)
     if n is None:
         n = table.radius
     if not 0 <= n <= table.radius:
@@ -416,28 +454,36 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
     """Apply the a-deletion map to every minimal word of every F-type
     element of spheres 2..radius; collect violations verbatim.
 
-    When an element has more minimal words than ``geodesic_words`` keeps,
-    the check stops there: ``cap_exceeded`` holds the message and
-    ``radius`` the strata below that element (spheres are checked in
-    increasing order).  ``complete`` means the ball is complete and the
-    cap was not hit; ``passed`` needs it.  Once sphere n is checked, the
-    ``geodesic_words`` memo drops the spheres below it, so a later caller
-    recomputes those words.
+    Each element is classified as ``classify_geodesics`` does and its
+    words checked in the same pass.  When an element has more minimal words
+    than ``geodesic_words`` keeps, the check stops there: ``cap_exceeded``
+    holds the message and ``radius`` the strata below that element (spheres
+    are checked in increasing order).  ``complete`` means the ball is
+    complete and the cap was not hit; ``passed`` needs it.  Once sphere n
+    is checked, the ``geodesic_words`` memo drops the spheres below it, and
+    no word of the last sphere stays in it once its element is checked, so
+    a later caller recomputes those words.
     """
-    eps = as_fraction(epsilon)
+    eps = _spread_epsilon(epsilon)
     violations = []
     checked = first_kept = 0
     report = {"epsilon": str(eps), "radius": table.radius}
     try:
         for n in range(2, table.radius + 1):
-            cls = classify_geodesics(table, eps, n)
-            for eid in sorted(cls.F):
-                for w in geodesic_words(table, eid):
-                    checked += 1
-                    try:
-                        lemma8_map(w, eps)
-                    except LemmaViolation as exc:
-                        violations.append({"n": n, "eid": eid, "detail": str(exc)})
+            threshold = (Fraction(1, 2) - eps) * n
+            last = n == table.radius
+            for eid in table.strata[n]:
+                words = geodesic_words(table, eid)
+                # F-type: every minimal word has a letter above threshold.
+                if all(_max_spine_count(w) > threshold for w in words):
+                    for w in words:
+                        checked += 1
+                        try:
+                            lemma8_map(w, eps)
+                        except LemmaViolation as exc:
+                            violations.append({"n": n, "eid": eid, "detail": str(exc)})
+                if last:
+                    del table._geodesics[eid]
             # Sphere n + 1's words extend sphere n's only: drop the rest.
             for eid in range(first_kept, table.strata[n].start):
                 table._geodesics.pop(eid, None)
@@ -482,8 +528,10 @@ def stabilizes_level(g: Element, s: int) -> bool:
 def _level_stabilizers(table: BallTable, s: int) -> list[int]:
     """Ids of the ball elements that fix every vertex of level s.
 
-    Down to level 8 the stored tables answer: an element fixes level s
-    exactly when its level-8 table keeps the top s bits of every byte.
+    Down to level 8 the stored keys answer: an element fixes level s
+    exactly when its level-8 table keeps the top s bits of every byte.  An
+    odd leaf and its image are the even ones XOR 1, so they keep those bits
+    exactly when the even ones do, and the half table answers.
     """
     if s > TABLE_DEPTH_MAX:
         return [
@@ -492,8 +540,8 @@ def _level_stabilizers(table: BallTable, s: int) -> list[int]:
         ]
     mask = 0xFF << (TABLE_DEPTH_MAX - s) & 0xFF
     top = bytes(v & mask for v in range(256))
-    fixed = IDENTITY_TABLE.translate(top)
-    return [eid for eid, perm in enumerate(table.perms) if perm.translate(top) == fixed]
+    fixed = IDENTITY_TABLE[::2].translate(top)
+    return [eid for eid, key in enumerate(table.keys) if key.translate(top) == fixed]
 
 
 def level_section_trace(g: Element, s: int) -> LevelSectionTrace:

@@ -192,3 +192,13 @@ def parse_element(text: str, omega: Optional[OmegaSpec] = None) -> Element:
     else:
         raise ValueError("expected 'word @ shift @ omega'")
     return Element.from_text(word_text, omega, int(shift_text))
+
+
+def ball_links(table) -> list[list[tuple[int, int]]]:
+    """Each ball element's geodesic predecessors as (id, letter) pairs,
+    unpacked from ``first_link`` and ``extra_links``."""
+    out = []
+    for eid, first in enumerate(table.first_link):
+        packed = [first, *table.extra_links.get(eid, ())] if first >= 0 else []
+        out.append([(v >> 3, v & 7) for v in packed])
+    return out

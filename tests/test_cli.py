@@ -342,6 +342,21 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
     assert data["suites"]["lemma8"]["status"] == "incomplete"
 
 
+def test_eq1_checks_each_generator_on_the_action(capsys, monkeypatch):
+    import overgrowth.cli as cli
+
+    # A b that moves the leaves 0 -> 1 -> 2 -> 0 is no involution.
+    real = cli.level_table
+    cycle = bytes((1, 2, 0)) + bytes(range(3, 256))
+    monkeypatch.setattr(
+        cli, "level_table", lambda g, depth: cycle if g.word == b"\1" else real(g, depth)
+    )
+    code, data = run_json(capsys, "verify", "--suite", "eq1")
+    rep = data["suites"]["eq1"]
+    assert code == 1 and rep["status"] == "failed" and rep["checks"] == 36
+    assert rep["violations"] == [{"pair": "bb", "expected": "identity"}]
+
+
 def test_headers_everywhere(capsys):
     for argv in (
         ["classify", "--omega", "(01)"],

@@ -31,7 +31,7 @@ from overgrowth.growth import enumerate_ball
 from overgrowth.omega import parse_omega, shift_normalize
 from overgrowth.words import LETTER_NAMES, reduce
 
-from _oracles import act_word, random_raw_word, signature_bytes
+from _oracles import act_word, ball_links, random_raw_word, signature_bytes
 
 ONE_LETTER_WORDS = [b""] + [bytes((k,)) for k in range(8)]
 
@@ -184,11 +184,45 @@ def test_balls_crossing_exact_radius_match_equal_only_dedup(monkeypatch):
         monkeypatch.setattr(growth, "equal", counting_equal)
         assert table.gamma() == gamma
         assert table.entries == words
-        assert table.links == links
+        assert ball_links(table) == links
         # Every stratum above the exact radius, and none below, asked equal.
         assert set(confirmed) == set(range(exact + 1, table.radius + 1)), text
         if text == "(000001)":
-            assert len(set(table.perms)) < len(table.entries)
+            assert len(set(table.keys)) < len(table.entries)
+
+
+@pytest.mark.parametrize(
+    "text, shift, radius, budget",
+    [("(000001)", 4, 10, 350), ("(000001)", 4, 10, 550), ("(0102011)", 3, 9, 6000)],
+)
+def test_budget_stop_among_shared_keys(text, shift, radius, budget):
+    # Over (000001) at shift 4, strata 9 and 10 (ids 271..642) hold ids whose
+    # key an earlier id already has; the first two budgets stop inside each.
+    # Over (0102011) at shift 3, ids 406, 836 and 5706 share a key: the stop
+    # inside stratum 9 (ids 3804..7755) keeps 836 and drops 5706.
+    omega = parse_omega(text)
+    whole = enumerate_ball(omega, shift, radius)
+    table = enumerate_ball(omega, shift, radius, budget)
+    kept = len(table.entries)
+    assert not table.complete
+    words, links, gamma = equal_only_ball(omega, shift, table.radius)
+    assert table.gamma() == gamma
+    assert table.entries == words
+    assert ball_links(table) == links
+    for eid in range(kept, len(whole.entries)):
+        assert table.lookup(whole.element(eid)) is None
+        assert table.lookup(whole.element(eid), whole.keys[eid]) is None
+    # The stop keeps exactly the kept ids of the whole ball's key index.
+    assert any(i >= kept for ids in whole._shared_keys.values() for i in ids)
+    assert table._by_key == {k: i for k, i in whole._by_key.items() if i < kept}
+    shared = {
+        k: [i for i in ids if i < kept] for k, ids in whole._shared_keys.items()
+    }
+    assert table._shared_keys == {k: ids for k, ids in shared.items() if ids}
+    assert table._shared_keys and all(
+        i < kept for ids in table._shared_keys.values() for i in ids
+    )
+    assert all(i < kept for i in table.extra_links)
 
 
 def test_lookup_rejects_a_foreign_shift_or_sequence():
@@ -199,7 +233,7 @@ def test_lookup_rejects_a_foreign_shift_or_sequence():
         with pytest.raises(ContextMismatch):
             table.lookup(foreign)
         with pytest.raises(ContextMismatch):
-            table.lookup(foreign, table.perms[b])
+            table.lookup(foreign, table.keys[b])
     # An equal spec parsed on its own is the same sequence.
     assert table.lookup(generator("b", parse_omega("(012)"))) == b
 
@@ -213,21 +247,21 @@ def test_portraits_read_off_level_eight_tables():
             Element(reduce(random_raw_word(rng, 30)).word, omega, rng.randrange(3))
             for _ in range(20)
         ]
-    tables = [level_table(g, TABLE_DEPTH_MAX) for g in elements]
+    halves = [level_table(g, TABLE_DEPTH_MAX)[::2] for g in elements]
     for depth in range(TABLE_DEPTH_MAX + 1):
-        signs = portrait_bytes(tables, depth)
+        signs = portrait_bytes(halves, depth)
         for g, sign in zip(elements, signs, strict=True):
             assert sign == signature_bytes(signature(g, depth))
     for depth in (-1, TABLE_DEPTH_MAX + 1):
         with pytest.raises(ValueError):
-            list(portrait_bytes(tables, depth))
+            list(portrait_bytes(halves, depth))
 
 
 def test_portrait_chunks_cover_any_number_of_tables():
     # The identity (signature 0 -> b"\0") comes first; the lengths straddle
     # the chunk size, and the whole ball is not a multiple of it.
     table = enumerate_ball(parse_omega("(012)"), 0, 6)
-    size, chunk = len(table.perms), _PORTRAIT_CHUNK
+    size, chunk = len(table.keys), _PORTRAIT_CHUNK
     assert size % chunk
     for depth in (0, 1, 3, 7, 8):
         signs = [
@@ -235,7 +269,7 @@ def test_portrait_chunks_cover_any_number_of_tables():
         ]
         assert signs[0] == b"\0"
         for n in (0, 1, chunk - 1, chunk, chunk + 1, size):
-            assert list(portrait_bytes(table.perms[:n], depth)) == signs[:n]
+            assert list(portrait_bytes(table.keys[:n], depth)) == signs[:n]
 
 
 def test_ball_export_lines_are_sorted_json(tmp_path):

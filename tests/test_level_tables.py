@@ -20,11 +20,11 @@ from overgrowth.elements import (
     portrait_bytes,
     signature,
 )
-from overgrowth.growth import BallTable, enumerate_ball, export_portrait_depth
+from overgrowth.growth import _FLIP, BallTable, enumerate_ball, export_portrait_depth
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
 from overgrowth.words import reduce, render_letters
 
-from _oracles import signature_bytes
+from _oracles import ball_links, random_raw_word, signature_bytes
 
 
 def reference_ball(omega, shift, radius):
@@ -80,7 +80,7 @@ def test_table_keyed_ball_matches_word_problem_dedup(omega, shift, radius):
     words, links, gamma = reference_ball(omega, shift, radius)
     assert table.gamma() == gamma
     assert table.entries == words
-    assert table.links == links
+    assert ball_links(table) == links
 
     partial = enumerate_ball(omega, shift, radius, budget=50)
     kept = len(partial.entries)
@@ -88,15 +88,15 @@ def test_table_keyed_ball_matches_word_problem_dedup(omega, shift, radius):
     assert partial.complete == (kept == len(words))
     for eid in range(kept, len(words)):
         assert partial.lookup(table.element(eid)) is None
-        assert partial.lookup(table.element(eid), table.perms[eid]) is None
+        assert partial.lookup(table.element(eid), table.keys[eid]) is None
 
 
 def test_stored_tables_and_exported_hashes(tmp_path):
     for text in ("(012)", "01(2)"):
         table = enumerate_ball(parse_omega(text), 0, 6)
-        for eid, perm in enumerate(table.perms):
-            assert perm == table_by_act(table.element(eid), 8)
-        # The keys are level-8 tables; the hashes keep the portrait depth.
+        for eid, key in enumerate(table.keys):
+            assert key == table_by_act(table.element(eid), 8)[::2]
+        # The keys are level-8 half tables; the hashes keep the portrait depth.
         depth = export_portrait_depth(6)
         path = tmp_path / "ball.jsonl"
         argv = ["growth", "--omega", text, "--radius", "6", "--export-ball", str(path)]
@@ -117,11 +117,31 @@ def test_table_signer_matches_signature_at_every_depth():
         Element(reduce([rng.randrange(8) for _ in range(rng.randrange(1, 30))]).word, omega, 0)
         for _ in range(40)
     ]
-    tables = [level_table(g, 8) for g in elements]
+    halves = [level_table(g, 8)[::2] for g in elements]
     for depth in range(9):
-        signs = list(portrait_bytes(tables, depth))
+        signs = list(portrait_bytes(halves, depth))
         assert len(signs) == len(elements)
         for g, sign in zip(elements, signs):
+            assert sign == signature_bytes(signature(g, depth))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEQUENCES, st.integers(0, 3), st.randoms(use_true_random=False))
+def test_half_tables_decide_level_tables(omega, shift, rng):
+    # Leaves 2j and 2j + 1 are siblings, and so are their images: the odd
+    # bytes of a level-8 table are its even bytes XOR 1.
+    elements = [
+        Element.from_letters(random_raw_word(rng, 12), omega, shift) for _ in range(30)
+    ]
+    tables = [level_table(g, 8) for g in elements]
+    halves = [t[::2] for t in tables]
+    for t, half in zip(tables, halves):
+        assert t[1::2] == half.translate(_FLIP)
+    # Two halves are equal exactly when the two tables are.
+    assert len(set(halves)) == len(set(tables)) == len(set(zip(halves, tables)))
+    for depth in range(9):
+        signs = portrait_bytes(halves, depth)
+        for g, sign in zip(elements, signs, strict=True):
             assert sign == signature_bytes(signature(g, depth))
 
 
@@ -163,9 +183,9 @@ def test_budget_limited_ball_at_the_depth_cap_is_coherent():
     assert not table.complete and table.radius < 40
     assert len(table.entries) == table.gamma()[-1] <= 2000
     assert len(table.strata) == table.radius + 1
-    for eid, perm in enumerate(table.perms):
-        assert perm == level_table(table.element(eid), 8)
+    for eid, key in enumerate(table.keys):
+        assert key == level_table(table.element(eid), 8)[::2]
         assert table.lookup(table.element(eid)) == eid
-    signs = list(portrait_bytes(table.perms, 8))
-    for eid in range(0, len(table.perms), 97):
+    signs = list(portrait_bytes(table.keys, 8))
+    for eid in range(0, len(table.keys), 97):
         assert signs[eid] == signature_bytes(signature(table.element(eid), 8))
