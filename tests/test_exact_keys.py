@@ -3,7 +3,8 @@
 ``tail`` and ``exact_radius`` are checked against a brute-force search
 over letterwise vertex actions, the contraction lemma behind them on whole
 balls, and balls whose lookups cross ``exact_radius`` against a ball
-deduplicated by the word problem alone.
+deduplicated by the word problem alone.  The ball loop probes the key index
+itself up to ``exact_radius`` and goes through ``lookup`` only above it.
 """
 
 import json
@@ -29,7 +30,7 @@ from overgrowth.elements import (
 )
 from overgrowth.growth import enumerate_ball
 from overgrowth.omega import parse_omega, shift_normalize
-from overgrowth.words import LETTER_NAMES, reduce
+from overgrowth.words import A, LETTER_NAMES, reduce
 
 from _oracles import act_word, ball_links, random_raw_word, signature_bytes
 
@@ -223,6 +224,50 @@ def test_budget_stop_among_shared_keys(text, shift, radius, budget):
         i < kept for ids in table._shared_keys.values() for i in ids
     )
     assert all(i < kept for i in table.extra_links)
+
+
+def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
+    lookups, outside = [], []
+    in_lookup = []
+    real_lookup = growth.BallTable.lookup
+    real_element = growth.Element
+
+    def counting_lookup(table, element, key=None):
+        lookups.append((len(element.word), key is not None))
+        in_lookup.append(True)
+        try:
+            return real_lookup(table, element, key)
+        finally:
+            in_lookup.pop()
+
+    def counting_element(word, omega, shift):
+        if not in_lookup:
+            outside.append(len(word))
+        return real_element(word, omega, shift)
+
+    monkeypatch.setattr(growth.BallTable, "lookup", counting_lookup)
+    monkeypatch.setattr(growth, "Element", counting_element)
+    # Within exact_radius only the eight generators become an Element and
+    # a lookup call.
+    for text, radius in (("(012)", 12), ("(0012)", 8)):
+        del lookups[:], outside[:]
+        table = enumerate_ball(parse_omega(text), 0, radius)
+        assert table.complete and radius <= table.exact_radius
+        assert lookups == [(1, True)] * 8 and outside == [1] * 8
+    # (0012) at shift 0 is exact to 8: the generators and each candidate
+    # built from spheres 8 and 9 are one Element and one lookup with its
+    # key, and no other candidate is.
+    del lookups[:], outside[:]
+    table = enumerate_ball(parse_omega("(0012)"), 0, 10)
+    assert table.complete and table.exact_radius == 8
+    candidates = [1] * 8 + [
+        n + 1
+        for n in (8, 9)
+        for eid in table.strata[n]
+        for _ in range(7 if table.entries[eid][-1] == A else 1)
+    ]
+    assert sorted(lookups) == [(n, True) for n in candidates]
+    assert sorted(outside) == candidates
 
 
 def test_lookup_rejects_a_foreign_shift_or_sequence():
