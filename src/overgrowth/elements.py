@@ -141,6 +141,8 @@ def exact_radius(omega: OmegaSpec, shift: int) -> int:
 
 
 def decompose(g: Element) -> WreathDecomposition:
+    """Root swap and both sections, memoized on the sequence for the callers
+    that revisit sections; one-pass walks call ``split_reduce`` instead."""
     memo = g.omega.sections
     key = (g.shift, g.word)
     hit = memo.get(key)
@@ -294,7 +296,7 @@ def portrait_bytes(halves, depth: int):
 
 
 def is_identity(g: Element) -> bool:
-    """Exact word-problem decision by contracting section descent."""
+    """Word problem by contracting section descent; memoizes only the answer."""
     word = g.word
     if not word:
         return True
@@ -308,8 +310,11 @@ def is_identity(g: Element) -> bool:
     if len(word) == 1:
         result = _first_swap_level(word[0], g.omega, g.shift) is None
     else:
-        d = decompose(g)
-        result = is_identity(d.left) and is_identity(d.right)
+        _, left, right, _, _ = split_reduce(word, symbol_at(g.omega, g.shift + 1))
+        down = shift_normalize(g.omega, g.shift + 1)
+        result = is_identity(Element(left, g.omega, down)) and is_identity(
+            Element(right, g.omega, down)
+        )
     memo[key] = result
     return result
 

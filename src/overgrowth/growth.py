@@ -312,8 +312,6 @@ def _spread_epsilon(epsilon) -> Fraction:
 
 @dataclass(frozen=True)
 class GeodesicClassification:
-    epsilon: Fraction
-    n: int
     F: frozenset
     D: frozenset
 
@@ -340,7 +338,7 @@ def classify_geodesics(
             _max_spine_count(w) <= threshold for w in geodesic_words(table, eid)
         )
         (d_ids if spread else f_ids).add(eid)
-    return GeodesicClassification(eps, n, frozenset(f_ids), frozenset(d_ids))
+    return GeodesicClassification(frozenset(f_ids), frozenset(d_ids))
 
 
 def count_ftilde(delta, k: int) -> int:
@@ -530,13 +528,6 @@ class LevelData:
     z: int
 
 
-@dataclass(frozen=True)
-class LevelSectionTrace:
-    s: int
-    input: Element
-    levels: tuple  # LevelData for levels 1..s
-
-
 def stabilizes_level(g: Element, s: int) -> bool:
     """True when g fixes every vertex of level s: by the section recursion,
     g has an even ``a`` count and both sections stabilize level s - 1."""
@@ -567,10 +558,10 @@ def _level_stabilizers(table: BallTable, s: int) -> list[int]:
     return [eid for eid, key in enumerate(table.keys) if key.translate(top) == fixed]
 
 
-def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
-    """Iterated one-level substitution with per-level contraction counts
-    and (x, y, z) letter-frequency aggregates.  Raises ``NotLevelStabilizer``
-    at the first section that swaps on levels 1..s."""
+def level_section_trace(g: Element, s: int) -> tuple:
+    """``LevelData`` for levels 1..s of the iterated one-level substitution,
+    with contraction counts and (x, y, z) letter-frequency aggregates.
+    Raises ``NotLevelStabilizer`` at the first section that swaps."""
     if s < 0:
         raise ValueError("level must be nonnegative")
     levels = []
@@ -589,7 +580,7 @@ def level_section_trace(g: Element, s: int) -> LevelSectionTrace:
         x, y, z = map(sum, zip(*(xyz_profile(e.word) for e in nxt)))
         levels.append(LevelData(tuple(nxt), alpha, x, y, z))
         current = nxt
-    return LevelSectionTrace(s, g, tuple(levels))
+    return tuple(levels)
 
 
 def _second_symbol_index(omega: OmegaSpec) -> Optional[int]:
@@ -653,12 +644,12 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
                 trace = level_section_trace(el, s)
                 checked += 1
                 n_w = len(w)
-                total_s = sum(len(e.word) for e in trace.levels[s - 1].words)
+                total_s = sum(len(e.word) for e in trace[s - 1].words)
                 x0 = xyz_profile(w)[sym1]
-                at_t, at_s = trace.levels[t - 2], trace.levels[s - 2]
+                at_t, at_s = trace[t - 2], trace[s - 2]
                 y_t1 = (at_t.x, at_t.y, at_t.z)[sym2]
                 z_s1 = (at_s.x, at_s.y, at_s.z)[sym3]
-                alpha_sum = sum(trace.levels[j].alpha for j in range(s - 1))
+                alpha_sum = sum(trace[j].alpha for j in range(s - 1))
                 rhs = n_w + (1 << s) - 1 - x0 - y_t1 - z_s1 - alpha_sum
                 if total_s > rhs:
                     violations_a.append(
@@ -729,18 +720,18 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
             continue
         # Each section is looked up once: split here, not memoized.
         _, left, right, _, _ = split_reduce(word, sym)
-        bound = Fraction(len(word) + 1, 2)
         for side, section in (("left", left), ("right", right)):
             found = table_s.lookup(Element(section, table.omega, table_s.shift))
             assert found is not None, "section must lie in the shifted ball"
             length = len(table_s.entries[found])
-            if length > bound:
+            # length > (|g| + 1) / 2, on ints.
+            if 2 * length > len(word) + 1:
                 violations.append(
                     {
                         "eid": eid,
                         "side": side,
                         "section_length": length,
-                        "bound": float(bound),
+                        "bound": (len(word) + 1) / 2,
                     }
                 )
     numeric_ok = g_here[m] <= 2 * g_shift[half] ** 2

@@ -39,10 +39,11 @@ class OmegaSpec:
     its primitive root and the preperiod is shortened as long as its last
     symbol matches the last symbol of the (rotated) period.
 
-    The spec also owns the word-problem memo of its group, keyed by
-    ``(shift, word)``: ``sections`` behind ``elements.decompose`` and
-    ``trivial`` behind ``elements.is_identity``.  They are not part of its
-    value, so equal specs compare and hash equal whatever they have memoized.
+    The spec also owns the memos of its group, keyed by ``(shift, word)``:
+    ``elements.decompose`` writes ``sections`` for the callers that revisit
+    sections, and ``elements.is_identity``, which splits words itself,
+    writes only its answers to ``trivial``.  They are not part of its value,
+    so equal specs compare and hash equal whatever they have memoized.
     """
 
     preperiod: str

@@ -236,11 +236,11 @@ def test_c09_iterated_contraction():
         for w in geodesic_words(t, eid):
             el = Element(reduce(w).word, W012, 0)
             tr = level_section_trace(el, 3)
-            total = sum(len(e.word) for e in tr.levels[2].words)
+            total = sum(len(e.word) for e in tr[2].words)
             x0 = sum(1 for k in el.word if k in (3, 5, 6))
-            y1 = sum(1 for e in tr.levels[0].words for k in e.word if k in (2, 5, 7))
-            z2 = sum(1 for e in tr.levels[1].words for k in e.word if k in (1, 6, 7))
-            alphas = tr.levels[0].alpha + tr.levels[1].alpha
+            y1 = sum(1 for e in tr[0].words for k in e.word if k in (2, 5, 7))
+            z2 = sum(1 for e in tr[1].words for k in e.word if k in (1, 6, 7))
+            alphas = tr[0].alpha + tr[1].alpha
             if total > len(w) + 7 - x0 - y1 - z2 - alphas:
                 violations += 1
     assert violations == 0

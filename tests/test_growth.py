@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from overgrowth.omega import first_third_symbol_index, parse_omega
 from overgrowth.words import SPINE_LETTERS, parse_letters, reduce, render_letters
 from overgrowth import growth
-from overgrowth.elements import Element, equal, generator, mul
+from overgrowth.elements import Element, equal, generator, is_identity, mul
 from overgrowth.growth import (
     BudgetExceeded,
     GeodesicCapExceeded,
@@ -33,7 +34,7 @@ from overgrowth.growth import (
     stabilizes_level,
 )
 
-from _oracles import act_word, ball_links, ftilde_count_exhaustive
+from _oracles import act_word, ball_links, ftilde_count_exhaustive, identity_to_depth
 
 W012 = parse_omega("(012)")
 W0 = parse_omega("(0)")
@@ -309,21 +310,21 @@ def test_lemma8_check_keeps_no_minimal_words():
 def test_level_section_trace():
     tr = level_section_trace(Element.identity(W012), 3)
     assert all(
-        lv.alpha == 0 and all(e.length == 0 for e in lv.words) for lv in tr.levels
+        lv.alpha == 0 and all(e.length == 0 for e in lv.words) for lv in tr
     )
     tr = level_section_trace(generator("b", W012), 1)
-    words = tr.levels[0].words
+    words = tr[0].words
     assert render_letters(words[0].word) == "a" and render_letters(words[1].word) == "b"
     assert words[1].shift == 1
-    assert tr.levels[0].alpha == 0
-    assert (tr.levels[0].x, tr.levels[0].y, tr.levels[0].z) == (0, 0, 1)
+    assert tr[0].alpha == 0
+    assert (tr[0].x, tr[0].y, tr[0].z) == (0, 0, 1)
     with pytest.raises(NotLevelStabilizer):
         level_section_trace(generator("a", W012), 1)
     with pytest.raises(NotLevelStabilizer):
         level_section_trace(generator("b", W012), 2)
     # a d a fixes level 2, and its level-2 section d a moves level 3.
     ada = Element.from_text("a d a", W012)
-    assert len(level_section_trace(ada, 2).levels) == 2
+    assert len(level_section_trace(ada, 2)) == 2
     with pytest.raises(NotLevelStabilizer):
         level_section_trace(ada, 3)
 
@@ -350,6 +351,38 @@ def test_section_walks_write_no_memo(monkeypatch):
         level_section_trace(g, 3)
     with pytest.raises(NotLevelStabilizer):
         level_section_trace(Element.from_text("a d a", table.omega), 3)
+
+
+@pytest.mark.parametrize("text, order", [("(012)", 16), ("(0012)", 32)])
+def test_word_problem_writes_no_section_memo(text, order):
+    # is_identity splits each section itself and memoizes only its answer,
+    # so the word problem leaves the sequence's section memo empty.
+    omega = parse_omega(text)
+    rng = random.Random(text)
+    # a b has this order; its sections stay nonempty for a few levels.
+    relator, mover = b"\0\1" * order, b"\0\1" * (order // 2)
+    assert identity_to_depth(relator, omega, 0, 9)
+    assert not identity_to_depth(mover, omega, 0, 9)
+    u, v = (
+        bytes(x for _ in range(150) for x in (0, rng.randrange(1, 8))) for _ in "uv"
+    )
+    trivial = Element.from_letters(u + relator + u[::-1], omega)
+    moving = Element.from_letters(u + mover + u[::-1], omega)
+    assert len(trivial.word) > 300 and len(moving.word) > 300
+    assert moving.in_stabilizer
+    rest = Element(v, omega, 0)
+    cases = [
+        (is_identity, (trivial,), True),
+        (is_identity, (moving,), False),
+        (equal, (Element.from_letters(trivial.word + v, omega), rest), True),
+        (equal, (Element.from_letters(moving.word + v, omega), rest), False),
+    ]
+    for decide, args, expected in cases:
+        assert decide(*args) is expected
+        assert omega.sections == {}
+        assert omega.trivial
+    assert omega.trivial[(0, trivial.word)] is True
+    assert omega.trivial[(0, moving.word)] is False
 
 
 def test_lemma11_part_a_and_gate():
@@ -425,7 +458,7 @@ def reference_part_b(t, eps):
                 continue
             tr = level_section_trace(Element(w, t.omega, t.shift), s)
             checked += 1
-            total = sum(len(e.word) for e in tr.levels[s - 1].words)
+            total = sum(len(e.word) for e in tr[s - 1].words)
             if total > headline:
                 violations.append(
                     {"eid": eid, "word": render_letters(w), "total": total,
