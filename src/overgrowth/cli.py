@@ -241,6 +241,8 @@ def cmd_growth(args) -> int:
     # are opened before the ball is built, so a bad path fails at once.
     if args.radius < 0:
         raise ValueError("radius must be nonnegative")
+    if args.shift < 0:
+        raise ValueError("shift must be nonnegative")
     curve_eps = Fraction(args.curve_epsilon)
     if curve_eps <= 0:
         raise ValueError("curve epsilon must be positive")
@@ -321,11 +323,10 @@ def _suite_eq2(cfg: RunConfig) -> dict:
         if cfg.omega
         else [parse_omega(s) for s in ("(012)", "(01)", "(0)", "(2)", "01(2)")]
     )
-    depth = 6
     violations = []
     checks = 0
     for omega in matrix:
-        sym = symbol_at(omega, 1)
+        syms = [symbol_at(omega, n) for n in range(1, 6)]  # levels 1 to 5
         for k in range(8):
             g = generator(k, omega)
             d = decompose(g)
@@ -333,7 +334,7 @@ def _suite_eq2(cfg: RunConfig) -> dict:
             if k == 0:
                 structural = d.top_swap and d.left.length == 0 and d.right.length == 0
             else:
-                want_left = b"\0" if EQ2_LEFT_COORDINATES[sym][k] == "a" else b""
+                want_left = b"\0" if EQ2_LEFT_COORDINATES[syms[0]][k] == "a" else b""
                 structural = (
                     not d.top_swap
                     and d.left.word == want_left
@@ -342,19 +343,18 @@ def _suite_eq2(cfg: RunConfig) -> dict:
             if not structural:
                 violations.append({"omega": str(omega), "letter": k, "kind": "structure"})
                 continue
-            for depth_i in range(1, depth + 1):
-                for i in range(1 << depth_i):
-                    v = format(i, f"0{depth_i}b")
-                    got = act(g, v)
-                    if k == 0:
-                        want = ("1" if v[0] == "0" else "0") + v[1:]
-                    else:
-                        child = d.left if v[0] == "0" else d.right
-                        want = v[0] + act(child, v[1:])
-                    if got != want:
-                        violations.append(
-                            {"omega": str(omega), "letter": k, "vertex": v, "kind": "action"}
-                        )
+            # Equation (2) to level 6: a flips the first bit, and a spine letter
+            # flips the first bit of u on 1^j 0 u when its level-(j + 1) left
+            # coordinate is a (j < 5, so u is nonempty); it fixes 1^6.
+            for i, got in enumerate(level_table(g, 6)[:64]):
+                v = format(i, "06b")
+                j = (v + "0").index("0")
+                swap = k > 0 and j < 5 and EQ2_LEFT_COORDINATES[syms[j]][k] == "a"
+                flip = 32 if k == 0 else (16 >> j if swap else 0)
+                if got != i ^ flip:
+                    violations.append(
+                        {"omega": str(omega), "letter": k, "vertex": v, "kind": "action"}
+                    )
     return {"checks": checks, "violations": violations}
 
 

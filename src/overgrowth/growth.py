@@ -52,6 +52,8 @@ from .elements import (
 )
 
 DEFAULT_BUDGET = 5_000_000
+# Most minimal words geodesic_words lists for one element (read at call time).
+GEODESIC_CAP = 200_000
 
 GENERATOR_LETTERS = tuple(range(8))
 
@@ -272,7 +274,7 @@ def enumerate_ball(
     return table
 
 
-def geodesic_words(table: BallTable, eid: int, cap: int = 200_000) -> tuple:
+def geodesic_words(table: BallTable, eid: int) -> tuple:
     """All minimal words of a ball element, as ``bytes``, sorted."""
     hit = table._geodesics.get(eid)
     if hit is not None:
@@ -286,10 +288,10 @@ def geodesic_words(table: BallTable, eid: int, cap: int = 200_000) -> tuple:
         link = table.first_link[eid]
         while link >= 0:
             suffix = bytes((link & 7,))
-            acc += [w + suffix for w in geodesic_words(table, link >> 3, cap)]
-            if len(acc) > cap:
+            acc += [w + suffix for w in geodesic_words(table, link >> 3)]
+            if len(acc) > GEODESIC_CAP:
                 raise GeodesicCapExceeded(
-                    f"element {eid} has more than {cap} minimal words",
+                    f"element {eid} has more than {GEODESIC_CAP} minimal words",
                     len(word),
                 )
             link = next(more, -1)
@@ -316,9 +318,7 @@ class GeodesicClassification:
     D: frozenset
 
 
-def classify_geodesics(
-    table: BallTable, epsilon, n: Optional[int] = None
-) -> GeodesicClassification:
+def classify_geodesics(table: BallTable, epsilon, n: int) -> GeodesicClassification:
     """Split sphere n by minimal-word letter frequencies.
 
     An element is D-type when at least one of its minimal words keeps every
@@ -326,8 +326,6 @@ def classify_geodesics(
     every minimal word has some letter above that threshold.
     """
     eps = _spread_epsilon(epsilon)
-    if n is None:
-        n = table.radius
     if not 0 <= n <= table.radius:
         raise ValueError("sphere radius outside the computed ball")
     # Counts are ints, so comparing with the floor of the threshold is exact.

@@ -299,7 +299,11 @@ def test_growth_fails_on_a_bad_path_before_building_the_ball(
 
 @pytest.mark.parametrize("flag", ["--output", "--export-ball"])
 def test_growth_bad_input_creates_no_file(capsys, tmp_path, flag):
-    for bad in (("--radius", "-1"), ("--radius", "4", "--curve-epsilon", "0")):
+    for bad in (
+        ("--radius", "-1"),
+        ("--radius", "4", "--curve-epsilon", "0"),
+        ("--radius", "2", "--shift", "-1"),
+    ):
         path = tmp_path / "f"
         assert main(["growth", "--omega", "(012)", *bad, flag, str(path)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
@@ -355,6 +359,37 @@ def test_eq1_checks_each_generator_on_the_action(capsys, monkeypatch):
     rep = data["suites"]["eq1"]
     assert code == 1 and rep["status"] == "failed" and rep["checks"] == 36
     assert rep["violations"] == [{"pair": "bb", "expected": "identity"}]
+
+
+def test_eq2_checks_the_recursion_at_every_shift(capsys, monkeypatch):
+    import overgrowth.elements as el
+    from overgrowth.omega import shift_normalize, symbol_at
+    from overgrowth.words import split_reduce
+
+    # Reading the level-1 symbol at every shift keeps each generator's root
+    # decomposition right, so only the action below level 1 can catch it.
+    def shift_blind(g):
+        swap, left, right, _, _ = split_reduce(g.word, symbol_at(g.omega, 1))
+        down = shift_normalize(g.omega, g.shift + 1)
+        return el.WreathDecomposition(
+            swap, el.Element(left, g.omega, down), el.Element(right, g.omega, down)
+        )
+
+    monkeypatch.setattr(el, "decompose", shift_blind)
+    code, data = run_json(capsys, "verify", "--suite", "eq2")
+    rep = data["suites"]["eq2"]
+    assert code == 1 and rep["status"] == "failed" and rep["checks"] == 40
+    assert {v["kind"] for v in rep["violations"]} == {"action"}
+    # (0) and (2) are constant, so the shift cannot matter there.
+    assert {v["omega"] for v in rep["violations"]} == {"(012)", "(01)", "01(2)"}
+
+
+@pytest.mark.parametrize("omega", ["(0012)", "2(01)", "(0102011)", "0(12)", "(000001)", "12(0)"])
+def test_eq2_passes_over_more_sequences(capsys, omega):
+    code, data = run_json(capsys, "verify", "--suite", "eq2", "--omega", omega)
+    rep = data["suites"]["eq2"]
+    assert code == 0 and data["passed"] and rep["status"] == "passed"
+    assert rep["checks"] == 8 and rep["violations"] == []
 
 
 def test_headers_everywhere(capsys):
@@ -432,8 +467,7 @@ def test_geodesic_cap_makes_a_suite_incomplete(capsys, monkeypatch):
 
     # At a cap of 3, the first (012) level-3 stabilizer with more minimal
     # words has length 5.
-    real = gr.geodesic_words
-    monkeypatch.setattr(gr, "geodesic_words", lambda table, eid, cap=3: real(table, eid, 3))
+    monkeypatch.setattr(gr, "GEODESIC_CAP", 3)
     code, data = run_json(capsys, "verify", "--suite", "lemma11", "--radius", "6")
     rep = data["suites"]["lemma11"]
     assert code == 3 and not data["passed"] and not rep["passed"]

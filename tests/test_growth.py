@@ -188,11 +188,12 @@ def test_geodesic_links_complete_small_radius():
         assert set(geodesic_words(t, eid)) == words
 
 
-def test_geodesic_words_cap():
+def test_geodesic_words_cap(monkeypatch):
     t = ball("(012)", 4)
     eid = t.strata[4][0]
+    monkeypatch.setattr(growth, "GEODESIC_CAP", 0)
     with pytest.raises(GeodesicCapExceeded):
-        geodesic_words(enumerate_ball(W012, 0, 4), eid, cap=0)
+        geodesic_words(enumerate_ball(W012, 0, 4), eid)
 
 
 def test_gamma_submultiplicative():
