@@ -32,8 +32,9 @@ from .omega import (
     first_third_symbol_index,
     parse_omega,
 )
-from .words import WordParseError, parse_letters, reduce, render_letters
+from .words import WordParseError, parse_letters, reduce, render_letters, render_words
 from .elements import (
+    _PORTRAIT_CHUNK,
     IDENTITY_TABLE,
     TABLE_DEPTH_MAX,
     Element,
@@ -265,13 +266,23 @@ def cmd_growth(args) -> int:
         if export:
             portraits = portrait_bytes(table.keys, gr.export_portrait_depth(args.radius))
             # The bytes of json.dumps(record, sort_keys=True): every field
-            # is an int or an ASCII string that needs no escaping.
-            for eid, (word, sig) in enumerate(zip(table.entries, portraits)):
-                digest = sha256(sig).hexdigest()[:16]
-                export.write(
+            # is an int or an ASCII string that needs no escaping.  Words
+            # are rendered a chunk of ids at a time; ``portraits`` comes
+            # last in the zip, so it is not drawn past the chunk.  The lines
+            # go out by ``writelines``: one joined write per chunk raises
+            # the peak RSS.
+            for start in range(0, len(table.entries), _PORTRAIT_CHUNK):
+                chunk = table.entries[start : start + _PORTRAIT_CHUNK]
+                export.writelines(
                     f'{{"id": {eid}, "length": {len(word)}, '
-                    f'"portrait_hash": "{digest}", '
-                    f'"word": "{render_letters(word)}"}}\n'
+                    f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
+                    f'"word": "{text}"}}\n'
+                    for eid, word, text, sig in zip(
+                        range(start, start + len(chunk)),
+                        chunk,
+                        render_words(chunk),
+                        portraits,
+                    )
                 )
         if args.format == "json":
             out.write(_json_text({"header": header, "rows": rows}))

@@ -597,7 +597,9 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     the ball stabilizing level s, the total length after s substitution
     levels is at most |W| + 2^s - 1 - x0 - y_{t-1} - z_{s-1} - sum(alpha_i,
     i < s), where t marks the first position of the second distinct symbol
-    and the x/y/z roles follow the actual first/second/third symbols.
+    and the x/y/z roles follow the actual first/second/third symbols.  A
+    minimal word that is not reduced is a part-A violation of its own
+    (``detail: "not reduced"``), as the bound is stated for reduced words.
 
     Part B (gated on radius * epsilon > 5/2): every spread minimal word of
     length n = radius (no non-``a`` letter above (1/2 - epsilon) * n) of
@@ -637,7 +639,11 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     try:
         for eid in stab_ids:
             for w in geodesic_words(table, eid):
-                assert reduce(w).contractions == 0, "minimal words must be reduced"
+                if reduce(w).contractions:
+                    violations_a.append(
+                        {"eid": eid, "word": render_letters(w), "detail": "not reduced"}
+                    )
+                    continue
                 el = Element(w, omega_here, table.shift)
                 trace = level_section_trace(el, s)
                 checked += 1

@@ -14,7 +14,7 @@ a reduced word is never checked again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 A = 0
 X = 4
@@ -83,6 +83,22 @@ def render_letters(letters: Iterable[int]) -> str:
     return " ".join(bytes(letters).translate(_LETTER_TEXT).decode())
 
 
+def render_words(words: Sequence[bytes]) -> list[str]:
+    """``[render_letters(w) for w in words]``, rendered together.
+
+    The words, joined by newlines, are named by one ``translate``, a space
+    goes between every two bytes by one slice assignment, the spaces next
+    to a newline come off again, and one decode and split give the texts.
+    An empty word leaves two newlines side by side.
+    """
+    if not words:
+        return []
+    joined = b"\n".join(words).translate(_LETTER_TEXT)
+    spaced = bytearray(b" ") * (2 * len(joined) - 1)
+    spaced[::2] = joined
+    return spaced.replace(b" \n", b"\n").replace(b"\n ", b"\n").decode().split("\n")
+
+
 def a_count(word: bytes) -> int:
     """Number of ``a`` letters of a reduced word: every other letter,
     counting from the first when the word starts with ``a``."""
@@ -95,36 +111,59 @@ class ReductionReceipt:
     contractions: int
 
 
+# _PHASE[p][k] is 1 when letter k, at an index of parity p, has the kind
+# (``a`` or spine letter) that an alternating word starting with ``a`` has
+# there, 2 when it has the other kind, and 0 when k is not a letter.
+_PHASE = (bytes([1] + [2] * 7 + [0] * 248), bytes([2] + [1] * 7 + [0] * 248))
+
+
 def reduce(raw: Iterable[int]) -> ReductionReceipt:
     """Reduce a letter list to alternating form by a single stack pass.
 
     Contraction count convention: cancelling ``a a``, merging two adjacent
     spine letters, and a merge that yields the trivial letter (which is
     then dropped) each count as one contraction.
+
+    The letters' phases (``_PHASE``) are constant along an alternating run
+    and change exactly where two adjacent letters of one kind clash.  So
+    one ``in`` test finds a reduced word, returned as it is, and one
+    ``find`` finds where each run ends; a run that does not clash with the
+    top of the stack goes on it as one slice.  Only a clashing letter is
+    stacked on its own: ``a a`` cancels, two spine letters merge by XOR and
+    the merge drops out when trivial.  The stack alternates, so a letter
+    clashes with its top at most once.
     """
-    stack: list[int] = []
+    if isinstance(raw, int):
+        raise TypeError("letters must be an iterable of ints")
+    try:
+        word = raw if type(raw) is bytes else bytes(raw)
+    except ValueError:
+        raise ValueError("letters are encoded as 0..7") from None
+    n = len(word)
+    phase = bytearray(n)
+    phase[::2] = word[::2].translate(_PHASE[0])
+    phase[1::2] = word[1::2].translate(_PHASE[1])
+    if 0 in phase:
+        raise ValueError("letters are encoded as 0..7")
+    if not n or 3 - phase[0] not in phase:
+        return ReductionReceipt(word, 0)
+    stack = bytearray()
     alpha = 0
-    for let in raw:
-        if not 0 <= let <= 7:
-            raise ValueError("letters are encoded as 0..7")
-        while True:
-            if not stack:
+    i = 0
+    while i < n:
+        let = word[i]
+        if stack and (stack[-1] == A) == (let == A):
+            let ^= stack.pop()
+            alpha += 1
+            if let:
                 stack.append(let)
-                break
-            top = stack[-1]
-            if top == A and let == A:
-                stack.pop()
-                alpha += 1
-                break
-            if top != A and let != A:
-                stack.pop()
-                alpha += 1
-                let ^= top
-                if let == 0:
-                    break
-                continue
-            stack.append(let)
-            break
+            i += 1
+        else:
+            end = phase.find(3 - phase[i], i)
+            if end < 0:
+                end = n
+            stack += word[i:end]
+            i = end
     return ReductionReceipt(bytes(stack), alpha)
 
 

@@ -113,6 +113,39 @@ def identity_to_depth(letters, omega: OmegaSpec, shift: int, depth: int) -> bool
     )
 
 
+def reduce_stack_pass(raw) -> tuple[bytes, int]:
+    """Reduction one letter at a time: the reference for ``words.reduce``.
+
+    Returns the reduced word and the contractions under the same
+    convention (``a a`` cancelling, a spine merge and a trivial merge each
+    count one).
+    """
+    stack: list[int] = []
+    alpha = 0
+    for let in raw:
+        if not 0 <= let <= 7:
+            raise ValueError("letters are encoded as 0..7")
+        while True:
+            if not stack:
+                stack.append(let)
+                break
+            top = stack[-1]
+            if top == A and let == A:
+                stack.pop()
+                alpha += 1
+                break
+            if top != A and let != A:
+                stack.pop()
+                alpha += 1
+                let ^= top
+                if let == 0:
+                    break
+                continue
+            stack.append(let)
+            break
+    return bytes(stack), alpha
+
+
 def reducible_positions(word: list[int]) -> list[int]:
     return [
         i

@@ -474,3 +474,20 @@ def test_geodesic_cap_makes_a_suite_incomplete(capsys, monkeypatch):
     assert rep["status"] == "incomplete" and rep["violations"] == []
     assert rep["detail"].endswith("has more than 3 minimal words")
     assert rep["radius"] == 4 and rep["checks"] > 0
+
+
+def test_lemma11_reports_an_unreduced_minimal_word(capsys, monkeypatch):
+    # The bound is stated for reduced words.  An unreduced minimal word is a
+    # part-A violation, a check that ``python -O`` keeps.
+    real = gr.geodesic_words
+
+    def with_a_clash(table, eid):
+        words = real(table, eid)
+        return (b"\0\0" + words[0],) + words[1:]
+
+    monkeypatch.setattr(gr, "geodesic_words", with_a_clash)
+    code, data = run_json(capsys, "verify", "--suite", "lemma11", "--radius", "6")
+    rep = data["suites"]["lemma11"]
+    assert code == 1 and not data["passed"] and not rep["passed"]
+    assert rep["violations"][0] == {"eid": 0, "word": "a a", "detail": "not reduced"}
+    assert all(v["detail"] == "not reduced" for v in rep["violations"])

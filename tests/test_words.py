@@ -18,6 +18,7 @@ from overgrowth.words import (
     parse_letters,
     reduce,
     render_letters,
+    render_words,
     spine_mul,
     xyz_profile,
 )
@@ -26,6 +27,7 @@ from _oracles import (
     min_contractions,
     random_raw_word,
     reduce_random_order,
+    reduce_stack_pass,
     word_from_parts,
 )
 
@@ -124,6 +126,8 @@ def test_reduced_word_structure():
         extend(w, 8)
     with pytest.raises(ValueError):
         reduce((9,))
+    with pytest.raises(TypeError):
+        reduce(3)  # not read as bytes(3), three a's
 
 
 def test_word_text_round_trip():
@@ -170,8 +174,86 @@ def test_extend_matches_reduce_on_random_words(word, letter):
     assert extend(word, letter) == reduce(word + bytes((letter,))).word
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.just(b""), REDUCED_WORDS), max_size=8))
+def test_render_words_matches_render_letters(words):
+    # Empty words, the root's among them, sit anywhere in a chunk.
+    assert render_words(words) == [render_letters(w) for w in words]
+
+
 def test_extend_rejects_bad_letters():
     with pytest.raises(ValueError):
         extend(b"", 8)
     with pytest.raises(ValueError):
         extend(word_from_parts(False, (1,), False), -1)
+
+
+# Every input type ``reduce`` takes; a generator can be read only once.
+INPUT_TYPES = {
+    "tuple": tuple,
+    "list": list,
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "generator": lambda letters: (k for k in letters),
+}
+
+RAW_WORDS = st.lists(st.integers(0, 7), max_size=60)
+LONG_ALTERNATING = st.builds(
+    lambda rng, lead, trail: word_from_parts(
+        lead, [rng.randrange(1, 8) for _ in range(500)], trail
+    ),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+def _assert_matches_stack_pass(letters, kind):
+    receipt = reduce(INPUT_TYPES[kind](letters))
+    assert type(receipt.word) is bytes
+    assert (receipt.word, receipt.contractions) == reduce_stack_pass(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAW_WORDS, st.sampled_from(sorted(INPUT_TYPES)))
+def test_reduce_matches_stack_pass_on_raw_words(letters, kind):
+    _assert_matches_stack_pass(letters, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAW_WORDS, st.lists(st.integers(0, 7), max_size=4), st.sampled_from(sorted(INPUT_TYPES)))
+def test_reduce_matches_stack_pass_on_cascades(w, tail, kind):
+    # w w^-1 collapses to the empty word by a cascade through the middle.
+    _assert_matches_stack_pass(w + w[::-1] + tail, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REDUCED_WORDS, REDUCED_WORDS, st.sampled_from(sorted(INPUT_TYPES)))
+def test_reduce_matches_stack_pass_on_products(u, v, kind):
+    # The input shape of ``mul``: two reduced words end to end.
+    _assert_matches_stack_pass(u + v, kind)
+
+
+@settings(max_examples=25, deadline=None)
+@given(LONG_ALTERNATING, LONG_ALTERNATING, st.sampled_from(sorted(INPUT_TYPES)))
+def test_reduce_matches_stack_pass_on_long_words(u, v, kind):
+    assert len(u) >= 999
+    _assert_matches_stack_pass(u, kind)
+    assert reduce(u).word is u  # a reduced ``bytes`` word comes back as it is
+    _assert_matches_stack_pass(u + v, kind)
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [
+        (kind, bad)
+        for kind in sorted(INPUT_TYPES)
+        for bad in (8, 255, 256, -1)
+        if kind not in ("bytes", "bytearray") or 0 <= bad <= 255  # bytes hold 0..255
+    ],
+)
+def test_reduce_rejects_bad_letters(kind, bad):
+    # bytes() raises its own message for 256 and -1.
+    for letters in ([bad], [0, 1, 0, bad, 2]):
+        with pytest.raises(ValueError, match=r"^letters are encoded as 0\.\.7$"):
+            reduce(INPUT_TYPES[kind](letters))
