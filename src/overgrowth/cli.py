@@ -512,8 +512,9 @@ def cmd_verify(args) -> int:
     if k_max < 1:
         raise ValueError("kmax must be at least 1")
     # One spec for every suite on the default sequence.  Its memos hold
-    # little beyond the generators' sections: lemma3 and lemma11 split
-    # each word once with split_reduce and write nothing to them.
+    # little beyond the generators' sections: lemma3 splits each word once
+    # with split_sections, lemma11's traces with split_reduce, and neither
+    # writes to them.
     omega = cfg.omega or parse_omega("(012)")
     table = None  # the (omega, shift 0, radius) ball of the ball suites
     suites = {}

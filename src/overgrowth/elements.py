@@ -21,7 +21,7 @@ from .words import (
     parse_letters,
     reduce,
     render_letters,
-    split_reduce,
+    split_sections,
 )
 
 
@@ -141,14 +141,16 @@ def exact_radius(omega: OmegaSpec, shift: int) -> int:
 
 
 def decompose(g: Element) -> WreathDecomposition:
-    """Root swap and both sections, memoized on the sequence for the callers
-    that revisit sections; one-pass walks call ``split_reduce`` instead."""
+    """Root swap and both sections by ``split_sections``, memoized on the
+    sequence for the callers that revisit sections.  The one-pass walks
+    split words themselves: ``is_identity`` and ``lemma3_check`` with
+    ``split_sections``, ``level_section_trace`` with ``split_reduce``."""
     memo = g.omega.sections
     key = (g.shift, g.word)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    swap, left, right, _, _ = split_reduce(g.word, symbol_at(g.omega, g.shift + 1))
+    swap, left, right = split_sections(g.word, symbol_at(g.omega, g.shift + 1))
     down = shift_normalize(g.omega, g.shift + 1)
     dec = WreathDecomposition(
         swap, Element(left, g.omega, down), Element(right, g.omega, down)
@@ -310,7 +312,7 @@ def is_identity(g: Element) -> bool:
     if len(word) == 1:
         result = _first_swap_level(word[0], g.omega, g.shift) is None
     else:
-        _, left, right, _, _ = split_reduce(word, symbol_at(g.omega, g.shift + 1))
+        _, left, right = split_sections(word, symbol_at(g.omega, g.shift + 1))
         down = shift_normalize(g.omega, g.shift + 1)
         result = is_identity(Element(left, g.omega, down)) and is_identity(
             Element(right, g.omega, down)

@@ -36,6 +36,7 @@ from .words import (
     reduce,
     render_letters,
     split_reduce,
+    split_sections,
     xyz_profile,
 )
 from .elements import (
@@ -707,6 +708,8 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
     gamma_shifted(ceil((m + 2) / 2)) ** 2.  Here m is the table's radius,
     or the largest radius both balls cover when either is incomplete;
     ``complete`` is unset then.  Raises ``BudgetExceeded`` if they cover none.
+    A section the shifted ball does not hold is a violation of its own
+    (``detail: "section not in shifted ball"``).
     """
     table_s = enumerate_ball(table.omega, table.shift + 1, (table.radius + 3) // 2, budget)
     # The largest m <= table.radius with ceil((m + 2) / 2) <= table_s.radius.
@@ -723,10 +726,15 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
         if a_count(word) % 2:
             continue
         # Each section is looked up once: split here, not memoized.
-        _, left, right, _, _ = split_reduce(word, sym)
+        _, left, right = split_sections(word, sym)
         for side, section in (("left", left), ("right", right)):
             found = table_s.lookup(Element(section, table.omega, table_s.shift))
-            assert found is not None, "section must lie in the shifted ball"
+            if found is None:
+                # The shifted ball's radius covers every section's length.
+                violations.append(
+                    {"eid": eid, "side": side, "detail": "section not in shifted ball"}
+                )
+                continue
             length = len(table_s.entries[found])
             # length > (|g| + 1) / 2, on ints.
             if 2 * length > len(word) + 1:

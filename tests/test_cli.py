@@ -491,3 +491,26 @@ def test_lemma11_reports_an_unreduced_minimal_word(capsys, monkeypatch):
     assert code == 1 and not data["passed"] and not rep["passed"]
     assert rep["violations"][0] == {"eid": 0, "word": "a a", "detail": "not reduced"}
     assert all(v["detail"] == "not reduced" for v in rep["violations"])
+
+
+def test_lemma3_reports_a_section_missing_from_the_shifted_ball(capsys, monkeypatch):
+    # Every section lies in the shifted ball, whose radius covers the
+    # contraction bound.  One that a lookup misses is a violation, a check
+    # that ``python -O`` keeps.
+    real = gr.BallTable.lookup
+    misses = []
+
+    def miss_once(self, element, key=None):
+        if element.word == b"" and not misses:
+            misses.append(element)
+            return None
+        return real(self, element, key)
+
+    monkeypatch.setattr(gr.BallTable, "lookup", miss_once)
+    code, data = run_json(capsys, "verify", "--suite", "lemma3", "--radius", "6")
+    rep = data["suites"]["lemma3"]
+    assert code == 1 and not data["passed"] and rep["status"] == "failed"
+    assert rep["violations"] == [
+        {"eid": 0, "side": "left", "detail": "section not in shifted ball"}
+    ]
+    assert len(misses) == 1

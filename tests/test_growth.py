@@ -332,7 +332,7 @@ def test_level_section_trace():
 
 def test_section_walks_write_no_memo(monkeypatch):
     # lemma3 and the lemma-11 traces visit each section once: they split
-    # words with split_reduce and leave the sequence's memo alone.
+    # words themselves and leave the sequence's memo alone.
     table = enumerate_ball(parse_omega("(012)"), 0, 8)
     before = dict(table.omega.sections)
     assert lemma3_check(table)["passed"]

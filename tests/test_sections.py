@@ -1,12 +1,18 @@
-"""The fused section kernel, prefix/suffix-cancelling equality, reduced
-words and the recursive level-stabilizer test, each checked against the
-slow path it replaced: ``split_letters`` followed by ``reduce``,
-``is_identity(mul(g, inverse(h)))`` with the letterwise vertex action,
-``reduce``, and ``act`` on every vertex of the level."""
+"""The fused section kernel and the bulk split of long words,
+prefix/suffix-cancelling equality, reduced words and the recursive
+level-stabilizer test, each checked against the slow path it replaced:
+``split_letters`` followed by ``reduce``, ``is_identity(mul(g, inverse(h)))``
+with the letterwise vertex action, ``reduce``, and ``act`` on every vertex
+of the level."""
 
+import itertools
+import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
+
+import overgrowth.words as words
 
 from overgrowth.elements import (
     Element,
@@ -24,9 +30,21 @@ from overgrowth.growth import (
     stabilizes_level,
 )
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize, symbol_at
-from overgrowth.words import a_count, reduce, render_letters, split_reduce
+from overgrowth.words import (
+    a_count,
+    reduce,
+    render_letters,
+    split_reduce,
+    split_sections,
+)
 
-from _oracles import identity_to_depth, split_letters, word_from_parts
+from _oracles import (
+    SWAPS,
+    act_word,
+    identity_to_depth,
+    split_letters,
+    word_from_parts,
+)
 
 SEQUENCES = st.builds(
     OmegaSpec,
@@ -58,6 +76,95 @@ def test_split_reduce_matches_split_then_reduce(word, omega, shift):
     )
     dec = decompose(Element(word, omega, shift))
     assert (dec.top_swap, dec.left.word, dec.right.word) == (swap, left.word, right.word)
+
+
+# One constant sequence per symbol: at shift 0 it splits at that symbol.
+CONSTANT = ("(0)", "(1)", "(2)")
+
+# Spine alphabets: all seven letters, and few letters, whose children
+# have many equal neighbours and long cancellations.
+ALPHABETS = ((1, 2, 3, 4, 5, 6, 7), (1, 2), (3, 5), (4,), (1,))
+
+
+def spines(max_size):
+    """Spine letters over one of ``ALPHABETS``, one byte drawn per letter."""
+    return st.tuples(
+        st.sampled_from(ALPHABETS),
+        st.integers(0, max_size).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    ).map(lambda ab: tuple(ab[0][k % len(ab[0])] for k in ab[1]))
+
+
+@st.composite
+def split_inputs(draw):
+    """A reduced word of 0 to about 2,500 letters: a random one, or the
+    cascade ``reduce(w + t + w^-1)`` of a random w around a short t or a
+    power (a s)^n, whose sections cancel w's against w^-1's."""
+    lead, trail = draw(st.booleans()), draw(st.booleans())
+    if draw(st.booleans()):
+        return word_from_parts(lead, draw(spines(1250)), trail)
+    w = word_from_parts(lead, draw(spines(600)), trail)
+    if draw(st.booleans()):
+        t = draw(reduced_words(20))
+    else:
+        t = bytes((0, draw(st.integers(1, 7)))) * draw(st.sampled_from((1, 2, 4, 8, 16, 32)))
+    return reduce(w + t + w[::-1]).word
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_inputs(), st.integers(0, 2))
+# 127 and 128 letters: the last word split letter by letter and the first in bulk.
+@example(word_from_parts(False, (1, 2, 3, 4) * 16, False), 0)
+@example(word_from_parts(True, (1, 2, 3, 4) * 16, False), 1)
+@example(word_from_parts(True, (7,) * 63, True), 2)
+@example(word_from_parts(False, (7,) * 64, True), 2)
+def test_split_sections_matches_split_reduce_and_split_then_reduce(word, symbol):
+    omega = parse_omega(CONSTANT[symbol])
+    swap, raw_left, raw_right = split_letters(word, omega, 0)
+    expected = (swap, reduce(raw_left).word, reduce(raw_right).word)
+    assert split_sections(word, symbol) == expected
+    assert split_reduce(word, symbol)[:3] == expected
+    dec = decompose(Element(word, omega, 0))
+    assert (dec.top_swap, dec.left.word, dec.right.word) == expected
+
+
+def test_bulk_split_on_short_words(monkeypatch):
+    # Every reduced word with at most four spine letters, split in bulk.
+    monkeypatch.setattr(words, "SPLIT_BULK_MIN", 0)
+    for m in range(5):
+        for spine in itertools.product(range(1, 8), repeat=m):
+            for lead, trail in itertools.product((False, True), repeat=2):
+                word = word_from_parts(lead, spine, trail)
+                for symbol in (0, 1, 2):
+                    assert split_sections(word, symbol) == split_reduce(word, symbol)[:3]
+
+
+@pytest.mark.parametrize("text, order", [("(012)", 16), ("(0012)", 32), ("01(2)", 8)])
+def test_word_problem_on_long_conjugates(text, order):
+    # x (a b)^n x^-1 is trivial for the order n of a b; changing one spine
+    # letter k of x to k' gives p (k k') p^-1 for the prefix p before it,
+    # which moves p applied to a vertex that k k' moves.
+    omega = parse_omega(text)
+    rng = random.Random(text)
+    relator = b"\0\1" * order
+    assert identity_to_depth(relator, omega, 0, 9)
+    x = word_from_parts(True, [rng.randrange(1, 8) for _ in range(500)], False)
+    y = word_from_parts(False, [rng.randrange(1, 8) for _ in range(400)], True)
+    assert 900 < len(x) < 1100
+    trivial = Element.from_letters(x + relator + x[::-1], omega)
+    assert len(trivial.word) > 2000
+    assert is_identity(trivial)
+    assert equal(Element.from_letters(trivial.word + y, omega), Element(y, omega, 0))
+    for i in rng.sample(range(1, len(x), 2), 5):
+        new = rng.choice([k for k in range(1, 8) if k != x[i]])
+        t = x[i] ^ new
+        x_mut = x[:i] + bytes((new,)) + x[i + 1 :]
+        moving = Element.from_letters(x_mut + relator + x[::-1], omega)
+        assert moving.in_stabilizer
+        assert not is_identity(moving)
+        assert not equal(Element.from_letters(moving.word + y, omega), Element(y, omega, 0))
+        level = next(j for j in range(1, 9) if SWAPS[t][symbol_at(omega, j)])
+        vertex = act_word(x[:i], omega, 0, "1" * (level - 1) + "00")
+        assert act_word(moving.word, omega, 0, vertex) != vertex
 
 
 @settings(max_examples=300, deadline=None)
