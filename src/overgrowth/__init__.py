@@ -16,11 +16,11 @@ from .omega import (
 from .words import (
     LETTER_NAMES,
     ReductionReceipt,
+    fixed_count,
     parse_letters,
     reduce,
     render_letters,
     spine_mul,
-    xyz_profile,
 )
 from .elements import (
     ContextMismatch,

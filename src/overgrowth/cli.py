@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -52,8 +51,6 @@ from .elements import (
 )
 from . import growth as gr
 
-_BUDGET_ENV = "OVERGROWTH_BUDGET"
-
 EQ2_LEFT_COORDINATES = {
     # letter index 1..7 -> swap side per symbol ("a") or trivial side ("1")
     0: {1: "a", 2: "a", 3: "1", 4: "a", 5: "1", 6: "1", 7: "a"},
@@ -79,11 +76,6 @@ class RunConfig:
         }
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    return int(raw) if raw else gr.DEFAULT_BUDGET
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -103,10 +95,7 @@ def _fmt(v: float) -> str:
 
 def _config(args) -> RunConfig:
     omega = parse_omega(args.omega) if getattr(args, "omega", None) else None
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = _default_budget()
-    if budget < 1:
+    if args.budget < 1:
         raise ValueError("budget must be at least 1")
     eps = Fraction(args.epsilon) if getattr(args, "epsilon", None) else None
     if eps is not None and not 0 < eps < Fraction(1, 2):
@@ -114,7 +103,7 @@ def _config(args) -> RunConfig:
     delta = Fraction(args.delta) if getattr(args, "delta", None) else None
     return RunConfig(
         omega,
-        budget,
+        args.budget,
         getattr(args, "seed", 0) or 0,
         eps,
         delta,
@@ -585,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega", required=omega_required, help="sequence text, e.g. '(012)' or '01(2)'")
         if shift:
             p.add_argument("--shift", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=int, default=gr.DEFAULT_BUDGET)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None, help="write the report to a file")
 

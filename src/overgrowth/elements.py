@@ -299,24 +299,27 @@ def portrait_bytes(halves, depth: int):
 
 def is_identity(g: Element) -> bool:
     """Word problem by contracting section descent; memoizes only the answer."""
-    word = g.word
+    return _trivial(g.omega, g.shift, g.word)
+
+
+def _trivial(omega: OmegaSpec, shift: int, word: bytes) -> bool:
+    """``is_identity`` of ``word`` at the normalized ``shift``, recursing on
+    the section words."""
     if not word:
         return True
     if a_count(word) % 2 == 1:
         return False
-    memo = g.omega.trivial
-    key = (g.shift, word)
+    memo = omega.trivial
+    key = (shift, word)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if len(word) == 1:
-        result = _first_swap_level(word[0], g.omega, g.shift) is None
+        result = _first_swap_level(word[0], omega, shift) is None
     else:
-        _, left, right = split_sections(word, symbol_at(g.omega, g.shift + 1))
-        down = shift_normalize(g.omega, g.shift + 1)
-        result = is_identity(Element(left, g.omega, down)) and is_identity(
-            Element(right, g.omega, down)
-        )
+        _, left, right = split_sections(word, symbol_at(omega, shift + 1))
+        down = shift_normalize(omega, shift + 1)
+        result = _trivial(omega, down, left) and _trivial(omega, down, right)
     memo[key] = result
     return result
 
@@ -367,7 +370,7 @@ def equal(g: Element, h: Element) -> bool:
     # two spine letters meet at the junction, and they merge into a
     # nontrivial one, so x y reduces by one ``extend``.
     diff = extend(x, y[0]) + y[1:] if y else x
-    return is_identity(Element(diff, g.omega, g.shift))
+    return _trivial(g.omega, g.shift, diff)
 
 
 def power(g: Element, k: int) -> Element:

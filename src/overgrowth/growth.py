@@ -33,11 +33,11 @@ from .words import (
     SPINE_LETTERS,
     X,
     a_count,
+    fixed_count,
     reduce,
     render_letters,
     split_reduce,
     split_sections,
-    xyz_profile,
 )
 from .elements import (
     IDENTITY_TABLE,
@@ -520,11 +520,8 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
 
 @dataclass(frozen=True)
 class LevelData:
-    words: tuple  # Elements over shift + level, in vertex order
+    words: tuple  # bytes at shift + level, in vertex order
     alpha: int
-    x: int
-    y: int
-    z: int
 
 
 def stabilizes_level(g: Element, s: int) -> bool:
@@ -558,27 +555,25 @@ def _level_stabilizers(table: BallTable, s: int) -> list[int]:
 
 
 def level_section_trace(g: Element, s: int) -> tuple:
-    """``LevelData`` for levels 1..s of the iterated one-level substitution,
-    with contraction counts and (x, y, z) letter-frequency aggregates.
-    Raises ``NotLevelStabilizer`` at the first section that swaps."""
+    """``LevelData`` for levels 1..s of the iterated one-level substitution:
+    the section words and their contraction counts.  Raises
+    ``NotLevelStabilizer`` at the first section that swaps."""
     if s < 0:
         raise ValueError("level must be nonnegative")
     levels = []
-    current = [g]
+    current = (g.word,)
     for j in range(1, s + 1):
         nxt = []
         alpha = 0
         sym = symbol_at(g.omega, g.shift + j)
-        down = shift_normalize(g.omega, g.shift + j)
-        for e in current:
-            swap, left, right, alpha_l, alpha_r = split_reduce(e.word, sym)
+        for word in current:
+            swap, left, right, alpha_l, alpha_r = split_reduce(word, sym)
             if swap:
                 raise NotLevelStabilizer(f"element does not stabilize level {s}")
             alpha += alpha_l + alpha_r
-            nxt += (Element(left, g.omega, down), Element(right, g.omega, down))
-        x, y, z = map(sum, zip(*(xyz_profile(e.word) for e in nxt)))
-        levels.append(LevelData(tuple(nxt), alpha, x, y, z))
-        current = nxt
+            nxt += (left, right)
+        current = tuple(nxt)
+        levels.append(LevelData(current, alpha))
     return tuple(levels)
 
 
@@ -645,15 +640,13 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
                         {"eid": eid, "word": render_letters(w), "detail": "not reduced"}
                     )
                     continue
-                el = Element(w, omega_here, table.shift)
-                trace = level_section_trace(el, s)
+                trace = level_section_trace(Element(w, omega_here, table.shift), s)
                 checked += 1
                 n_w = len(w)
-                total_s = sum(len(e.word) for e in trace[s - 1].words)
-                x0 = xyz_profile(w)[sym1]
-                at_t, at_s = trace[t - 2], trace[s - 2]
-                y_t1 = (at_t.x, at_t.y, at_t.z)[sym2]
-                z_s1 = (at_s.x, at_s.y, at_s.z)[sym3]
+                total_s = sum(map(len, trace[s - 1].words))
+                x0 = fixed_count(w, sym1)
+                y_t1 = fixed_count(b"".join(trace[t - 2].words), sym2)
+                z_s1 = fixed_count(b"".join(trace[s - 2].words), sym3)
                 alpha_sum = sum(trace[j].alpha for j in range(s - 1))
                 rhs = n_w + (1 << s) - 1 - x0 - y_t1 - z_s1 - alpha_sum
                 if total_s > rhs:

@@ -343,12 +343,12 @@ def _reduce_child(values: bytes, total: int) -> bytes:
     return bytes(out[groups[0] == 0 : 2 * s + (groups[-1] != 0)])
 
 
-def xyz_profile(word: bytes) -> tuple[int, int, int]:
-    """(x, y, z) letter-frequency aggregates of a word.
+# _FIXED[q] holds the letters ``fixed_count`` counts at symbol q.
+_FIXED = tuple(bytes(k for k in SPINE_LETTERS if not SWAPS[q][k]) for q in (0, 1, 2))
 
-    x counts d, B, C; y counts c, B, D; z counts b, C, D -- i.e. for each
-    symbol q in 0,1,2 the letters that act trivially at a level carrying q.
-    """
-    return tuple(
-        sum(word.count(k) for k in SPINE_LETTERS if not SWAPS[q][k]) for q in (0, 1, 2)
-    )
+
+def fixed_count(word: bytes, symbol: int) -> int:
+    """Number of letters of a word that act trivially at a level carrying
+    ``symbol``: d, B, C at 0 (the paper's x); c, B, D at 1 (y); b, C, D at
+    2 (z)."""
+    return len(word) - len(word.translate(None, _FIXED[symbol]))

@@ -1,4 +1,7 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+TESTS = Path(__file__).resolve().parent
+for path in (str(TESTS.parent / "src"), str(TESTS)):
+    if path not in sys.path:
+        sys.path.insert(0, path)

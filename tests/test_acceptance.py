@@ -33,6 +33,7 @@ from overgrowth.elements import (
     mul,
     signature,
 )
+from overgrowth import growth
 from overgrowth.growth import (
     classify_geodesics,
     count_ftilde,
@@ -223,28 +224,56 @@ def test_c08_frequency_counts():
     print("ACCEPTANCE 08 PASS - exact counts, monotone envelope within 1.05x bound")
 
 
-def test_c09_iterated_contraction():
-    t = ball("(012)", 8)
-    rep = lemma11_check(t, Fraction(1, 5))
-    assert rep["part_a_passed"], rep["part_a_violations"]
-    assert rep["checked_words"] > 0
-    # independent re-check of the inequality on every traced word
-    violations = 0
-    for eid in range(len(t.entries)):
-        if not stabilizes_level(t.element(eid), 3):
-            continue
-        for w in geodesic_words(t, eid):
-            el = Element(reduce(w).word, W012, 0)
-            tr = level_section_trace(el, 3)
-            total = sum(len(e.word) for e in tr[2].words)
-            x0 = sum(1 for k in el.word if k in (3, 5, 6))
-            y1 = sum(1 for e in tr[0].words for k in e.word if k in (2, 5, 7))
-            z2 = sum(1 for e in tr[1].words for k in e.word if k in (1, 6, 7))
-            alphas = tr[0].alpha + tr[1].alpha
-            if total > len(w) + 7 - x0 - y1 - z2 - alphas:
-                violations += 1
-    assert violations == 0
-    print(f"ACCEPTANCE 09 PASS - unconditional bound on {rep['checked_words']} words")
+# The spine letters that act trivially at a level carrying each symbol:
+# d, B, C at 0; c, B, D at 1; b, C, D at 2.
+FIXED_LETTERS = {0: (3, 5, 6), 1: (2, 5, 7), 2: (1, 6, 7)}
+
+# Sequence, radius, t, s, and its first, second and third symbols.
+LEMMA11_CASES = (
+    ("(012)", 8, 2, 3, (0, 1, 2)),
+    ("(0012)", 9, 3, 4, (0, 1, 2)),
+    ("(0102011)", 9, 2, 4, (0, 1, 2)),
+    ("(120)", 8, 2, 3, (1, 2, 0)),
+)
+
+
+def test_c09_iterated_contraction(monkeypatch):
+    # The letter counts lemma11_check reads, as (symbol, count) in call order.
+    read = []
+
+    def recorded(word, symbol):
+        count = real_count(word, symbol)
+        read.append((symbol, count))
+        return count
+
+    real_count = growth.fixed_count
+    monkeypatch.setattr(growth, "fixed_count", recorded)
+    for text, radius, t_, s, (q1, q2, q3) in LEMMA11_CASES:
+        t = ball(text, radius)
+        read.clear()
+        rep = lemma11_check(t, Fraction(1, 5))
+        assert rep["part_a_passed"], (text, rep["part_a_violations"])
+        assert (rep["t"], rep["s"]) == (t_, s)
+        # independent re-check of the inequality on every traced word
+        expected = []
+        violations = 0
+        for eid in range(len(t.entries)):
+            if not stabilizes_level(t.element(eid), s):
+                continue
+            for w in geodesic_words(t, eid):
+                tr = level_section_trace(Element(reduce(w).word, t.omega, 0), s)
+                total = sum(len(e) for e in tr[s - 1].words)
+                x0 = sum(1 for k in w if k in FIXED_LETTERS[q1])
+                y = sum(1 for e in tr[t_ - 2].words for k in e if k in FIXED_LETTERS[q2])
+                z = sum(1 for e in tr[s - 2].words for k in e if k in FIXED_LETTERS[q3])
+                expected += ((q1, x0), (q2, y), (q3, z))
+                alphas = sum(tr[j].alpha for j in range(s - 1))
+                if total > len(w) + (1 << s) - 1 - x0 - y - z - alphas:
+                    violations += 1
+        assert violations == 0, text
+        assert len(expected) == 3 * rep["checked_words"] > 0, text
+        assert read == expected, text
+    print(f"ACCEPTANCE 09 PASS - unconditional bound over {len(LEMMA11_CASES)} sequences")
 
 
 def test_c10_growth_regression():

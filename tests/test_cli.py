@@ -401,13 +401,7 @@ def test_headers_everywhere(capsys):
         _, data = run_json(capsys, *argv)
         header = data["header"]
         assert header["tool"].startswith("overgrowth ")
-        assert "budget" in header and "seed" in header
-
-
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("OVERGROWTH_BUDGET", "123")
-    _, data = run_json(capsys, "classify", "--omega", "(01)")
-    assert data["header"]["budget"] == 123
+        assert header["budget"] == gr.DEFAULT_BUDGET and "seed" in header
 
 
 def test_zero_or_negative_budget_exits_2(capsys):

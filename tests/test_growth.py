@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from overgrowth.omega import first_third_symbol_index, parse_omega
-from overgrowth.words import SPINE_LETTERS, parse_letters, reduce, render_letters
+from overgrowth.words import (
+    SPINE_LETTERS,
+    fixed_count,
+    parse_letters,
+    reduce,
+    render_letters,
+)
 from overgrowth import growth
 from overgrowth.elements import Element, equal, generator, is_identity, mul
 from overgrowth.growth import (
@@ -34,7 +40,14 @@ from overgrowth.growth import (
     stabilizes_level,
 )
 
-from _oracles import act_word, ball_links, ftilde_count_exhaustive, identity_to_depth
+from _oracles import (
+    act_word,
+    ball_links,
+    ftilde_count_exhaustive,
+    identity_to_depth,
+    reduce_stack_pass,
+    split_letters,
+)
 
 W012 = parse_omega("(012)")
 W0 = parse_omega("(0)")
@@ -311,14 +324,14 @@ def test_lemma8_check_keeps_no_minimal_words():
 def test_level_section_trace():
     tr = level_section_trace(Element.identity(W012), 3)
     assert all(
-        lv.alpha == 0 and all(e.length == 0 for e in lv.words) for lv in tr
+        lv.alpha == 0 and lv.words == (b"",) * (2 << j) for j, lv in enumerate(tr)
     )
     tr = level_section_trace(generator("b", W012), 1)
     words = tr[0].words
-    assert render_letters(words[0].word) == "a" and render_letters(words[1].word) == "b"
-    assert words[1].shift == 1
+    assert render_letters(words[0]) == "a" and render_letters(words[1]) == "b"
     assert tr[0].alpha == 0
-    assert (tr[0].x, tr[0].y, tr[0].z) == (0, 0, 1)
+    joined = b"".join(words)
+    assert tuple(fixed_count(joined, q) for q in (0, 1, 2)) == (0, 0, 1)
     with pytest.raises(NotLevelStabilizer):
         level_section_trace(generator("a", W012), 1)
     with pytest.raises(NotLevelStabilizer):
@@ -328,6 +341,36 @@ def test_level_section_trace():
     assert len(level_section_trace(ada, 2)) == 2
     with pytest.raises(NotLevelStabilizer):
         level_section_trace(ada, 3)
+
+
+@pytest.mark.parametrize("text", ["(012)", "(0012)", "(0102011)", "(120)"])
+def test_level_section_trace_matches_oracle_splits(text):
+    # Level j + 1 splits every level-j word by the letterwise substitution
+    # and reduces each child one letter at a time, counting contractions.
+    t = ball(text, 9)
+    s = first_third_symbol_index(t.omega)
+    traced = 0
+    for eid in range(len(t.entries)):
+        g = t.element(eid)
+        if not stabilizes_level(g, s):
+            with pytest.raises(NotLevelStabilizer):
+                level_section_trace(g, s)
+            continue
+        for w in geodesic_words(t, eid):
+            traced += 1
+            words = [w]
+            trace = level_section_trace(Element(w, t.omega, t.shift), s)
+            for j, level in enumerate(trace):
+                raw = []
+                for u in words:
+                    swap, left, right = split_letters(u, t.omega, t.shift + j)
+                    assert not swap
+                    raw += (left, right)
+                reduced = [reduce_stack_pass(r) for r in raw]
+                words = [u for u, _ in reduced]
+                assert level.words == tuple(words)
+                assert level.alpha == sum(alpha for _, alpha in reduced)
+    assert traced > 100
 
 
 def test_section_walks_write_no_memo(monkeypatch):
@@ -459,7 +502,7 @@ def reference_part_b(t, eps):
                 continue
             tr = level_section_trace(Element(w, t.omega, t.shift), s)
             checked += 1
-            total = sum(len(e.word) for e in tr[s - 1].words)
+            total = sum(len(e) for e in tr[s - 1].words)
             if total > headline:
                 violations.append(
                     {"eid": eid, "word": render_letters(w), "total": total,

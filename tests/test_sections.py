@@ -167,6 +167,33 @@ def test_word_problem_on_long_conjugates(text, order):
         assert act_word(moving.word, omega, 0, vertex) != vertex
 
 
+def test_word_problem_builds_no_element_per_section(monkeypatch):
+    # is_identity and equal recurse on the section words themselves.
+    omega = parse_omega("(012)")
+    rng = random.Random(1)
+    x = word_from_parts(True, [rng.randrange(1, 8) for _ in range(250)], False)
+    y = word_from_parts(False, [rng.randrange(1, 8) for _ in range(20)], True)
+    trivial = Element.from_letters(x + b"\0\1" * 16 + x[::-1], omega)
+    assert len(trivial.word) > 1000
+    g = Element.from_letters(trivial.word + y, omega)
+    h = Element(y, omega, 0)
+    built = []
+    real_init = Element.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Element, "__init__", counted)
+    assert is_identity(trivial)
+    assert built == []
+    descended = len(omega.trivial)
+    omega.trivial.clear()
+    assert equal(g, h)
+    assert built == []
+    assert len(omega.trivial) == descended > 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.booleans(), st.lists(st.integers(1, 7), max_size=100), st.booleans())
 def test_letters_match_append_loop(leading_a, spine, trailing_a):
