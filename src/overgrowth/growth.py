@@ -25,6 +25,7 @@ from .omega import (
     OmegaSpec,
     classify,
     first_third_symbol_index,
+    shift as shifted_omega,
     shift_normalize,
     symbol_at,
 )
@@ -195,9 +196,11 @@ def enumerate_ball(
     with ``complete`` unset rather than a partial stratum.
 
     A candidate g*s gets its key by composing level tables: g's full table
-    is rebuilt once from its half, and s's half table translated through it
-    is the candidate's half.  Neither multiplication nor ``decompose`` runs
-    for it.  Up to ``exact_radius`` the loop probes the key index itself
+    is rebuilt once from its half, as the half followed by its siblings
+    (the odd leaves' images, so leaf v sits at index
+    ``v >> 1 | (v & 1) << 7``), and s's half table, its leaves moved to
+    those indices, translated through it is the candidate's half.  Neither
+    multiplication nor ``decompose`` runs for it.  Up to ``exact_radius`` the loop probes the key index itself
     and builds the candidate's word (g's word and the letter s) only on a
     miss.  The generators and every candidate above ``exact_radius`` are
     ``Element`` objects that go through ``BallTable.lookup``, which
@@ -212,9 +215,10 @@ def enumerate_ball(
     words, keys, first_link = table.entries, table.keys, table.first_link
     by_key, shared_keys = table._by_key, table._shared_keys
     extra_links = table.extra_links
-    # (letter, its one-byte word, its half table) for each letter choice.
+    # (letter, its one-byte word, its half table as indices into the full
+    # table the loop builds) for each letter choice.
     moves = [
-        (letter, bytes((letter,)), perm[::2])
+        (letter, bytes((letter,)), bytes(p >> 1 | (p & 1) << 7 for p in perm[::2]))
         for letter, perm in zip(GENERATOR_LETTERS, table.letter_perms)
     ]
     spine_moves = [moves[letter] for letter in SPINE_LETTERS]
@@ -225,7 +229,6 @@ def enumerate_ball(
     first_link.append(-1)
     by_key[root] = 0
     table.strata.append(range(1))
-    full = bytearray(IDENTITY_TABLE)
     for level in range(radius):
         start = len(words)  # the first id of sphere level + 1
         # A candidate and the longest stored word have level + 1 letters:
@@ -237,8 +240,7 @@ def enumerate_ball(
         for eid in table.strata[level]:
             word = words[eid]
             half = keys[eid]
-            full[0::2] = half
-            full[1::2] = half.translate(_FLIP)
+            full = half + half.translate(_FLIP)
             # Only a letter alternating with the last one lengthens the
             # word (so appending it is the reduced product); any other
             # product lands in an already-complete stratum.
@@ -248,8 +250,8 @@ def enumerate_ball(
                 choices = spine_moves
             else:
                 choices = a_moves
-            for letter, letter_word, letter_half in choices:
-                key = letter_half.translate(full)
+            for letter, letter_word, letter_index in choices:
+                key = letter_index.translate(full)
                 if exact:
                     found = by_key.get(key)
                 else:
@@ -371,14 +373,15 @@ def count_ftilde(delta, k: int) -> int:
 def count_ftilde_exhaustive(delta, k: int) -> int:
     """Independent check of the same count by enumerating all 7^k words."""
     d = as_fraction(delta)
-    threshold = (1 - d) * k
+    # Counts are ints, so comparing with the floor of the threshold is exact.
+    threshold = math.floor((1 - d) * k)
     total = 0
     counts = [0] * 7
 
     def rec(pos: int) -> None:
         nonlocal total
         if pos == k:
-            if any(c > threshold for c in counts):
+            if max(counts) > threshold:
                 total += 1
             return
         for letter in range(7):
@@ -475,24 +478,29 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
     element of spheres 2..radius; collect violations verbatim.
 
     Each element is classified as ``classify_geodesics`` does and its
-    words checked in the same pass.  When an element has more minimal words
+    words checked in the same pass.  The stored word is a minimal word, so
+    an element whose stored word is spread is D-type and is skipped before
+    any of its words are listed.  When an element has more minimal words
     than ``geodesic_words`` keeps, the check stops there: ``cap_exceeded``
-    holds the message and ``radius`` the strata below that element (spheres
+    holds the message and ``radius`` the spheres checked before it (spheres
     are checked in increasing order).  ``complete`` means the ball is
     complete and the cap was not hit; ``passed`` needs it.  Once sphere n
-    is checked, the ``geodesic_words`` memo drops the spheres below it, and
-    no word of the last sphere stays in it once its element is checked, so
-    a later caller recomputes those words.
+    is checked, the ``geodesic_words`` memo drops every element below it,
+    and no word of the last sphere stays in it once its element is checked,
+    so a later caller recomputes those words.
     """
     eps = _spread_epsilon(epsilon)
     violations = []
-    checked = first_kept = 0
+    checked = 0
     report = {"epsilon": str(eps), "radius": table.radius}
+    memo = table._geodesics
     try:
         for n in range(2, table.radius + 1):
             threshold = math.floor((Fraction(1, 2) - eps) * n)
             last = n == table.radius
             for eid in table.strata[n]:
+                if _max_spine_count(table.entries[eid]) <= threshold:
+                    continue
                 words = geodesic_words(table, eid)
                 # F-type: every minimal word has a letter above threshold.
                 if all(_max_spine_count(w) > threshold for w in words):
@@ -503,13 +511,14 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
                         except LemmaViolation as exc:
                             violations.append({"n": n, "eid": eid, "detail": str(exc)})
                 if last:
-                    del table._geodesics[eid]
-            # Sphere n + 1's words extend sphere n's only: drop the rest.
-            for eid in range(first_kept, table.strata[n].start):
-                table._geodesics.pop(eid, None)
-            first_kept = table.strata[n].start
+                    del memo[eid]
+            # Listing sphere n's words fills the memo below it out of order;
+            # sphere n + 1's words extend sphere n's, so keep only those.
+            start = table.strata[n].start
+            for eid in [i for i in memo if i < start]:
+                del memo[eid]
     except GeodesicCapExceeded as exc:
-        report["radius"] = exc.length - 1
+        report["radius"] = n - 1
         report["cap_exceeded"] = str(exc)
     report["checked_words"] = checked
     report["violations"] = violations
@@ -587,7 +596,8 @@ def _second_symbol_index(omega: OmegaSpec) -> Optional[int]:
 
 def lemma11_check(table: BallTable, epsilon) -> dict:
     """Two-part contraction check over level-s stabilizer elements, where s
-    is the first position at which the sequence has shown all three symbols.
+    is the first position at which the sequence, read from the ball's shift
+    on, has shown all three symbols.
 
     Part A (unconditional): for every minimal word W of every element of
     the ball stabilizing level s, the total length after s substitution
@@ -609,14 +619,16 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     """
     eps = as_fraction(epsilon)
     omega_here = table.omega
-    s = first_third_symbol_index(omega_here)
+    # The ball's generators read the sequence from position shift + 1 on.
+    shifted = shifted_omega(omega_here, table.shift)
+    s = first_third_symbol_index(shifted)
     if s is None:
         raise ValueError("sequence never shows all three symbols")
-    t = _second_symbol_index(omega_here)
+    t = _second_symbol_index(shifted)
     assert t is not None and 2 <= t < s + 1
-    sym1 = symbol_at(omega_here, 1)
-    sym2 = symbol_at(omega_here, t)
-    sym3 = symbol_at(omega_here, s)
+    sym1 = symbol_at(shifted, 1)
+    sym2 = symbol_at(shifted, t)
+    sym3 = symbol_at(shifted, s)
     stab_ids = _level_stabilizers(table, s)
     n = table.radius
     gated = n * eps > Fraction(5, 2)
@@ -714,20 +726,26 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
     g_shift = table_s.gamma()[: half + 1]
     violations = []
     sym = symbol_at(table.omega, table.shift + 1)
+    # Shifted-ball id of each section word found so far.  A miss is not
+    # kept: each one is looked up, and reported, again.
+    section_ids: dict[bytes, int] = {}
     for eid in range(g_here[m]):
         word = table.entries[eid]
         if a_count(word) % 2:
             continue
-        # Each section is looked up once: split here, not memoized.
+        # Split here, not through the sequence's section memo.
         _, left, right = split_sections(word, sym)
         for side, section in (("left", left), ("right", right)):
-            found = table_s.lookup(Element(section, table.omega, table_s.shift))
+            found = section_ids.get(section)
             if found is None:
-                # The shifted ball's radius covers every section's length.
-                violations.append(
-                    {"eid": eid, "side": side, "detail": "section not in shifted ball"}
-                )
-                continue
+                found = table_s.lookup(Element(section, table.omega, table_s.shift))
+                if found is None:
+                    # The shifted ball's radius covers every section's length.
+                    violations.append(
+                        {"eid": eid, "side": side, "detail": "section not in shifted ball"}
+                    )
+                    continue
+                section_ids[section] = found
             length = len(table_s.entries[found])
             # length > (|g| + 1) / 2, on ints.
             if 2 * length > len(word) + 1:

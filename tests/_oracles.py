@@ -2,18 +2,23 @@
 
 Everything here is deliberately built from first principles (letterwise
 vertex actions, randomized rewriting, exhaustive enumeration) and shares
-no code path with the implementations under test.
+no code path with the implementations under test, except the checker loops
+at the end: those are the slow loops that a checker's fast path replaced,
+kept as they were to compare reports with.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
+from overgrowth import growth
 from overgrowth.elements import Element
 from overgrowth.omega import OmegaSpec, parse_omega, symbol_at
+from overgrowth.words import split_sections
 
 A = 0
 
@@ -235,3 +240,91 @@ def ball_links(table) -> list[list[tuple[int, int]]]:
         packed = [first, *table.extra_links.get(eid, ())] if first >= 0 else []
         out.append([(v >> 3, v & 7) for v in packed])
     return out
+
+
+def lemma8_every_word(table, epsilon) -> dict:
+    """``growth.lemma8_check`` listing every element's minimal words before
+    classifying it, with the memo drops it made then."""
+    eps = Fraction(epsilon)
+    violations = []
+    checked = first_kept = 0
+    report = {"epsilon": str(eps), "radius": table.radius}
+    try:
+        for n in range(2, table.radius + 1):
+            threshold = math.floor((Fraction(1, 2) - eps) * n)
+            last = n == table.radius
+            for eid in table.strata[n]:
+                words = growth.geodesic_words(table, eid)
+                if all(growth._max_spine_count(w) > threshold for w in words):
+                    for w in words:
+                        checked += 1
+                        try:
+                            growth.lemma8_map(w, eps)
+                        except growth.LemmaViolation as exc:
+                            violations.append({"n": n, "eid": eid, "detail": str(exc)})
+                if last:
+                    del table._geodesics[eid]
+            for eid in range(first_kept, table.strata[n].start):
+                table._geodesics.pop(eid, None)
+            first_kept = table.strata[n].start
+    except growth.GeodesicCapExceeded as exc:
+        report["radius"] = exc.length - 1
+        report["cap_exceeded"] = str(exc)
+    report["checked_words"] = checked
+    report["violations"] = violations
+    report["complete"] = table.complete and "cap_exceeded" not in report
+    report["passed"] = not violations and report["complete"]
+    return report
+
+
+def lemma3_every_lookup(table, budget: int = growth.DEFAULT_BUDGET) -> dict:
+    """``growth.lemma3_check`` looking every section up in the shifted ball,
+    however often the same section word recurs."""
+    table_s = growth.enumerate_ball(
+        table.omega, table.shift + 1, (table.radius + 3) // 2, budget
+    )
+    m = min(table.radius, 2 * table_s.radius - 2)
+    if m < 0:
+        raise growth.BudgetExceeded("ball enumeration hit the element budget")
+    half = (m + 3) // 2
+    g_here = table.gamma()[: m + 1]
+    g_shift = table_s.gamma()[: half + 1]
+    violations = []
+    sym = symbol_at(table.omega, table.shift + 1)
+    for eid in range(g_here[m]):
+        word = table.entries[eid]
+        if word.count(A) % 2:
+            continue
+        _, left, right = split_sections(word, sym)
+        for side, section in (("left", left), ("right", right)):
+            found = table_s.lookup(Element(section, table.omega, table_s.shift))
+            if found is None:
+                violations.append(
+                    {"eid": eid, "side": side, "detail": "section not in shifted ball"}
+                )
+                continue
+            length = len(table_s.entries[found])
+            if 2 * length > len(word) + 1:
+                violations.append(
+                    {
+                        "eid": eid,
+                        "side": side,
+                        "section_length": length,
+                        "bound": (len(word) + 1) / 2,
+                    }
+                )
+    numeric_ok = g_here[m] <= 2 * g_shift[half] ** 2
+    complete = table.complete and table_s.complete
+    return {
+        "radius": m,
+        "complete": complete,
+        "gamma": g_here,
+        "gamma_shifted": g_shift,
+        "numeric_inequality": {
+            "lhs": g_here[m],
+            "rhs": 2 * g_shift[half] ** 2,
+            "passed": numeric_ok,
+        },
+        "violations": violations,
+        "passed": numeric_ok and not violations and complete,
+    }

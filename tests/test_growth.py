@@ -45,6 +45,8 @@ from _oracles import (
     ball_links,
     ftilde_count_exhaustive,
     identity_to_depth,
+    lemma3_every_lookup,
+    lemma8_every_word,
     reduce_stack_pass,
     split_letters,
 )
@@ -166,6 +168,14 @@ def test_strata_lengths_and_canonical_words():
             assert reduce(t.entries[eid]).contractions == 0
     gam = t.gamma()
     assert all(gam[i] < gam[i + 1] for i in range(len(gam) - 1))
+
+
+@pytest.mark.parametrize("text", ["(012)", "(0012)"])
+def test_stored_keys_are_the_even_bytes_of_each_words_table(text):
+    # The loop composes keys in its own leaf order; perm_of in the tables'.
+    table = ball(text, 10)
+    for word, key in zip(table.entries, table.keys):
+        assert key == table.perm_of(word)[::2]
 
 
 def test_geodesic_words_structure():
@@ -321,6 +331,50 @@ def test_lemma8_check_keeps_no_minimal_words():
     assert lemma8_check(table, "0.1") == rep == lemma8_check(fresh, "0.1")
 
 
+@pytest.mark.parametrize(
+    "text, radius",
+    # (0012) is past its exact_radius of 8; (0) hits the cap at element 34.
+    [("(012)", 10), ("(0012)", 10), ("(01)", 12), ("01(2)", 14), ("(0)", 20)],
+)
+def test_lemma8_check_matches_listing_every_word(text, radius):
+    omega = parse_omega(text)
+    rep = lemma8_check(enumerate_ball(omega, 0, radius), "0.1")
+    assert rep == lemma8_every_word(enumerate_ball(omega, 0, radius), "0.1")
+    assert rep["checked_words"] > 0
+    assert ("cap_exceeded" in rep) == (text == "(0)")
+
+
+def test_lemma8_check_lists_words_of_unspread_elements_only(monkeypatch):
+    # A spread stored word is a spread minimal word: its element is D-type.
+    table = enumerate_ball(W012, 0, 10)
+    unspread = [
+        eid
+        for n in range(2, 11)
+        for eid in table.strata[n]
+        if max(map(table.entries[eid].count, (1, 2, 3, 4, 5, 6, 7)))
+        > (Fraction(1, 2) - Fraction(1, 10)) * n
+    ]
+    real = growth.geodesic_words
+    listed = []
+    depth = 0
+
+    def counting(table, eid):
+        # Only the checker's own calls, not the recursion's.
+        nonlocal depth
+        if not depth:
+            listed.append(eid)
+        depth += 1
+        try:
+            return real(table, eid)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(growth, "geodesic_words", counting)
+    rep = lemma8_check(table, "0.1")
+    assert rep["passed"]
+    assert listed == unspread and len(listed) == 201
+
+
 def test_level_section_trace():
     tr = level_section_trace(Element.identity(W012), 3)
     assert all(
@@ -462,6 +516,14 @@ def test_lemma11_symbol_roles_generalize():
         assert rep["passed"]
 
 
+def test_lemma11_check_reads_the_shifted_sequence():
+    # (0012) read from position 2 on is (0120): the same generators, so the
+    # same ball and the same levels and symbol roles.
+    shifted = lemma11_check(enumerate_ball(parse_omega("(0012)"), 1, 10), Fraction(1, 5))
+    assert shifted == lemma11_check(ball("(0120)", 10), Fraction(1, 5))
+    assert (shifted["s"], shifted["t"], shifted["checked_words"]) == (3, 2, 229)
+
+
 def test_lemma11_rejects_wrong_level():
     with pytest.raises(ValueError):
         lemma11_check(enumerate_ball(parse_omega("(01)"), 0, 3), "0.3")
@@ -562,6 +624,23 @@ def test_lemma3_checks_the_radius_both_balls_cover():
     assert lemma3_check(enumerate_ball(W012, 0, 6, budget=9), budget=9)["radius"] == 0
     with pytest.raises(BudgetExceeded):
         lemma3_check(enumerate_ball(W012, 0, 6, budget=8), budget=8)
+
+
+def test_lemma3_check_looks_up_each_distinct_section_once(monkeypatch):
+    table = ball("(012)", 10)
+    expected = lemma3_every_lookup(table)
+    real = growth.BallTable.lookup
+    asked = []
+
+    def counting(self, element, key=None):
+        # Enumeration passes a key; lemma3's section lookups do not.
+        if key is None:
+            asked.append(element.word)
+        return real(self, element, key)
+
+    monkeypatch.setattr(growth.BallTable, "lookup", counting)
+    assert lemma3_check(table) == expected
+    assert len(asked) == len(set(asked)) == 471
 
 
 def test_prop6():
