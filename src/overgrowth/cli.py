@@ -225,6 +225,31 @@ def _growth_rows(table: gr.BallTable, curve_eps: Fraction) -> list[dict]:
     return rows
 
 
+def _export_sphere(export, table: gr.BallTable, sphere: range, depth: int) -> None:
+    """Write the ``--export-ball`` lines of one sphere of ``table``.
+
+    They are the bytes of json.dumps(record, sort_keys=True): every field
+    is an int or an ASCII string that needs no escaping.  Words are
+    rendered a chunk of ids at a time; ``portraits`` comes last in the zip,
+    so it is not drawn past the chunk.  The lines go out by ``writelines``:
+    one joined write per chunk raises the peak RSS.
+    """
+    portraits = portrait_bytes(table.keys[sphere.start : sphere.stop], depth)
+    for start in range(sphere.start, sphere.stop, _PORTRAIT_CHUNK):
+        chunk = table.entries[start : min(start + _PORTRAIT_CHUNK, sphere.stop)]
+        export.writelines(
+            f'{{"id": {eid}, "length": {len(word)}, '
+            f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
+            f'"word": "{text}"}}\n'
+            for eid, word, text, sig in zip(
+                range(start, start + len(chunk)),
+                chunk,
+                render_words(chunk),
+                portraits,
+            )
+        )
+
+
 def cmd_growth(args) -> int:
     cfg = _config(args)
     # Bad input fails before the output files are created, and the files
@@ -247,32 +272,20 @@ def cmd_growth(args) -> int:
             if args.output
             else sys.stdout
         )
-        table = gr.enumerate_ball(cfg.omega, args.shift, args.radius, cfg.budget)
+        # Once sphere n is complete, sphere n - 1 goes (the loop reads it
+        # no more) and sphere n's export lines go out.  A budget stop drops
+        # the unfinished sphere unexported.
+        table = gr.BallTable(cfg.omega, args.shift, args.radius)
+        depth = gr.export_portrait_depth(args.radius)
+        for n, sphere in enumerate(gr.grow_ball(table, cfg.budget)):
+            if n:
+                table.drop_sphere(n - 1)
+            if export:
+                _export_sphere(export, table, sphere, depth)
         rows = _growth_rows(table, curve_eps)
         header = cfg.header()
         header["radius"] = table.radius
         header["complete"] = table.complete
-        if export:
-            portraits = portrait_bytes(table.keys, gr.export_portrait_depth(args.radius))
-            # The bytes of json.dumps(record, sort_keys=True): every field
-            # is an int or an ASCII string that needs no escaping.  Words
-            # are rendered a chunk of ids at a time; ``portraits`` comes
-            # last in the zip, so it is not drawn past the chunk.  The lines
-            # go out by ``writelines``: one joined write per chunk raises
-            # the peak RSS.
-            for start in range(0, len(table.entries), _PORTRAIT_CHUNK):
-                chunk = table.entries[start : start + _PORTRAIT_CHUNK]
-                export.writelines(
-                    f'{{"id": {eid}, "length": {len(word)}, '
-                    f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
-                    f'"word": "{text}"}}\n'
-                    for eid, word, text, sig in zip(
-                        range(start, start + len(chunk)),
-                        chunk,
-                        render_words(chunk),
-                        portraits,
-                    )
-                )
         if args.format == "json":
             out.write(_json_text({"header": header, "rows": rows}))
         else:

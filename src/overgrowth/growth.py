@@ -8,17 +8,19 @@ the even leaves (half of a 256-byte table that composes by
 equality, and the enumeration loop probes the key index itself; above it
 each candidate is an ``Element`` and ``BallTable.lookup`` confirms every
 key hit by the word problem.  Off-ball queries also go through ``lookup``.
-All geodesic derivations are kept as predecessor links, which is what the
-frequency (F/D) classification and the contraction checkers consume.
+The ball stores no geodesic links: every letter is an involution, so the
+predecessors of an element are the elements of the sphere below that its
+eight right multiples hit, found from its key on demand.  The minimal words
+built from them feed the frequency (F/D) classification and the
+contraction checkers.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .omega import (
     OmegaKind,
@@ -101,11 +103,14 @@ class BallTable:
     level 8, ``level_table(g, 8)[::2]``.  A tree automorphism maps the
     siblings 2j, 2j + 1 to siblings, so the odd leaf 2j + 1 goes to the
     image of 2j XOR 1 and the half decides the whole table.
-    ``first_link[i]`` is its first geodesic predecessor packed as
-    ``pred * 8 + letter`` (-1 at the root), and ``extra_links`` maps an id
-    to its further predecessors, packed alike, in the order found.
     ``strata[n]`` is the range of the ids of sphere n.  ``letter_perms[k]``
-    is the level-8 table of letter k.
+    is the level-8 table of letter k.  Element i's full table is rebuilt
+    from its key as the key followed by its siblings (the odd leaves'
+    images), so leaf v sits at index ``v >> 1 | (v & 1) << 7``;
+    ``letter_indices[k]`` is letter k's half table moved to those indices,
+    and translated through i's full table it is the key of i times k.
+    ``drop_sphere`` forgets a sphere's words and keys and leaves ``None``
+    in their slots.
     """
 
     def __init__(self, omega: OmegaSpec, shift: int, radius: int):
@@ -114,14 +119,15 @@ class BallTable:
         self.radius = radius
         self.exact_radius = exact_radius(omega, self.shift)
         self.complete = True
-        self.entries: list[bytes] = []
-        self.keys: list[bytes] = []
-        self.first_link = array("q")
-        self.extra_links: dict[int, list[int]] = {}
+        self.entries: list[Optional[bytes]] = []
+        self.keys: list[Optional[bytes]] = []
         self.strata: list[range] = []
         self.letter_perms = [
             level_table(generator(k, omega, self.shift), TABLE_DEPTH_MAX)
             for k in GENERATOR_LETTERS
+        ]
+        self.letter_indices = [
+            bytes(p >> 1 | (p & 1) << 7 for p in perm[::2]) for perm in self.letter_perms
         ]
         # A key's first id; later ids with that key, past exact_radius only.
         self._by_key: dict[bytes, int] = {}
@@ -173,6 +179,81 @@ class BallTable:
                 return cand
         return None
 
+    def predecessors(self, eid: int) -> list[tuple[int, int]]:
+        """Element eid's geodesic predecessors as sorted (id, letter) pairs.
+
+        Every letter is an involution, so j is a predecessor by the letter s
+        exactly when j is eid times s and lies in the sphere below.  Up to
+        ``exact_radius`` a key hit in that sphere is the answer: if j's key
+        is that of eid times s, then j times s (at most |eid| letters) has
+        eid's key, and both are within the radius where keys decide.  Above
+        it a key hit in that sphere whose stored word is the reduced word of
+        eid times s is the answer, and any other goes to ``lookup``.
+        """
+        words = self.entries
+        word = words[eid]
+        n = len(word)
+        if not n:
+            return []
+        below = self.strata[n - 1]
+        lo, hi = below.start, below.stop
+        half = self.keys[eid]
+        full = half + half.translate(_FLIP)
+        get, shared_keys = self._by_key.get, self._shared_keys
+        exact = n <= self.exact_radius
+        out = []
+        for letter, letter_index in enumerate(self.letter_indices):
+            key = letter_index.translate(full)
+            found = get(key, -1)
+            if found >= 0 and not exact:
+                hits = [j for j in (found, *shared_keys.get(key, ())) if lo <= j < hi]
+                if not hits:
+                    continue
+                product = reduce(word + bytes((letter,))).word
+                literal = [j for j in hits if words[j] == product]
+                if literal:
+                    found = literal[0]
+                else:
+                    found = self.lookup(Element(product, self.omega, self.shift), key)
+                    if found is None:
+                        continue
+            if lo <= found < hi:
+                out.append((found, letter))
+        out.sort()
+        return out
+
+    def drop_sphere(self, n: int) -> None:
+        """Forget sphere n's words and keys; its ids stay, with ``None`` in
+        their slots.
+
+        Once sphere n + 1 is complete, ``grow_ball`` reads sphere n no more.
+        After the drop the table still gives ``strata`` and ``gamma``, and
+        its lookups find the kept elements; nothing may read a dropped
+        element's word.
+        """
+        by_key, shared_keys = self._by_key, self._shared_keys
+        stratum = self.strata[n]
+        for eid in stratum:
+            key = self.keys[eid]
+            later = shared_keys.pop(key, None)
+            if later is None:
+                del by_key[key]
+                continue
+            if by_key[key] == eid:
+                by_key[key] = later.pop(0)
+            else:
+                later.remove(eid)
+            if later:
+                shared_keys[key] = later
+        blank = [None] * len(stratum)
+        self.entries[stratum.start : stratum.stop] = blank
+        self.keys[stratum.start : stratum.stop] = blank
+        # A dict keeps its size when entries go; refilled from a copy, it
+        # is sized for the kept ones and stays the object the loop holds.
+        kept = dict(by_key)
+        by_key.clear()
+        by_key.update(kept)
+
     def _drop_from(self, start: int) -> None:
         """Forget the elements with ids from ``start`` on."""
         for key in self.keys[start:]:
@@ -181,56 +262,56 @@ class BallTable:
                 self._shared_keys[key] = kept
             if self._by_key.get(key, -1) >= start:
                 del self._by_key[key]
-        for eid in [i for i in self.extra_links if i >= start]:
-            del self.extra_links[eid]
-        del self.entries[start:], self.keys[start:], self.first_link[start:]
+        del self.entries[start:], self.keys[start:]
 
 
-def enumerate_ball(
-    omega: OmegaSpec,
-    shift: int = 0,
-    radius: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> BallTable:
-    """Breadth-first ball; on budget overrun returns the completed strata
-    with ``complete`` unset rather than a partial stratum.
+def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]:
+    """Fill an empty table breadth-first up to its radius, yielding the id
+    range of each sphere as soon as it is complete, the root's first.  On
+    budget overrun the unfinished sphere is dropped, ``complete`` is unset,
+    ``radius`` is the last sphere yielded, and the generator ends.
 
-    A candidate g*s gets its key by composing level tables: g's full table
-    is rebuilt once from its half, as the half followed by its siblings
-    (the odd leaves' images, so leaf v sits at index
-    ``v >> 1 | (v & 1) << 7``), and s's half table, its leaves moved to
-    those indices, translated through it is the candidate's half.  Neither
-    multiplication nor ``decompose`` runs for it.  Up to ``exact_radius`` the loop probes the key index itself
-    and builds the candidate's word (g's word and the letter s) only on a
-    miss.  The generators and every candidate above ``exact_radius`` are
-    ``Element`` objects that go through ``BallTable.lookup``, which
-    confirms a key hit above that radius by the word problem.
+    A candidate g*s gets its key by composing level tables: s's entry of
+    ``letter_indices`` translated through g's full table.  Neither
+    multiplication nor ``decompose`` runs for it.  Up to ``exact_radius``
+    the loop probes the key index itself and builds the candidate's word
+    (g's word and the letter s) only on a miss.  The generators and every
+    candidate above ``exact_radius`` are ``Element`` objects that go
+    through ``BallTable.lookup``, which confirms a key hit above that
+    radius by the word problem.
+
+    A candidate built from sphere n lands in sphere n - 1, n or n + 1.  It
+    lands in sphere n - 1 exactly when it is a geodesic predecessor of its
+    element, and building sphere n met each of those as a key hit in
+    sphere n: the loop keeps a byte per element of the last two spheres,
+    with bit s set when it met the element as a product by s that way, and
+    skips those candidates.  So building sphere n + 1 reads only spheres n
+    and n + 1, and a caller may ``drop_sphere(n - 1)`` once sphere n is
+    yielded.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    table = BallTable(omega, shift, radius)
-    shift = table.shift
-    words, keys, first_link = table.entries, table.keys, table.first_link
+    omega, shift = table.omega, table.shift
+    words, keys = table.entries, table.keys
     by_key, shared_keys = table._by_key, table._shared_keys
-    extra_links = table.extra_links
-    # (letter, its one-byte word, its half table as indices into the full
-    # table the loop builds) for each letter choice.
+    # (letter, its one-byte word, its entry of letter_indices) per choice.
     moves = [
-        (letter, bytes((letter,)), bytes(p >> 1 | (p & 1) << 7 for p in perm[::2]))
-        for letter, perm in zip(GENERATOR_LETTERS, table.letter_perms)
+        (letter, bytes((letter,)), letter_index)
+        for letter, letter_index in zip(GENERATOR_LETTERS, table.letter_indices)
     ]
     spine_moves = [moves[letter] for letter in SPINE_LETTERS]
     a_moves = [moves[A]]
     root = IDENTITY_TABLE[::2]
     words.append(b"")
     keys.append(root)
-    first_link.append(-1)
     by_key[root] = 0
     table.strata.append(range(1))
-    for level in range(radius):
+    yield table.strata[0]
+    # down[i] has bit s set when the i-th element of the sphere being built
+    # times s is a key hit in the sphere below it.
+    down = bytearray(1)
+    for level in range(table.radius):
         start = len(words)  # the first id of sphere level + 1
+        first = table.strata[level].start
+        known_down, down = down, bytearray()
         # A candidate and the longest stored word have level + 1 letters:
         # within exact_radius the key alone decides, as in ``lookup``.  The
         # generators (the root's candidates) always go through ``lookup``,
@@ -250,30 +331,50 @@ def enumerate_ball(
                 choices = spine_moves
             else:
                 choices = a_moves
+            skip = known_down[eid - first]
+            if skip:
+                choices = [move for move in choices if not skip >> move[0] & 1]
             for letter, letter_word, letter_index in choices:
                 key = letter_index.translate(full)
                 if exact:
                     found = by_key.get(key)
                 else:
-                    found = table.lookup(
-                        Element(word + letter_word, omega, shift), key
-                    )
+                    found = table.lookup(Element(word + letter_word, omega, shift), key)
                 if found is not None:
                     if found >= start:
-                        extra_links.setdefault(found, []).append(eid * 8 + letter)
+                        down[found - start] |= 1 << letter
                     continue
                 nid = len(words)
                 words.append(word + letter_word)
                 keys.append(key)
-                first_link.append(eid * 8 + letter)
+                down.append(0)
                 if by_key.setdefault(key, nid) != nid:
                     shared_keys.setdefault(key, []).append(nid)
                 if nid >= budget:
                     table._drop_from(start)
                     table.complete = False
                     table.radius = level
-                    return table
+                    return
         table.strata.append(range(start, len(words)))
+        yield table.strata[-1]
+
+
+def enumerate_ball(
+    omega: OmegaSpec,
+    shift: int = 0,
+    radius: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> BallTable:
+    """Breadth-first ball, every sphere kept; on budget overrun returns the
+    completed strata with ``complete`` unset rather than a partial stratum.
+    ``grow_ball`` builds it."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    table = BallTable(omega, shift, radius)
+    for _ in grow_ball(table, budget):
+        pass
     return table
 
 
@@ -287,17 +388,14 @@ def geodesic_words(table: BallTable, eid: int) -> tuple:
         result: tuple = (b"",)
     else:
         acc = []
-        more = iter(table.extra_links.get(eid, ()))
-        link = table.first_link[eid]
-        while link >= 0:
-            suffix = bytes((link & 7,))
-            acc += [w + suffix for w in geodesic_words(table, link >> 3)]
+        for pred, letter in table.predecessors(eid):
+            suffix = bytes((letter,))
+            acc += [w + suffix for w in geodesic_words(table, pred)]
             if len(acc) > GEODESIC_CAP:
                 raise GeodesicCapExceeded(
                     f"element {eid} has more than {GEODESIC_CAP} minimal words",
                     len(word),
                 )
-            link = next(more, -1)
         result = tuple(sorted(acc))
     table._geodesics[eid] = result
     return result

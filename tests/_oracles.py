@@ -2,23 +2,27 @@
 
 Everything here is deliberately built from first principles (letterwise
 vertex actions, randomized rewriting, exhaustive enumeration) and shares
-no code path with the implementations under test, except the checker loops
-at the end: those are the slow loops that a checker's fast path replaced,
-kept as they were to compare reports with.
+no code path with the implementations under test, except the loops at the
+end: ``ball_links`` reads the links a table derives, and the rest are the
+loops that a fast path replaced (the link-storing ball loop, the whole-ball
+export and the checkers), kept as they were to compare outputs with.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
+from contextlib import ExitStack
 from fractions import Fraction
+from hashlib import sha256
 from typing import Optional
 
-from overgrowth import growth
-from overgrowth.elements import Element
+from overgrowth import cli, growth
+from overgrowth.elements import _PORTRAIT_CHUNK, IDENTITY_TABLE, Element, portrait_bytes
 from overgrowth.omega import OmegaSpec, parse_omega, symbol_at
-from overgrowth.words import split_sections
+from overgrowth.words import SPINE_LETTERS, render_words, split_sections
 
 A = 0
 
@@ -234,12 +238,118 @@ def parse_element(text: str, omega: Optional[OmegaSpec] = None) -> Element:
 
 def ball_links(table) -> list[list[tuple[int, int]]]:
     """Each ball element's geodesic predecessors as (id, letter) pairs,
-    unpacked from ``first_link`` and ``extra_links``."""
-    out = []
-    for eid, first in enumerate(table.first_link):
-        packed = [first, *table.extra_links.get(eid, ())] if first >= 0 else []
-        out.append([(v >> 3, v & 7) for v in packed])
-    return out
+    derived from the table's key index."""
+    return [table.predecessors(eid) for eid in range(len(table.entries))]
+
+
+def ball_with_stored_links(omega, shift=0, radius=0, budget=growth.DEFAULT_BUDGET):
+    """The ball loop as it was when it stored every geodesic link: returns
+    the table and each element's predecessors as (id, letter) pairs, in the
+    order the loop found them."""
+    table = growth.BallTable(omega, shift, radius)
+    shift = table.shift
+    words, keys = table.entries, table.keys
+    by_key, shared_keys = table._by_key, table._shared_keys
+    links: list[list[tuple[int, int]]] = [[]]
+    moves = [
+        (letter, bytes((letter,)), bytes(p >> 1 | (p & 1) << 7 for p in perm[::2]))
+        for letter, perm in zip(growth.GENERATOR_LETTERS, table.letter_perms)
+    ]
+    spine_moves = [moves[letter] for letter in SPINE_LETTERS]
+    a_moves = [moves[A]]
+    root = IDENTITY_TABLE[::2]
+    words.append(b"")
+    keys.append(root)
+    by_key[root] = 0
+    table.strata.append(range(1))
+    for level in range(radius):
+        start = len(words)
+        exact = 0 < level < table.exact_radius
+        for eid in table.strata[level]:
+            word = words[eid]
+            half = keys[eid]
+            full = half + half.translate(growth._FLIP)
+            if level == 0:
+                choices = moves
+            elif word[-1] == A:
+                choices = spine_moves
+            else:
+                choices = a_moves
+            for letter, letter_word, letter_index in choices:
+                key = letter_index.translate(full)
+                if exact:
+                    found = by_key.get(key)
+                else:
+                    found = table.lookup(Element(word + letter_word, omega, shift), key)
+                if found is not None:
+                    if found >= start:
+                        links[found].append((eid, letter))
+                    continue
+                nid = len(words)
+                words.append(word + letter_word)
+                keys.append(key)
+                links.append([(eid, letter)])
+                if by_key.setdefault(key, nid) != nid:
+                    shared_keys.setdefault(key, []).append(nid)
+                if nid >= budget:
+                    table._drop_from(start)
+                    del links[start:]
+                    table.complete = False
+                    table.radius = level
+                    return table, links
+        table.strata.append(range(start, len(words)))
+    return table, links
+
+
+def growth_whole_ball(args) -> int:
+    """``cli.cmd_growth`` as it was when it built the whole ball and then
+    exported it, for the parsed arguments ``args``."""
+    cfg = cli._config(args)
+    with ExitStack() as files:
+        export = (
+            files.enter_context(open(args.export_ball, "w", encoding="utf-8"))
+            if args.export_ball
+            else None
+        )
+        out = (
+            files.enter_context(open(args.output, "w", encoding="utf-8"))
+            if args.output
+            else sys.stdout
+        )
+        table = growth.enumerate_ball(cfg.omega, args.shift, args.radius, cfg.budget)
+        rows = cli._growth_rows(table, Fraction(args.curve_epsilon))
+        header = cfg.header()
+        header["radius"] = table.radius
+        header["complete"] = table.complete
+        if export:
+            portraits = portrait_bytes(
+                table.keys, growth.export_portrait_depth(args.radius)
+            )
+            for start in range(0, len(table.entries), _PORTRAIT_CHUNK):
+                chunk = table.entries[start : start + _PORTRAIT_CHUNK]
+                export.writelines(
+                    f'{{"id": {eid}, "length": {len(word)}, '
+                    f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
+                    f'"word": "{text}"}}\n'
+                    for eid, word, text, sig in zip(
+                        range(start, start + len(chunk)),
+                        chunk,
+                        render_words(chunk),
+                        portraits,
+                    )
+                )
+        if args.format == "json":
+            out.write(cli._json_text({"header": header, "rows": rows}))
+        else:
+            lines = [f"# {k}: {v}" for k, v in sorted(header.items())]
+            lines.append("n,sphere,gamma,gamma_root,lower_curve,upper_curve")
+            for r in rows:
+                lines.append(
+                    f"{r['n']},{r['sphere']},{r['gamma']},{r['gamma_root']},"
+                    f"{r['lower_curve']},{r['upper_curve']}"
+                )
+            out.write("\n".join(lines) + "\n")
+    return 0 if table.complete else 3
 
 
 def lemma8_every_word(table, epsilon) -> dict:

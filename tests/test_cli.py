@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import overgrowth.growth as gr
-from overgrowth.cli import main
+from overgrowth.cli import build_parser, main
+
+from _oracles import growth_whole_ball
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -282,6 +284,34 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--omega", "(012)", "--radius", "0"), 0),
+        (("--omega", "(012)", "--radius", "10"), 0),
+        # Distinct elements share keys: dropping a sphere passes a key on.
+        (("--omega", "(000001)", "--shift", "4", "--radius", "10"), 0),
+        # exact_radius is 8: spheres 9 to 11 confirm key hits by equal.
+        (("--omega", "(0012)", "--radius", "11"), 0),
+        # The budget stops inside sphere 9 (ids 3804..7755).
+        (("--omega", "(012)", "--radius", "10", "--budget", "5000"), 3),
+    ],
+)
+def test_streamed_growth_matches_the_whole_ball_export(tmp_path, argv, code):
+    outputs = []
+    for name, run in (
+        ("streamed", main),
+        ("whole", lambda full: growth_whole_ball(build_parser().parse_args(full))),
+    ):
+        csv, ball = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+        full = ["growth", *argv, "--output", str(csv), "--export-ball", str(ball)]
+        outputs.append((run(full), csv.read_bytes(), ball.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == code
+    if code == 3:
+        assert outputs[0][2].count(b"\n") == 3804
+
+
 @pytest.mark.parametrize("flag", ["--output", "--export-ball"])
 def test_growth_fails_on_a_bad_path_before_building_the_ball(
     capsys, tmp_path, monkeypatch, flag
@@ -290,6 +320,7 @@ def test_growth_fails_on_a_bad_path_before_building_the_ball(
         raise AssertionError("the ball was built before the file was opened")
 
     monkeypatch.setattr(gr, "enumerate_ball", not_called)
+    monkeypatch.setattr(gr, "grow_ball", not_called)
     path = tmp_path / "missing" / "out"
     assert main(["growth", "--omega", "(012)", "--radius", "13", flag, str(path)]) == 2
     captured = capsys.readouterr()

@@ -32,7 +32,13 @@ from overgrowth.growth import enumerate_ball
 from overgrowth.omega import parse_omega, shift_normalize
 from overgrowth.words import A, LETTER_NAMES, reduce
 
-from _oracles import act_word, ball_links, random_raw_word, signature_bytes
+from _oracles import (
+    act_word,
+    ball_links,
+    ball_with_stored_links,
+    random_raw_word,
+    signature_bytes,
+)
 
 ONE_LETTER_WORDS = [b""] + [bytes((k,)) for k in range(8)]
 
@@ -185,9 +191,10 @@ def test_balls_crossing_exact_radius_match_equal_only_dedup(monkeypatch):
         monkeypatch.setattr(growth, "equal", counting_equal)
         assert table.gamma() == gamma
         assert table.entries == words
-        assert ball_links(table) == links
         # Every stratum above the exact radius, and none below, asked equal.
         assert set(confirmed) == set(range(exact + 1, table.radius + 1)), text
+        # Deriving the links past the exact radius asks equal too.
+        assert ball_links(table) == links
         if text == "(000001)":
             assert len(set(table.keys)) < len(table.entries)
 
@@ -223,10 +230,51 @@ def test_budget_stop_among_shared_keys(text, shift, radius, budget):
     assert table._shared_keys and all(
         i < kept for ids in table._shared_keys.values() for i in ids
     )
-    assert all(i < kept for i in table.extra_links)
+    # Every derived link of a kept id points to a kept id.
+    assert all(j < kept for preds in ball_links(table) for j, _ in preds)
+
+
+@pytest.mark.parametrize(
+    "text, shift, radius, budget",
+    [
+        ("(012)", 0, 12, None),
+        ("(012)", 0, 12, 40_000),
+        ("(01)", 0, 16, None),
+        ("(01)", 0, 16, 6_000),
+        # exact_radius is 8: spheres 9 to 11 derive links through lookup.
+        ("(0012)", 0, 11, None),
+        ("(0012)", 0, 11, 20_000),
+        # Distinct elements share keys from radius 8 on.
+        ("(000001)", 4, 10, None),
+        ("(000001)", 4, 10, 550),
+    ],
+)
+def test_derived_links_match_the_loop_that_stored_them(text, shift, radius, budget):
+    # Each budget stops inside the last sphere asked for.
+    budget = budget or growth.DEFAULT_BUDGET
+    stored, links = ball_with_stored_links(parse_omega(text), shift, radius, budget)
+    table = enumerate_ball(parse_omega(text), shift, radius, budget)
+    assert (table.radius, table.complete) == (stored.radius, stored.complete)
+    assert table.complete == (budget == growth.DEFAULT_BUDGET)
+    assert table.entries == stored.entries and table.keys == stored.keys
+    assert table.strata == stored.strata
+    assert table._by_key == stored._by_key
+    assert table._shared_keys == stored._shared_keys
+    # The loop found each element's links in (pred, letter) order.
+    assert links == [sorted(found) for found in links]
+    assert ball_links(table) == links
 
 
 def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
+    # Letters taking each element of spheres 8 and 9 of (0012) to the
+    # sphere below: their products are predecessors, met building the
+    # sphere, and the loop skips them.
+    plain = enumerate_ball(parse_omega("(0012)"), 0, 10)
+    down = {
+        eid: {letter for _, letter in plain.predecessors(eid)}
+        for n in (8, 9)
+        for eid in plain.strata[n]
+    }
     lookups, outside = [], []
     in_lookup = []
     real_lookup = growth.BallTable.lookup
@@ -255,17 +303,21 @@ def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
         assert table.complete and radius <= table.exact_radius
         assert lookups == [(1, True)] * 8 and outside == [1] * 8
     # (0012) at shift 0 is exact to 8: the generators and each candidate
-    # built from spheres 8 and 9 are one Element and one lookup with its
-    # key, and no other candidate is.
+    # built from spheres 8 and 9 whose product is not in the sphere below
+    # are one Element and one lookup with its key, and no other candidate
+    # is.
     del lookups[:], outside[:]
     table = enumerate_ball(parse_omega("(0012)"), 0, 10)
     assert table.complete and table.exact_radius == 8
+    assert table.entries == plain.entries
     candidates = [1] * 8 + [
         n + 1
         for n in (8, 9)
         for eid in table.strata[n]
-        for _ in range(7 if table.entries[eid][-1] == A else 1)
+        for letter in (range(1, 8) if table.entries[eid][-1] == A else (A,))
+        if letter not in down[eid]
     ]
+    assert any(down.values())
     assert sorted(lookups) == [(n, True) for n in candidates]
     assert sorted(outside) == candidates
 

@@ -16,7 +16,7 @@ from overgrowth.words import (
     reduce,
     render_letters,
 )
-from overgrowth import growth
+from overgrowth import cli, growth
 from overgrowth.elements import Element, equal, generator, is_identity, mul
 from overgrowth.growth import (
     BudgetExceeded,
@@ -145,11 +145,11 @@ def test_ball_budget_cap():
 
 
 def test_ball_memory_per_element():
-    # An element is its word, its 128-byte half-table key, its packed first
-    # link, its id in the key index and 0.28 extra links: about 327 traced
-    # bytes at (012) r=10 under CPython 3.11 (676 with the 256-byte table,
-    # a one-id list per key and a list of link tuples).  The bound leaves
-    # 10% for other interpreter versions.
+    # An element is its word, its 128-byte half-table key and its id in the
+    # key index: about 291 traced bytes at (012) r=10 under CPython 3.11
+    # (327 with stored links, 676 with the 256-byte table, a one-id list
+    # per key and a list of link tuples).  The bound leaves 10% for other
+    # interpreter versions.
     tracemalloc.start()
     try:
         table = enumerate_ball(parse_omega("(012)"), 0, 10)
@@ -157,7 +157,29 @@ def test_ball_memory_per_element():
     finally:
         tracemalloc.stop()
     assert len(table.entries) == 13_883
-    assert traced / len(table.entries) < 360
+    assert traced / len(table.entries) < 320
+
+
+def test_streamed_growth_peaks_below_the_whole_ball(tmp_path, capsys):
+    # growth keeps two spheres of the ball and drops each one below them:
+    # spheres 10 and 11 hold 73% of the (012) ball at radius 11, and its
+    # traced peak is about 72-74% of the whole ball's traced size.
+    tracemalloc.start()
+    try:
+        table = enumerate_ball(parse_omega("(012)"), 0, 11)
+        whole, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del table
+    argv = ["growth", "--omega", "(012)", "--radius", "11", "--export-ball"]
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, str(tmp_path / "ball.jsonl")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.splitlines()[-1].startswith("11,14544,28427,")
+    assert peak < 0.8 * whole
 
 
 def test_strata_lengths_and_canonical_words():
