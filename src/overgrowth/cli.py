@@ -33,7 +33,6 @@ from .omega import (
 )
 from .words import WordParseError, parse_letters, reduce, render_letters, render_words
 from .elements import (
-    _PORTRAIT_CHUNK,
     IDENTITY_TABLE,
     TABLE_DEPTH_MAX,
     Element,
@@ -46,7 +45,6 @@ from .elements import (
     level_table,
     order_bounded,
     portrait,
-    portrait_bytes,
     sections,
 )
 from . import growth as gr
@@ -93,21 +91,27 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _fraction(text: Optional[str], name: str) -> Optional[Fraction]:
+    """The exact value of a fraction option, None when it is not given."""
+    if not text:
+        return None
+    try:
+        value = Fraction(text)
+        float(value)  # the reports print it as a float
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{name} must be a fraction a float can hold, got {text!r}") from None
+    return value
+
+
 def _config(args) -> RunConfig:
     omega = parse_omega(args.omega) if getattr(args, "omega", None) else None
     if args.budget < 1:
         raise ValueError("budget must be at least 1")
-    eps = Fraction(args.epsilon) if getattr(args, "epsilon", None) else None
+    eps = _fraction(getattr(args, "epsilon", None), "epsilon")
     if eps is not None and not 0 < eps < Fraction(1, 2):
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
-    delta = Fraction(args.delta) if getattr(args, "delta", None) else None
-    return RunConfig(
-        omega,
-        args.budget,
-        getattr(args, "seed", 0) or 0,
-        eps,
-        delta,
-    )
+    delta = _fraction(getattr(args, "delta", None), "delta")
+    return RunConfig(omega, args.budget, getattr(args, "seed", 0) or 0, eps, delta)
 
 
 def cmd_classify(args) -> int:
@@ -234,9 +238,9 @@ def _export_sphere(export, table: gr.BallTable, sphere: range, depth: int) -> No
     so it is not drawn past the chunk.  The lines go out by ``writelines``:
     one joined write per chunk raises the peak RSS.
     """
-    portraits = portrait_bytes(table.keys[sphere.start : sphere.stop], depth)
-    for start in range(sphere.start, sphere.stop, _PORTRAIT_CHUNK):
-        chunk = table.entries[start : min(start + _PORTRAIT_CHUNK, sphere.stop)]
+    portraits = table.portrait_bytes(table.keys[sphere.start : sphere.stop], depth)
+    for start in range(sphere.start, sphere.stop, gr._PORTRAIT_CHUNK):
+        chunk = table.entries[start : min(start + gr._PORTRAIT_CHUNK, sphere.stop)]
         export.writelines(
             f'{{"id": {eid}, "length": {len(word)}, '
             f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
@@ -258,8 +262,8 @@ def cmd_growth(args) -> int:
         raise ValueError("radius must be nonnegative")
     if args.shift < 0:
         raise ValueError("shift must be nonnegative")
-    curve_eps = Fraction(args.curve_epsilon)
-    if curve_eps <= 0:
+    curve_eps = _fraction(args.curve_epsilon, "curve epsilon")
+    if curve_eps is None or curve_eps <= 0:
         raise ValueError("curve epsilon must be positive")
     with ExitStack() as files:
         export = (

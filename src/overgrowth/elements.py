@@ -108,38 +108,6 @@ def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int
     return None
 
 
-def tail(omega: OmegaSpec, shift: int) -> int:
-    """Least depth whose level tables at ``shift`` tell apart any two
-    distinct elements of length at most one.
-
-    Level 1 separates ``a`` from the empty word and the spine letters.  Two
-    spine letters differ by their product, a spine letter, and one whose
-    first swap is at level j moves the vertex 1...10 (j - 1 ones) and so
-    shows at level j + 1.
-    """
-    firsts = (_first_swap_level(k, omega, shift) for k in range(1, 8))
-    return 1 + max((j for j in firsts if j is not None), default=0)
-
-
-def exact_radius(omega: OmegaSpec, shift: int) -> int:
-    """Word length up to which level-8 tables at ``shift`` decide equality.
-
-    By the contraction bound |section| <= (|g| + 1) / 2, every level-h
-    section of a word of length at most 2^h has at most one letter, so two
-    such elements are equal exactly when their level tables agree at depth
-    h + tail(omega, shift + h).  The radius is the largest such 2^h with
-    that depth at most 8, or 0 when there is none.
-    """
-    return max(
-        (
-            1 << h
-            for h in range(TABLE_DEPTH_MAX + 1)
-            if h + tail(omega, shift + h) <= TABLE_DEPTH_MAX
-        ),
-        default=0,
-    )
-
-
 def decompose(g: Element) -> WreathDecomposition:
     """Root swap and both sections by ``split_sections``, memoized on the
     sequence for the callers that revisit sections.  The one-pass walks
@@ -244,57 +212,6 @@ def _leaf_images(g: Element, depth: int) -> bytes:
     if d.top_swap:
         return left.translate(up) + right
     return left + right.translate(up)
-
-
-# Half tables read per bulk pass of ``portrait_bytes``: joined, a chunk is 32 KB.
-_PORTRAIT_CHUNK = 256
-
-# _BIT[b][j] takes a byte to its bit b, moved to bit j.
-_BIT = tuple(
-    tuple(bytes((v >> b & 1) << j for v in range(256)) for j in range(8))
-    for b in range(8)
-)
-
-
-def portrait_bytes(halves, depth: int):
-    """Yield ``signature(g, depth)`` as minimal big-endian bytes (``b"\\0"``
-    for 0) for each half table ``level_table(g, 8)[::2]`` in the sequence
-    ``halves``.
-
-    The label of the depth-k vertex u is bit 7 - k of the image of the leaf
-    u << (8 - k).  For k < 8 that leaf is even, and the half table, the
-    images of the 128 even leaves, holds it at index u << (7 - k).  The
-    signature's bits, most significant first, are the labels in reversed
-    preorder, and preorder sorts vertices by that index, then by depth.
-    Over a chunk of half tables joined into one ``bytes``, one stride slice
-    and one ``translate`` read a label of every table at once; eight of
-    them, moved to their bits and OR-ed as ints, make one byte column of
-    fixed-width records, which lose their leading zero bytes.
-    """
-    if not 0 <= depth <= TABLE_DEPTH_MAX:
-        raise ValueError(f"portraits cover depths 0..{TABLE_DEPTH_MAX}")
-    preorder = sorted(
-        (u << (TABLE_DEPTH_MAX - 1 - k), k) for k in range(depth) for u in range(1 << k)
-    )
-    width = max(1, (len(preorder) + 7) // 8)
-    # columns[m] reads the bits of record byte m: (index, its label's move).
-    columns = [[] for _ in range(width)]
-    pad = 8 * width - len(preorder)
-    for q, (index, k) in enumerate(reversed(preorder), start=pad):
-        columns[q // 8].append((index, _BIT[TABLE_DEPTH_MAX - 1 - k][7 - q % 8]))
-    stride = 1 << (TABLE_DEPTH_MAX - 1)
-    for start in range(0, len(halves), _PORTRAIT_CHUNK):
-        chunk = b"".join(halves[start : start + _PORTRAIT_CHUNK])
-        n = len(chunk) // stride
-        records = bytearray(n * width)
-        for m, reads in enumerate(columns):
-            acc = 0
-            for index, move in reads:
-                acc |= int.from_bytes(chunk[index::stride].translate(move), "big")
-            records[m::width] = acc.to_bytes(n, "big")
-        records = bytes(records)
-        for i in range(0, n * width, width):
-            yield records[i : i + width].lstrip(b"\0") or b"\0"
 
 
 def is_identity(g: Element) -> bool:

@@ -1,14 +1,14 @@
 """Cayley-ball enumeration, growth data, and the verification checkers.
 
 Balls are built breadth-first over right multiplication by the eight
-generators in the fixed order a < b < c < d < x < B < C < D, deduplicating
-elements by their action on level 8 of the tree, kept as the 128 images of
-the even leaves (half of a 256-byte table that composes by
-``bytes.translate``).  Up to ``exact_radius`` the key alone decides
-equality, and the enumeration loop probes the key index itself; above it
-each candidate is an ``Element`` and ``BallTable.lookup`` confirms every
-key hit by the word problem.  Off-ball queries also go through ``lookup``.
-The ball stores no geodesic links: every letter is an involution, so the
+generators in the fixed order a < b < c < d < x < B < C < D.  By the
+contraction bound |section| <= (|g| + 1) / 2, every level-h section of an
+element of length at most 2^h has at most one letter.  So a ball element is
+fixed by its action on level h and the class of each of its level-h
+sections, and that pair is its key: exact at every radius, so one dict
+probe decides whether a candidate is new, with no word problem.  Off-ball
+queries go through ``BallTable.lookup``, exact for any word.  The ball
+stores no geodesic links: every letter is an involution, so the
 predecessors of an element are the elements of the sphere below that its
 eight right multiples hit, found from its key on demand.  The minimal words
 built from them feed the frequency (F/D) classification and the
@@ -18,8 +18,10 @@ contraction checkers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional
 
 from .omega import (
@@ -37,6 +39,7 @@ from .words import (
     X,
     a_count,
     fixed_count,
+    letter_label,
     reduce,
     render_letters,
     split_reduce,
@@ -47,9 +50,9 @@ from .elements import (
     TABLE_DEPTH_MAX,
     ContextMismatch,
     Element,
+    _first_swap_level,
     decompose,
     equal,
-    exact_radius,
     generator,
     is_identity,
     level_table,
@@ -60,6 +63,16 @@ DEFAULT_BUDGET = 5_000_000
 GEODESIC_CAP = 200_000
 
 GENERATOR_LETTERS = tuple(range(8))
+
+# Deepest key level: a level-6 key is 128 bytes, and with the eight
+# products a move reads it still fits a 256-byte translation table.
+KEY_DEPTH_MAX = 6
+# No class byte reaches this: as a product it marks a section with no
+# class, and as a budget it caps the ids of an inner ball below it.
+NO_CLASS = 255
+
+# Keys read per bulk pass of ``BallTable.portrait_bytes``.
+_PORTRAIT_CHUNK = 256
 
 
 class BudgetExceeded(RuntimeError):
@@ -91,136 +104,228 @@ def export_portrait_depth(radius: int) -> int:
     return min(math.ceil(math.log2(radius + 2)) + 3, TABLE_DEPTH_MAX)
 
 
-# _FLIP[v] is the sibling leaf of leaf v.
-_FLIP = bytes(v ^ 1 for v in range(256))
-
-
 class BallTable:
     """Ball of a given radius as parallel sequences indexed by element id.
 
-    ``entries[i]`` is element i's minimal word, so its length is its sphere.
-    ``keys[i]`` is its half table: the images of the 128 even leaves of
-    level 8, ``level_table(g, 8)[::2]``.  A tree automorphism maps the
-    siblings 2j, 2j + 1 to siblings, so the odd leaf 2j + 1 goes to the
-    image of 2j XOR 1 and the half decides the whole table.
-    ``strata[n]`` is the range of the ids of sphere n.  ``letter_perms[k]``
-    is the level-8 table of letter k.  Element i's full table is rebuilt
-    from its key as the key followed by its siblings (the odd leaves'
-    images), so leaf v sits at index ``v >> 1 | (v & 1) << 7``;
-    ``letter_indices[k]`` is letter k's half table moved to those indices,
-    and translated through i's full table it is the key of i times k.
-    ``drop_sphere`` forgets a sphere's words and keys and leaves ``None``
-    in their slots.
+    ``entries[i]`` is element i's minimal word, so its length is its sphere,
+    and ``strata[n]`` is the range of the ids of sphere n.  ``keys[i]`` is
+    its level table at level ``depth`` = ceil(log2 radius), from 1 to 6,
+    then the class of its section at each of the N = 2^depth vertices
+    there.  Those sections have at most ``reach`` = ceil(radius / N)
+    letters.  With ``reach`` 1 a class is 0 for the identity, 8 for ``a``,
+    and for a spine letter the least letter of its coset modulo the ones
+    trivial at ``class_shift`` = shift + depth.  Else it is the section's
+    id in ``inner``, the ball of radius ``reach`` at ``class_shift`` with at
+    most 255 ids, and the keys cover lengths up to N times its radius.
+    A key times a letter is one ``translate``: the letter's entry of
+    ``letter_indices`` read through the key's ``_layout``, which adds the
+    classes of the products that a spine letter's sections a (or 1) at
+    vertex N - 2 and itself at N - 1 make; its other sections, and all of
+    ``a``'s, are trivial.  A product with no class reads ``NO_CLASS``.
+    ``_by_key`` maps a key to its word, and ``_id_of`` bisects for the id:
+    a sphere's words come in increasing order, parents in order and each
+    parent's letters in order.  ``drop_sphere`` forgets a sphere's words
+    and keys and leaves ``None`` in their slots.
     """
 
     def __init__(self, omega: OmegaSpec, shift: int, radius: int):
         self.omega = omega
         self.shift = shift_normalize(omega, shift)
         self.radius = radius
-        self.exact_radius = exact_radius(omega, self.shift)
         self.complete = True
         self.entries: list[Optional[bytes]] = []
         self.keys: list[Optional[bytes]] = []
         self.strata: list[range] = []
-        self.letter_perms = [
-            level_table(generator(k, omega, self.shift), TABLE_DEPTH_MAX)
-            for k in GENERATOR_LETTERS
-        ]
-        self.letter_indices = [
-            bytes(p >> 1 | (p & 1) << 7 for p in perm[::2]) for perm in self.letter_perms
-        ]
-        # A key's first id; later ids with that key, past exact_radius only.
-        self._by_key: dict[bytes, int] = {}
-        self._shared_keys: dict[bytes, list[int]] = {}
+        self.depth = h = min(max(1, (radius - 1).bit_length()), KEY_DEPTH_MAX)
+        n = 1 << h
+        self.reach = -(-radius // n)
+        self.class_shift = shift_normalize(omega, self.shift + h)
+        self.inner = None if self.reach < 2 else enumerate_ball(
+            omega, self.class_shift, self.reach, NO_CLASS)
+        # times[s][c] is the class of class c times letter s.
+        times = self._class_products()
+        self._letter_class = bytes(times[s][0] for s in GENERATOR_LETTERS)
+        # Slot 2N of a layout holds the class at vertex N - 2 times a, and
+        # slot 2N + s the class at vertex N - 1 times spine letter s.
+        self._heads = [bytes((c,)) for c in times[A]]
+        pad = bytes(256 - 2 * n - 8)
+        rows: dict = {}  # one object per distinct row
+        self._tails = [rows.setdefault(row, row)
+                       for row in (bytes(t[c] for t in times[1:]) + pad for c in range(256))]
+        symbol = symbol_at(omega, self.shift + h)
+        self.letter_indices = []
+        for letter in GENERATOR_LETTERS:
+            perm = level_table(generator(letter, omega, self.shift), h)[:n]
+            index = bytearray(perm + bytes(n + v for v in perm))
+            if letter != A:
+                if letter_label(letter, symbol):
+                    index[2 * n - 2] = 2 * n
+                index[2 * n - 1] = 2 * n + letter
+            self.letter_indices.append(bytes(index))
+        self.root_key = IDENTITY_TABLE[:n] + bytes(n)
+        self._by_key: dict[bytes, bytes] = {}
         self._geodesics: dict[int, tuple] = {}
+        self._portrait_columns: dict[int, list] = {}
+
+    def _class_products(self) -> list[bytearray]:
+        """Set ``_class_words``, a word of each class at ``class_shift``,
+        and return the products of the classes by each letter."""
+        times = [bytearray([NO_CLASS]) * 256 for _ in GENERATOR_LETTERS]
+        inner = self.inner
+        if inner is not None:
+            self._class_words = dict(enumerate(inner.entries))
+            for c, key in enumerate(inner.keys):
+                layout = inner._layout(key)
+                for letter, index in enumerate(inner.letter_indices):
+                    found = inner._by_key.get(index.translate(layout))
+                    if found is not None:
+                        times[letter][c] = inner._id_of(found)
+            return times
+        trivial = [0] + [
+            k for k in SPINE_LETTERS
+            if _first_swap_level(k, self.omega, self.class_shift) is None
+        ]
+        spine = [min(k ^ t for t in trivial) for k in range(8)]
+        self._class_words = {0: b"", 8: bytes((A,))}
+        self._class_words.update((c, bytes((c,))) for c in spine if c)
+        for c in self._class_words:
+            for letter, d in enumerate([8] + spine[1:]):
+                if not c or not d:
+                    times[letter][c] = c | d
+                elif (c == 8) == (d == 8):
+                    times[letter][c] = spine[(c ^ d) & 7]
+        return times
+
+    def _layout(self, key: bytes) -> bytes:
+        return key + self._heads[key[-2]] + self._tails[key[-1]]
+
+    def _id_of(self, word: bytes) -> int:
+        n = len(word)
+        if n < len(self.strata):
+            return bisect_left(self.entries, word, self.strata[n].start, self.strata[n].stop)
+        return bisect_left(self.entries, word, self.strata[-1].stop)
 
     def gamma(self) -> list[int]:
-        out, total = [], 0
-        for stratum in self.strata:
-            total += len(stratum)
-            out.append(total)
-        return out
+        return list(accumulate(map(len, self.strata)))
 
     def element(self, eid: int) -> Element:
         return Element(self.entries[eid], self.omega, self.shift)
 
-    def perm_of(self, word: bytes) -> bytes:
-        """Level-8 table of a word, composed from the letter tables."""
-        perm = IDENTITY_TABLE
-        for letter in word:
-            perm = self.letter_perms[letter].translate(perm)
-        return perm
+    def split_key(self, word: bytes) -> Optional[bytes]:
+        """Key of a reduced word from its sections ``depth`` levels down
+        (``decompose``, which splits by ``split_sections``), or None when a
+        section has no class.  A section of at most one letter maps
+        straight to its class; a longer one, which only a word longer than
+        the keys cover has, is decided by the word problem against the
+        class words, or looked up in ``inner``."""
+        g = Element(word, self.omega, self.shift)
+        sections = [g]
+        for _ in range(self.depth):
+            # An empty section's sections are empty: its shift is not read.
+            sections = [half for e in sections for half in
+                        ((decompose(e).left, decompose(e).right) if e.word else (e, e))]
+        classes = bytearray()
+        for section in sections:
+            if len(section.word) <= 1:
+                c = self._letter_class[section.word[0]] if section.word else 0
+            elif self.inner is not None:
+                c = self.inner.lookup(section)
+            else:
+                c = next((c for c, w in self._class_words.items()
+                          if equal(section, Element(w, self.omega, self.class_shift))), None)
+            if c is None:
+                return None
+            classes.append(c)
+        return level_table(g, self.depth)[: len(sections)] + classes
 
     def lookup(self, element: Element, key: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
 
-        ``key`` is the element's half table, the even bytes of ``perm_of``
-        its word when not given.  While the element's word and every stored
-        word (the last stored is the longest) are at most ``exact_radius``
-        long, a key match is the answer; above that it is only a candidate
-        until the word problem confirms it.
+        The word is keyed by moves, as the ball loop keys its candidates: a
+        ``NO_CLASS`` byte stays through later moves, and a key without one
+        is exact, so only a key with one goes to ``split_key``.  A given
+        ``key``, computed by a move, must be the split key.
         """
         if element.shift != self.shift or (
             element.omega is not self.omega and element.omega != self.omega
         ):
             raise ContextMismatch("element and ball must share sequence and shift")
-        if key is None:
-            key = self.perm_of(element.word)[::2]
-        first = self._by_key.get(key)
-        if first is None:
-            return None
-        exact = self.exact_radius
-        if len(element.word) <= exact and len(self.entries[-1]) <= exact:
-            return first
-        if equal(element, self.element(first)):
-            return first
-        for cand in self._shared_keys.get(key, ()):
-            if equal(element, self.element(cand)):
-                return cand
-        return None
+        word = element.word
+        if key is not None:
+            if key != self.split_key(word):
+                raise RuntimeError(f"move key and split key of {element} differ")
+        else:
+            key = self.root_key
+            for letter in word:
+                key = self.letter_indices[letter].translate(self._layout(key))
+            if NO_CLASS in key:
+                key = self.split_key(word)
+        found = None if key is None else self._by_key.get(key)
+        return None if found is None else self._id_of(found)
 
     def predecessors(self, eid: int) -> list[tuple[int, int]]:
-        """Element eid's geodesic predecessors as sorted (id, letter) pairs.
-
-        Every letter is an involution, so j is a predecessor by the letter s
-        exactly when j is eid times s and lies in the sphere below.  Up to
-        ``exact_radius`` a key hit in that sphere is the answer: if j's key
-        is that of eid times s, then j times s (at most |eid| letters) has
-        eid's key, and both are within the radius where keys decide.  Above
-        it a key hit in that sphere whose stored word is the reduced word of
-        eid times s is the answer, and any other goes to ``lookup``.
-        """
-        words = self.entries
-        word = words[eid]
-        n = len(word)
-        if not n:
-            return []
-        below = self.strata[n - 1]
-        lo, hi = below.start, below.stop
-        half = self.keys[eid]
-        full = half + half.translate(_FLIP)
-        get, shared_keys = self._by_key.get, self._shared_keys
-        exact = n <= self.exact_radius
+        """Element eid's geodesic predecessors as sorted (id, letter) pairs:
+        every letter is an involution, so they are the key hits of eid's
+        eight products in the sphere below."""
+        n = len(self.entries[eid])
+        layout = self._layout(self.keys[eid])
         out = []
-        for letter, letter_index in enumerate(self.letter_indices):
-            key = letter_index.translate(full)
-            found = get(key, -1)
-            if found >= 0 and not exact:
-                hits = [j for j in (found, *shared_keys.get(key, ())) if lo <= j < hi]
-                if not hits:
-                    continue
-                product = reduce(word + bytes((letter,))).word
-                literal = [j for j in hits if words[j] == product]
-                if literal:
-                    found = literal[0]
-                else:
-                    found = self.lookup(Element(product, self.omega, self.shift), key)
-                    if found is None:
-                        continue
-            if lo <= found < hi:
-                out.append((found, letter))
+        for letter, index in enumerate(self.letter_indices):
+            found = self._by_key.get(index.translate(layout))
+            if found is not None and len(found) == n - 1:
+                out.append((self._id_of(found), letter))
         out.sort()
         return out
+
+    def portrait_bytes(self, keys, depth: int):
+        """Yield ``signature(g, depth)`` as minimal big-endian bytes
+        (``b"\\0"`` for 0) for the element g of each key in ``keys``.
+
+        A label above the keys' level h is bit k of the table byte of the
+        depth-k vertex's leftmost descendant; a deeper one is that of the
+        class at its ancestor on level h.  Over a chunk of keys joined into one
+        ``bytes``, one stride slice and one ``translate`` read a label of
+        every key; eight of them, moved to their bits and OR-ed as ints,
+        make a byte column of records (labels in reversed preorder).
+        """
+        if not 0 <= depth <= TABLE_DEPTH_MAX:
+            raise ValueError(f"portraits cover depths 0..{TABLE_DEPTH_MAX}")
+        if depth not in self._portrait_columns:
+            h, below = self.depth, depth - self.depth
+            tables = {
+                c: level_table(Element(word, self.omega, self.class_shift), below)
+                for c, word in self._class_words.items()
+            } if below > 0 else {}
+            preorder = sorted(
+                (u << (TABLE_DEPTH_MAX - 1 - k), k, u) for k in range(depth) for u in range(1 << k)
+            )
+            columns = [[] for _ in range(max(1, (len(preorder) + 7) // 8))]
+            pad = 8 * len(columns) - len(preorder)
+            for q, (_, k, u) in enumerate(reversed(preorder), start=pad):
+                if k < h:
+                    index = u << (h - k)
+                    labels = [v >> (h - 1 - k) & 1 for v in range(256)]
+                else:
+                    index = (1 << h) + (u >> (k - h))
+                    leaf = (u & ((1 << (k - h)) - 1)) << (depth - k)
+                    labels = [tables[c][leaf] >> (depth - 1 - k) & 1 if c in tables else 0
+                              for c in range(256)]
+                columns[q // 8].append((index, bytes(x << (7 - q % 8) for x in labels)))
+            self._portrait_columns[depth] = columns
+        columns = self._portrait_columns[depth]
+        width, stride = len(columns), len(self.root_key)
+        for start in range(0, len(keys), _PORTRAIT_CHUNK):
+            chunk = b"".join(keys[start : start + _PORTRAIT_CHUNK])
+            n = len(chunk) // stride
+            records = bytearray(n * width)
+            for m, reads in enumerate(columns):
+                acc = 0
+                for index, move in reads:
+                    acc |= int.from_bytes(chunk[index::stride].translate(move), "big")
+                records[m::width] = acc.to_bytes(n, "big")
+            records = bytes(records)
+            for i in range(0, n * width, width):
+                yield records[i : i + width].lstrip(b"\0") or b"\0"
 
     def drop_sphere(self, n: int) -> None:
         """Forget sphere n's words and keys; its ids stay, with ``None`` in
@@ -231,97 +336,63 @@ class BallTable:
         its lookups find the kept elements; nothing may read a dropped
         element's word.
         """
-        by_key, shared_keys = self._by_key, self._shared_keys
         stratum = self.strata[n]
-        for eid in stratum:
-            key = self.keys[eid]
-            later = shared_keys.pop(key, None)
-            if later is None:
-                del by_key[key]
-                continue
-            if by_key[key] == eid:
-                by_key[key] = later.pop(0)
-            else:
-                later.remove(eid)
-            if later:
-                shared_keys[key] = later
+        for key in self.keys[stratum.start : stratum.stop]:
+            del self._by_key[key]
         blank = [None] * len(stratum)
         self.entries[stratum.start : stratum.stop] = blank
         self.keys[stratum.start : stratum.stop] = blank
         # A dict keeps its size when entries go; refilled from a copy, it
         # is sized for the kept ones and stays the object the loop holds.
-        kept = dict(by_key)
-        by_key.clear()
-        by_key.update(kept)
-
-    def _drop_from(self, start: int) -> None:
-        """Forget the elements with ids from ``start`` on."""
-        for key in self.keys[start:]:
-            kept = [i for i in self._shared_keys.pop(key, ()) if i < start]
-            if kept:
-                self._shared_keys[key] = kept
-            if self._by_key.get(key, -1) >= start:
-                del self._by_key[key]
-        del self.entries[start:], self.keys[start:]
+        kept = dict(self._by_key)
+        self._by_key.clear()
+        self._by_key.update(kept)
 
 
 def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]:
     """Fill an empty table breadth-first up to its radius, yielding the id
     range of each sphere as soon as it is complete, the root's first.  On
-    budget overrun the unfinished sphere is dropped, ``complete`` is unset,
-    ``radius`` is the last sphere yielded, and the generator ends.
+    budget overrun, or before a sphere that the keys do not cover, the
+    unfinished sphere is dropped, ``complete`` is unset, ``radius`` is the
+    last sphere yielded, and the generator ends.
 
-    A candidate g*s gets its key by composing level tables: s's entry of
-    ``letter_indices`` translated through g's full table.  Neither
-    multiplication nor ``decompose`` runs for it.  Up to ``exact_radius``
-    the loop probes the key index itself and builds the candidate's word
-    (g's word and the letter s) only on a miss.  The generators and every
-    candidate above ``exact_radius`` are ``Element`` objects that go
-    through ``BallTable.lookup``, which confirms a key hit above that
-    radius by the word problem.
+    A candidate g*s gets its key by one ``translate`` and probes the key
+    index: keys are exact, so a miss is a new element with g's word and s.
+    A miss whose key holds ``NO_CLASS`` breaks the contraction bound and is
+    an error.  The generators go through ``BallTable.lookup``.
 
-    A candidate built from sphere n lands in sphere n - 1, n or n + 1.  It
-    lands in sphere n - 1 exactly when it is a geodesic predecessor of its
-    element, and building sphere n met each of those as a key hit in
-    sphere n: the loop keeps a byte per element of the last two spheres,
-    with bit s set when it met the element as a product by s that way, and
-    skips those candidates.  So building sphere n + 1 reads only spheres n
-    and n + 1, and a caller may ``drop_sphere(n - 1)`` once sphere n is
-    yielded.
+    A candidate built from sphere n lands in sphere n - 1 exactly when it
+    is a geodesic predecessor of its element, met building sphere n as a
+    key hit there: the loop keeps those hits of the last two spheres, bit s
+    for a product by s, and skips them.  So building sphere n + 1 reads
+    only spheres n and n + 1, and a caller may ``drop_sphere(n - 1)`` once
+    sphere n is yielded.
     """
     omega, shift = table.omega, table.shift
-    words, keys = table.entries, table.keys
-    by_key, shared_keys = table._by_key, table._shared_keys
+    words, keys, by_key = table.entries, table.keys, table._by_key
+    heads, tails = table._heads, table._tails
     # (letter, its one-byte word, its entry of letter_indices) per choice.
-    moves = [
-        (letter, bytes((letter,)), letter_index)
-        for letter, letter_index in zip(GENERATOR_LETTERS, table.letter_indices)
-    ]
-    spine_moves = [moves[letter] for letter in SPINE_LETTERS]
-    a_moves = [moves[A]]
-    root = IDENTITY_TABLE[::2]
+    moves = [(letter, bytes((letter,)), index) for letter, index in enumerate(table.letter_indices)]
+    spine_moves, a_moves = moves[1:], moves[:1]
+    covered = table.radius if table.inner is None else table.inner.radius << table.depth
     words.append(b"")
-    keys.append(root)
-    by_key[root] = 0
+    keys.append(table.root_key)
+    by_key[table.root_key] = b""
     table.strata.append(range(1))
     yield table.strata[0]
-    # down[i] has bit s set when the i-th element of the sphere being built
-    # times s is a key hit in the sphere below it.
-    down = bytearray(1)
+    # down[w]: the hits by letter of the element of the last sphere with word w.
+    down: dict[bytes, int] = {}
     for level in range(table.radius):
+        if level == covered:
+            table.complete = False
+            table.radius = level
+            return
         start = len(words)  # the first id of sphere level + 1
-        first = table.strata[level].start
-        known_down, down = down, bytearray()
-        # A candidate and the longest stored word have level + 1 letters:
-        # within exact_radius the key alone decides, as in ``lookup``.  The
-        # generators (the root's candidates) always go through ``lookup``,
-        # so every ball calls it, eight times when its radius is exact:
-        # perfbench's tracer test expects a ball to call it.
-        exact = 0 < level < table.exact_radius
+        known_down, down = down, {}
         for eid in table.strata[level]:
             word = words[eid]
-            half = keys[eid]
-            full = half + half.translate(_FLIP)
+            key = keys[eid]
+            layout = key + heads[key[-2]] + tails[key[-1]]
             # Only a letter alternating with the last one lengthens the
             # word (so appending it is the reduced product); any other
             # product lands in an already-complete stratum.
@@ -331,27 +402,33 @@ def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]
                 choices = spine_moves
             else:
                 choices = a_moves
-            skip = known_down[eid - first]
+            skip = known_down.get(word)
             if skip:
                 choices = [move for move in choices if not skip >> move[0] & 1]
             for letter, letter_word, letter_index in choices:
-                key = letter_index.translate(full)
-                if exact:
+                key = letter_index.translate(layout)
+                if level:
                     found = by_key.get(key)
                 else:
-                    found = table.lookup(Element(word + letter_word, omega, shift), key)
+                    found = table.lookup(Element(letter_word, omega, shift), key)
+                    found = None if found is None else words[found]
                 if found is not None:
-                    if found >= start:
-                        down[found - start] |= 1 << letter
+                    if len(found) > level:
+                        down[found] = down.get(found, 0) | 1 << letter
                     continue
+                if NO_CLASS in key:
+                    raise RuntimeError(
+                        f"a section of {render_letters(word + letter_word)} has no"
+                        " class: the contraction bound failed"
+                    )
                 nid = len(words)
                 words.append(word + letter_word)
                 keys.append(key)
-                down.append(0)
-                if by_key.setdefault(key, nid) != nid:
-                    shared_keys.setdefault(key, []).append(nid)
+                by_key[key] = words[-1]
                 if nid >= budget:
-                    table._drop_from(start)
+                    for dropped in keys[start:]:
+                        del by_key[dropped]
+                    del words[start:], keys[start:]
                     table.complete = False
                     table.radius = level
                     return
@@ -359,12 +436,8 @@ def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]
         yield table.strata[-1]
 
 
-def enumerate_ball(
-    omega: OmegaSpec,
-    shift: int = 0,
-    radius: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> BallTable:
+def enumerate_ball(omega: OmegaSpec, shift: int = 0, radius: int = 0,
+                   budget: int = DEFAULT_BUDGET) -> BallTable:
     """Breadth-first ball, every sphere kept; on budget overrun returns the
     completed strata with ``complete`` unset rather than a partial stratum.
     ``grow_ball`` builds it."""
@@ -643,22 +716,27 @@ def stabilizes_level(g: Element, s: int) -> bool:
 
 
 def _level_stabilizers(table: BallTable, s: int) -> list[int]:
-    """Ids of the ball elements that fix every vertex of level s.
-
-    Down to level 8 the stored keys answer: an element fixes level s
-    exactly when its level-8 table keeps the top s bits of every byte.  An
-    odd leaf and its image are the even ones XOR 1, so they keep those bits
-    exactly when the even ones do, and the half table answers.
-    """
-    if s > TABLE_DEPTH_MAX:
-        return [
-            eid for eid in range(len(table.entries))
-            if stabilizes_level(table.element(eid), s)
-        ]
-    mask = 0xFF << (TABLE_DEPTH_MAX - s) & 0xFF
-    top = bytes(v & mask for v in range(256))
-    fixed = IDENTITY_TABLE[::2].translate(top)
-    return [eid for eid, key in enumerate(table.keys) if key.translate(top) == fixed]
+    """Ids of the ball elements that fix every vertex of level s: their
+    level table keeps the top min(s, h) bits of every byte, for the keys'
+    level h, and below h the classes of their sections fix level s - h."""
+    h = table.depth
+    n = 1 << h
+    top = bytes(v >> (h - min(s, h)) for v in range(256))
+    fixed = IDENTITY_TABLE[:n].translate(top)
+    if s <= h:
+        fixing = IDENTITY_TABLE
+    elif table.inner is not None:
+        fixing = bytes(_level_stabilizers(table.inner, s - h))
+    else:
+        # A spine letter fixes the levels down to its first swap (or all).
+        fixing = bytes(
+            c for c in table._class_words
+            if c != 8 and (_first_swap_level(c, table.omega, table.class_shift) or s) >= s - h
+        )
+    return [
+        eid for eid, key in enumerate(table.keys)
+        if key[:n].translate(top) == fixed and not key[n:].translate(None, fixing)
+    ]
 
 
 def level_section_trace(g: Element, s: int) -> tuple:

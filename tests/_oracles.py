@@ -5,7 +5,9 @@ vertex actions, randomized rewriting, exhaustive enumeration) and shares
 no code path with the implementations under test, except the loops at the
 end: ``ball_links`` reads the links a table derives, and the rest are the
 loops that a fast path replaced (the link-storing ball loop, the whole-ball
-export and the checkers), kept as they were to compare outputs with.
+export and the checkers), kept to compare outputs with.  Those read the
+ball only through public functions: ``level_table``, ``equal`` and
+``decompose``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,20 @@ from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from hashlib import sha256
+from types import SimpleNamespace
 from typing import Optional
 
 from overgrowth import cli, growth
-from overgrowth.elements import _PORTRAIT_CHUNK, IDENTITY_TABLE, Element, portrait_bytes
-from overgrowth.omega import OmegaSpec, parse_omega, symbol_at
-from overgrowth.words import SPINE_LETTERS, render_words, split_sections
+from overgrowth.elements import (
+    IDENTITY_TABLE,
+    Element,
+    decompose,
+    equal,
+    generator,
+    level_table,
+)
+from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize, symbol_at
+from overgrowth.words import render_words, split_sections
 
 A = 0
 
@@ -243,67 +253,70 @@ def ball_links(table) -> list[list[tuple[int, int]]]:
 
 
 def ball_with_stored_links(omega, shift=0, radius=0, budget=growth.DEFAULT_BUDGET):
-    """The ball loop as it was when it stored every geodesic link: returns
-    the table and each element's predecessors as (id, letter) pairs, in the
-    order the loop found them."""
-    table = growth.BallTable(omega, shift, radius)
-    shift = table.shift
-    words, keys = table.entries, table.keys
-    by_key, shared_keys = table._by_key, table._shared_keys
-    links: list[list[tuple[int, int]]] = [[]]
-    moves = [
-        (letter, bytes((letter,)), bytes(p >> 1 | (p & 1) << 7 for p in perm[::2]))
-        for letter, perm in zip(growth.GENERATOR_LETTERS, table.letter_perms)
-    ]
-    spine_moves = [moves[letter] for letter in SPINE_LETTERS]
-    a_moves = [moves[A]]
-    root = IDENTITY_TABLE[::2]
-    words.append(b"")
-    keys.append(root)
-    by_key[root] = 0
-    table.strata.append(range(1))
+    """The ball loop storing every geodesic link, deduplicated on its own:
+    a candidate's level-8 table, composed from the letters' tables, picks
+    the earlier elements it may equal, and ``equal`` decides.  Returns the
+    ball (``entries``, ``strata``, ``radius`` and ``complete``, stopped on
+    the budget as ``enumerate_ball`` stops) and each element's predecessors
+    as (id, letter) pairs, in the order the loop found them."""
+    shift = shift_normalize(omega, shift)
+    letter_tables = [level_table(generator(k, omega, shift), 8) for k in range(8)]
+    ball = SimpleNamespace(entries=[b""], strata=[range(1)], radius=radius, complete=True)
+    words, tables, links = ball.entries, [IDENTITY_TABLE], [[]]
+    buckets = {IDENTITY_TABLE: [0]}
     for level in range(radius):
         start = len(words)
-        exact = 0 < level < table.exact_radius
-        for eid in table.strata[level]:
+        for eid in ball.strata[level]:
             word = words[eid]
-            half = keys[eid]
-            full = half + half.translate(growth._FLIP)
-            if level == 0:
-                choices = moves
-            elif word[-1] == A:
-                choices = spine_moves
-            else:
-                choices = a_moves
-            for letter, letter_word, letter_index in choices:
-                key = letter_index.translate(full)
-                if exact:
-                    found = by_key.get(key)
-                else:
-                    found = table.lookup(Element(word + letter_word, omega, shift), key)
-                if found is not None:
-                    if found >= start:
-                        links[found].append((eid, letter))
+            for letter in range(8):
+                # Any other letter shortens the word or keeps its length.
+                if level and (word[-1] == A) == (letter == A):
                     continue
-                nid = len(words)
-                words.append(word + letter_word)
-                keys.append(key)
-                links.append([(eid, letter)])
-                if by_key.setdefault(key, nid) != nid:
-                    shared_keys.setdefault(key, []).append(nid)
-                if nid >= budget:
-                    table._drop_from(start)
-                    del links[start:]
-                    table.complete = False
-                    table.radius = level
-                    return table, links
-        table.strata.append(range(start, len(words)))
-    return table, links
+                cand = Element(word + bytes((letter,)), omega, shift)
+                table = letter_tables[letter].translate(tables[eid])
+                bucket = buckets.setdefault(table, [])
+                found = next(
+                    (i for i in bucket if equal(cand, Element(words[i], omega, shift))),
+                    None,
+                )
+                if found is None:
+                    found = len(words)
+                    if found >= budget:
+                        del words[start:], links[start:]
+                        ball.complete = False
+                        ball.radius = level
+                        return ball, links
+                    words.append(cand.word)
+                    tables.append(table)
+                    links.append([])
+                    bucket.append(found)
+                if found >= start:
+                    links[found].append((eid, letter))
+        ball.strata.append(range(start, len(words)))
+    return ball, links
+
+
+def memo_signature(g: Element, depth: int, memo: dict) -> int:
+    """``signature(g, depth)``, memoized over the sections it meets."""
+    key = (g.shift, g.word, depth)
+    if key not in memo:
+        if depth == 0 or not g.word:
+            memo[key] = 0
+        else:
+            d = decompose(g)
+            half = (1 << (depth - 1)) - 1
+            memo[key] = (
+                int(d.top_swap)
+                | memo_signature(d.left, depth - 1, memo) << 1
+                | memo_signature(d.right, depth - 1, memo) << (1 + half)
+            )
+    return memo[key]
 
 
 def growth_whole_ball(args) -> int:
     """``cli.cmd_growth`` as it was when it built the whole ball and then
-    exported it, for the parsed arguments ``args``."""
+    exported it, for the parsed arguments ``args``, with each portrait
+    hashed from its sections' signatures."""
     cfg = cli._config(args)
     with ExitStack() as files:
         export = (
@@ -322,22 +335,17 @@ def growth_whole_ball(args) -> int:
         header["radius"] = table.radius
         header["complete"] = table.complete
         if export:
-            portraits = portrait_bytes(
-                table.keys, growth.export_portrait_depth(args.radius)
-            )
-            for start in range(0, len(table.entries), _PORTRAIT_CHUNK):
-                chunk = table.entries[start : start + _PORTRAIT_CHUNK]
-                export.writelines(
-                    f'{{"id": {eid}, "length": {len(word)}, '
-                    f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
-                    f'"word": "{text}"}}\n'
-                    for eid, word, text, sig in zip(
-                        range(start, start + len(chunk)),
-                        chunk,
-                        render_words(chunk),
-                        portraits,
-                    )
+            depth = growth.export_portrait_depth(args.radius)
+            memo: dict = {}
+            export.writelines(
+                f'{{"id": {eid}, "length": {len(word)}, '
+                f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
+                f'"word": "{text}"}}\n'
+                for eid, word, text in zip(
+                    range(len(table.entries)), table.entries, render_words(table.entries)
                 )
+                for sig in [signature_bytes(memo_signature(table.element(eid), depth, memo))]
+            )
         if args.format == "json":
             out.write(cli._json_text({"header": header, "rows": rows}))
         else:

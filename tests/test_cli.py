@@ -270,6 +270,27 @@ def test_verify_all_enumerates_the_ball_suites_ball_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("growth", "--omega", "(012)", "--radius", "4", "--curve-epsilon", "1/0"),
+        ("growth", "--omega", "(012)", "--radius", "4", "--curve-epsilon", "1e400"),
+        ("verify", "--suite", "all", "--epsilon", "1/0"),
+        ("verify", "--suite", "lemma8", "--epsilon", "1e400"),
+        ("verify", "--suite", "lemma9", "--delta", "1/0"),
+        ("verify", "--suite", "lemma9", "--delta", "1e400"),
+        ("verify", "--suite", "lemma11", "--epsilon", "one"),
+    ],
+)
+def test_bad_fraction_options_exit_2(capsys, argv):
+    # A zero denominator or a value past float range is bad input, not a
+    # found violation (exit 1) or a traceback.
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("growth", "--omega", "(012)", "--radius", "2", "--output", "x.csv"),
         ("growth", "--omega", "(012)", "--radius", "2", "--export-ball", "x.jsonl"),
         ("verify", "--suite", "eq1", "--output", "x.json"),
@@ -289,9 +310,9 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
     [
         (("--omega", "(012)", "--radius", "0"), 0),
         (("--omega", "(012)", "--radius", "10"), 0),
-        # Distinct elements share keys: dropping a sphere passes a key on.
+        # Distinct elements shared the old level-8 keys here.
         (("--omega", "(000001)", "--shift", "4", "--radius", "10"), 0),
-        # exact_radius is 8: spheres 9 to 11 confirm key hits by equal.
+        # The old level-8 key was exact to radius 8 here.
         (("--omega", "(0012)", "--radius", "11"), 0),
         # The budget stops inside sphere 9 (ids 3804..7755).
         (("--omega", "(012)", "--radius", "10", "--budget", "5000"), 3),

@@ -1,36 +1,37 @@
-"""The exact level-8 ball key.
+"""The exact ball key: a level-h table and the class of each level-h section.
 
-``tail`` and ``exact_radius`` are checked against a brute-force search
-over letterwise vertex actions, the contraction lemma behind them on whole
-balls, and balls whose lookups cross ``exact_radius`` against a ball
-deduplicated by the word problem alone.  The ball loop probes the key index
-itself up to ``exact_radius`` and goes through ``lookup`` only above it.
+Classes are checked against a brute-force search over letterwise vertex
+actions, keys against the word problem on every short reduced word, and
+whole balls against a ball deduplicated by the word problem alone.  The
+ball loop probes the key index itself at every radius and calls neither
+``equal`` nor ``lookup`` but for the eight generators.
 """
 
+import itertools
 import json
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import overgrowth.growth as growth
 from overgrowth.cli import main
 from overgrowth.elements import (
-    _PORTRAIT_CHUNK,
-    TABLE_DEPTH_MAX,
     ContextMismatch,
     Element,
     decompose,
     equal,
-    exact_radius,
     generator,
+    is_identity,
     level_table,
-    portrait_bytes,
     signature,
-    tail,
 )
-from overgrowth.growth import enumerate_ball
+from overgrowth.growth import NO_CLASS, BallTable, enumerate_ball, grow_ball
 from overgrowth.omega import parse_omega, shift_normalize
-from overgrowth.words import A, LETTER_NAMES, reduce
+from overgrowth.words import A, LETTER_NAMES, SPINE_LETTERS, reduce
 
 from _oracles import (
     act_word,
@@ -41,67 +42,166 @@ from _oracles import (
 )
 
 ONE_LETTER_WORDS = [b""] + [bytes((k,)) for k in range(8)]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def separating_level(omega, shift):
-    """Least level whose vertex actions, letter by letter, tell apart every
-    two elements of length at most one that ``equal`` calls distinct."""
-    elements = [Element(w, omega, shift) for w in ONE_LETTER_WORDS]
-    distinct = [
-        (i, j)
-        for i in range(len(elements))
-        for j in range(i)
-        if not equal(elements[i], elements[j])
-    ]
-    for level in range(1, 13):
-        vertices = [format(v, f"0{level}b") for v in range(1 << level)]
-        tables = [
-            tuple(act_word(w, omega, shift, v) for v in vertices) for w in ONE_LETTER_WORDS
-        ]
-        if all(tables[i] != tables[j] for i, j in distinct):
-            return level
-    raise AssertionError("no level up to 12 separates the one-letter elements")
+def move_key(table, word):
+    """Key of a word composed move by move from the root's, as the ball
+    loop keys its candidates."""
+    key = table.root_key
+    for letter in word:
+        key = table.letter_indices[letter].translate(table._layout(key))
+    return key
 
 
-def halvings(n):
-    """Number of halvings n -> ceil(n / 2) that bring n down to 1."""
-    h = 0
-    while n > 1:
-        n, h = (n + 1) // 2, h + 1
-    return h
+def reduced_words(max_length):
+    """Every reduced word of at most ``max_length`` letters: ``a``
+    alternating with the spine letters."""
+    words = [b""]
+    for n in range(1, max_length + 1):
+        for first_a in (True, False):
+            kinds = [(first_a + i) % 2 for i in range(n)]
+            choices = [(A,) if kind else SPINE_LETTERS for kind in kinds]
+            words += [bytes(w) for w in itertools.product(*choices)]
+    return words
 
 
-def test_tail_and_exact_radius_match_brute_force():
-    radii = {}
-    for text in ("(012)", "(0012)", "01(2)", "(0)", "2(01)"):
+def action(word, omega, shift, level):
+    """Images of every vertex of a level under a word, letter by letter."""
+    return tuple(
+        act_word(word, omega, shift, format(i, f"0{level}b")) for i in range(1 << level)
+    )
+
+
+@pytest.mark.parametrize("text", ["(012)", "(0012)", "01(2)", "(0)", "2(01)", "(00000001)"])
+def test_one_letter_classes_match_brute_force(text):
+    # Two one-letter words share a class exactly when they act alike on a
+    # level deep enough to show every symbol (a spine letter that first
+    # swaps at level j moves level j + 1), and a class names a word of its
+    # own: 0 the identity, 8 the letter a.  Over (00000001) the letter C
+    # first swaps at level 8, past the old level-8 key.
+    omega = parse_omega(text)
+    level = omega.cycle_length + 1
+    for shift in range(omega.cycle_length):
+        table = BallTable(omega, shift, 5)
+        classes = [0] + list(table._letter_class)
+        actions = [action(w, omega, table.class_shift, level) for w in ONE_LETTER_WORDS]
+        for i, j in itertools.combinations(range(len(ONE_LETTER_WORDS)), 2):
+            assert (classes[i] == classes[j]) == (actions[i] == actions[j]), (text, shift, i, j)
+        assert classes[1] == 8 and table._class_words[8] == b"\0"
+        for c, word in table._class_words.items():
+            assert classes[ONE_LETTER_WORDS.index(word)] == c
+
+
+@pytest.mark.parametrize(
+    "text, shift", [("(012)", 0), ("(000001)", 4), ("(0102011)", 3)]
+)
+def test_keys_partition_short_words_as_equal_does(text, shift):
+    # Every reduced word of length at most 6 is within the keys of a ball
+    # of radius 6.  Words are bucketed by their level-6 tables first, as
+    # equal_only_ball does: equal elements act alike on every level.
+    omega = parse_omega(text)
+    table = BallTable(omega, shift, 6)
+    words = reduced_words(6)
+    by_key, by_equal = {}, []
+    buckets = {}
+    for word in words:
+        key = table.split_key(word)
+        assert key == move_key(table, word) and NO_CLASS not in key
+        by_key.setdefault(key, []).append(word)
+        g = Element(word, omega, table.shift)
+        bucket = buckets.setdefault(level_table(g, 6), [])
+        for group in bucket:
+            if equal(g, Element(group[0], omega, table.shift)):
+                group.append(word)
+                break
+        else:
+            bucket.append([word])
+            by_equal.append(bucket[-1])
+    assert sorted(by_key.values()) == sorted(by_equal)
+    assert len(by_equal) < len(words)
+
+
+@pytest.mark.parametrize(
+    "text, radius", [("(012)", 10), ("(0012)", 11), ("0(1)", 70)]
+)
+def test_stored_keys_are_the_split_keys_of_each_word(text, radius):
+    table = enumerate_ball(parse_omega(text), 0, radius)
+    assert (table.inner is not None) == (radius > 64)
+    n = 1 << table.depth
+    for eid, (word, key) in enumerate(zip(table.entries, table.keys)):
+        assert table.split_key(word) == key
+        assert key[:n] == level_table(table.element(eid), table.depth)[:n]
+
+
+def long_relator(ball, n):
+    """A trivial reduced word W1 W2^-1 from two minimal words of one
+    element of sphere n, W1 ending with a spine letter and W2 with ``a``."""
+    for eid in ball.strata[n]:
+        preds = ball.predecessors(eid)
+        spine = [(j, s) for j, s in preds if s != A]
+        by_a = [(j, s) for j, s in preds if s == A]
+        if spine and by_a:
+            (j1, s1), (j2, _) = spine[0], by_a[0]
+            return ball.entries[j1] + bytes((s1,)) + (ball.entries[j2] + b"\0")[::-1]
+    raise AssertionError(f"no element of sphere {n} ends both ways")
+
+
+def test_long_non_geodesic_words_are_found():
+    # A trivial word whose first half is a geodesic longer than the keys
+    # cover, appended to a word of the ball, makes the moves cross a
+    # section with no class, so lookup splits the word; over 0(1) at
+    # radius 70 its long level-6 sections go to the inner ball.  Words of
+    # the spheres past the ball are not found.
+    for text, radius, far in (("(012)", 4, 10), ("0(1)", 70, 140)):
         omega = parse_omega(text)
-        shifts = range(omega.cycle_length)
-        tails = {s: separating_level(omega, s) for s in shifts}
-        for s in shifts:
-            assert tail(omega, s) == tails[s], (text, s)
-            want = max(
-                (
-                    1 << h
-                    for h in range(TABLE_DEPTH_MAX + 1)
-                    if h + tails[shift_normalize(omega, s + h)] <= TABLE_DEPTH_MAX
-                ),
-                default=0,
-            )
-            assert exact_radius(omega, s) == want, (text, s)
-        radii[text] = [exact_radius(omega, s) for s in shifts]
-    assert radii["(012)"] == [16, 16, 16]
-    assert radii["01(2)"] == [64, 64, 64]
-    assert radii["(0)"] == [64]
-    assert radii["(0012)"] == [8, 16, 16, 8]
-    assert exact_radius(parse_omega("(01)"), 0) == 32
+        table = enumerate_ball(omega, 0, radius)
+        whole = enumerate_ball(omega, 0, far)
+        rel = long_relator(whole, far)
+        assert reduce(rel).word == rel and is_identity(Element(rel, omega, 0))
+        ids = range(0, len(whole.entries), 97)
+        split = found = 0
+        for eid in ids:
+            word = whole.entries[eid]
+            long = reduce(word + rel).word
+            if len(long) < len(word) + len(rel):
+                continue
+            split += NO_CLASS in move_key(table, long)
+            if eid < len(table.entries):
+                found += 1
+                assert table.split_key(long) == table.keys[eid]
+                assert table.lookup(Element(long, omega, 0)) == eid
+            else:
+                assert table.lookup(Element(long, omega, 0)) is None
+        assert split and found, text
 
 
-def test_exact_radius_is_zero_when_no_level_fits():
-    # Over (00000001) the letter C first swaps at level 8, so telling it
-    # from the identity takes level 9.
-    omega = parse_omega("(00000001)")
-    assert tail(omega, 0) == 9
-    assert exact_radius(omega, 0) == 0
+def test_a_product_with_no_class_raises_even_under_optimize():
+    # After sphere 1, every a-product at vertex N - 2 is made to have no
+    # class: a spine candidate that reads it misses, and the loop stops
+    # with an error, not an assert, so python -O keeps it.
+    script = textwrap.dedent(
+        """
+        from overgrowth.growth import NO_CLASS, BallTable, grow_ball
+        from overgrowth.omega import parse_omega
+        table = BallTable(parse_omega("(012)"), 0, 4)
+        spheres = grow_ball(table)
+        next(spheres), next(spheres), next(spheres)
+        table._heads[:] = [bytes((NO_CLASS,))] * 256
+        try:
+            list(spheres)
+        except RuntimeError as exc:
+            print("raised:", exc)
+        """
+    )
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True, text=True, timeout=60, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: a section of ")
+        assert "contraction bound failed" in proc.stdout
 
 
 def level_sections(g, h):
@@ -120,23 +220,25 @@ def level_sections(g, h):
 
 
 def test_level_h_sections_have_at_most_one_letter():
-    assert (halvings(8), halvings(12), halvings(16), halvings(17)) == (3, 4, 4, 5)
-    for text, radius in (("(012)", 8), ("01(2)", 12)):
+    for text, radius, h in (("(012)", 8, 3), ("01(2)", 12, 4)):
         table = enumerate_ball(parse_omega(text), 0, radius)
-        h = halvings(radius)
+        assert table.depth == h and table.reach == 1
         for eid in range(len(table.entries)):
             assert all(len(s.word) <= 1 for s in level_sections(table.element(eid), h))
 
 
 def equal_only_ball(omega, shift, radius):
     """Breadth-first ball whose merges are decided by ``equal`` alone; the
-    level-6 table only narrows the elements it is asked about, since equal
-    elements act alike on every level.  Returns (words, links, gamma)."""
+    level-6 table, composed from the letters' tables, only narrows the
+    elements it is asked about, since equal elements act alike on every
+    level.  Returns (words, links, gamma)."""
     shift = shift_normalize(omega, shift)
+    letter_tables = [level_table(generator(k, omega, shift), 6) for k in range(8)]
     elements = [Element.identity(omega, shift)]
+    tables = [level_table(elements[0], 6)]
     links = [[]]
     strata = [[0]]
-    buckets = {level_table(elements[0], 6): [0]}
+    buckets = {tables[0]: [0]}
     for level in range(radius):
         frontier = []
         for eid in strata[level]:
@@ -144,11 +246,13 @@ def equal_only_ball(omega, shift, radius):
                 cand = Element(reduce(elements[eid].word + bytes((letter,))).word, omega, shift)
                 if len(cand.word) <= level:
                     continue
-                bucket = buckets.setdefault(level_table(cand, 6), [])
+                table = letter_tables[letter].translate(tables[eid])
+                bucket = buckets.setdefault(table, [])
                 found = next((i for i in bucket if equal(cand, elements[i])), None)
                 if found is None:
                     found = len(elements)
                     elements.append(cand)
+                    tables.append(table)
                     links.append([])
                     bucket.append(found)
                     frontier.append(found)
@@ -163,40 +267,41 @@ def equal_only_ball(omega, shift, radius):
 
 
 def test_balls_crossing_exact_radius_match_equal_only_dedup(monkeypatch):
-    confirmed = []
+    asked = []
     real_equal = growth.equal
 
     def counting_equal(g, h):
-        confirmed.append(len(g.word))
+        asked.append(len(g.word))
         return real_equal(g, h)
 
     monkeypatch.setattr(growth, "equal", counting_equal)
-    # Over (000001) at shift 4, distinct elements share level-8 tables from
-    # radius 8 on, and only the word problem tells them apart.  (0012) is
-    # exact to 8 at shifts 0 and 3, so strata 9 and 10 confirm every key
-    # hit by the word problem; (012) asked for radius 18 (above its exact
-    # radius 16) stops at radius 7 under the budget.
-    for text, shift, radius, budget, reached, exact in (
-        ("(000001)", 4, 10, 20_000, 10, 2),
-        ("(0012)", 0, 10, 20_000, 10, 8),
-        ("(0012)", 3, 10, 20_000, 10, 8),
-        ("(012)", 0, 18, 3_000, 7, 16),
+    # The old level-8 key was exact only to radius 2 over (000001) at
+    # shift 4, 8 over (0012) at shifts 0 and 3, 1 over (0102011) at shift
+    # 3 and 16 over (012); (012) asked for radius 18 stops at radius 7
+    # under the budget.  (0) at radius 200 and 0(1) at radius 65 key their
+    # level-6 sections by ids in an inner ball.
+    for text, shift, radius, budget, reached in (
+        ("(000001)", 4, 10, 20_000, 10),
+        ("(0012)", 0, 10, 20_000, 10),
+        ("(0012)", 3, 10, 20_000, 10),
+        ("(0102011)", 3, 8, 20_000, 8),
+        ("(012)", 0, 18, 3_000, 7),
+        ("(0)", 0, 200, 20_000, 200),
+        ("0(1)", 0, 65, 20_000, 65),
     ):
         omega = parse_omega(text)
-        confirmed.clear()
         table = enumerate_ball(omega, shift, radius, budget)
-        assert (table.radius, table.exact_radius) == (reached, exact)
+        assert table.radius == reached
+        assert (table.inner is not None) == (radius > 64)
+        # Neither building the ball nor deriving its links asks equal.
+        links = ball_links(table)
+        assert asked == [], text
         monkeypatch.setattr(growth, "equal", real_equal)
-        words, links, gamma = equal_only_ball(omega, shift, table.radius)
+        words, want_links, gamma = equal_only_ball(omega, shift, table.radius)
         monkeypatch.setattr(growth, "equal", counting_equal)
         assert table.gamma() == gamma
         assert table.entries == words
-        # Every stratum above the exact radius, and none below, asked equal.
-        assert set(confirmed) == set(range(exact + 1, table.radius + 1)), text
-        # Deriving the links past the exact radius asks equal too.
-        assert ball_links(table) == links
-        if text == "(000001)":
-            assert len(set(table.keys)) < len(table.entries)
+        assert links == want_links
 
 
 @pytest.mark.parametrize(
@@ -204,15 +309,17 @@ def test_balls_crossing_exact_radius_match_equal_only_dedup(monkeypatch):
     [("(000001)", 4, 10, 350), ("(000001)", 4, 10, 550), ("(0102011)", 3, 9, 6000)],
 )
 def test_budget_stop_among_shared_keys(text, shift, radius, budget):
-    # Over (000001) at shift 4, strata 9 and 10 (ids 271..642) hold ids whose
-    # key an earlier id already has; the first two budgets stop inside each.
-    # Over (0102011) at shift 3, ids 406, 836 and 5706 share a key: the stop
-    # inside stratum 9 (ids 3804..7755) keeps 836 and drops 5706.
+    # These balls once had distinct elements sharing a level-8 key: over
+    # (000001) at shift 4 in strata 9 and 10 (ids 271..642), where the
+    # first two budgets stop, and over (0102011) at shift 3 ids 406, 836
+    # and 5706, where the stop inside stratum 9 (ids 3804..7755) keeps 836
+    # and drops 5706.  Now every element has a key of its own.
     omega = parse_omega(text)
     whole = enumerate_ball(omega, shift, radius)
     table = enumerate_ball(omega, shift, radius, budget)
     kept = len(table.entries)
     assert not table.complete
+    assert len(set(whole.keys)) == len(whole.keys)
     words, links, gamma = equal_only_ball(omega, shift, table.radius)
     assert table.gamma() == gamma
     assert table.entries == words
@@ -221,15 +328,7 @@ def test_budget_stop_among_shared_keys(text, shift, radius, budget):
         assert table.lookup(whole.element(eid)) is None
         assert table.lookup(whole.element(eid), whole.keys[eid]) is None
     # The stop keeps exactly the kept ids of the whole ball's key index.
-    assert any(i >= kept for ids in whole._shared_keys.values() for i in ids)
-    assert table._by_key == {k: i for k, i in whole._by_key.items() if i < kept}
-    shared = {
-        k: [i for i in ids if i < kept] for k, ids in whole._shared_keys.items()
-    }
-    assert table._shared_keys == {k: ids for k, ids in shared.items() if ids}
-    assert table._shared_keys and all(
-        i < kept for ids in table._shared_keys.values() for i in ids
-    )
+    assert table._by_key == dict(zip(whole.keys[:kept], whole.entries[:kept]))
     # Every derived link of a kept id points to a kept id.
     assert all(j < kept for preds in ball_links(table) for j, _ in preds)
 
@@ -241,10 +340,8 @@ def test_budget_stop_among_shared_keys(text, shift, radius, budget):
         ("(012)", 0, 12, 40_000),
         ("(01)", 0, 16, None),
         ("(01)", 0, 16, 6_000),
-        # exact_radius is 8: spheres 9 to 11 derive links through lookup.
         ("(0012)", 0, 11, None),
         ("(0012)", 0, 11, 20_000),
-        # Distinct elements share keys from radius 8 on.
         ("(000001)", 4, 10, None),
         ("(000001)", 4, 10, 550),
     ],
@@ -256,25 +353,17 @@ def test_derived_links_match_the_loop_that_stored_them(text, shift, radius, budg
     table = enumerate_ball(parse_omega(text), shift, radius, budget)
     assert (table.radius, table.complete) == (stored.radius, stored.complete)
     assert table.complete == (budget == growth.DEFAULT_BUDGET)
-    assert table.entries == stored.entries and table.keys == stored.keys
+    assert table.entries == stored.entries
     assert table.strata == stored.strata
-    assert table._by_key == stored._by_key
-    assert table._shared_keys == stored._shared_keys
+    assert table._by_key == dict(zip(table.keys, table.entries))
     # The loop found each element's links in (pred, letter) order.
     assert links == [sorted(found) for found in links]
     assert ball_links(table) == links
 
 
 def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
-    # Letters taking each element of spheres 8 and 9 of (0012) to the
-    # sphere below: their products are predecessors, met building the
-    # sphere, and the loop skips them.
-    plain = enumerate_ball(parse_omega("(0012)"), 0, 10)
-    down = {
-        eid: {letter for _, letter in plain.predecessors(eid)}
-        for n in (8, 9)
-        for eid in plain.strata[n]
-    }
+    # Keys are exact at every radius: only the eight generators become an
+    # Element and a lookup call, in the ball and in its inner ball.
     lookups, outside = [], []
     in_lookup = []
     real_lookup = growth.BallTable.lookup
@@ -295,31 +384,38 @@ def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
 
     monkeypatch.setattr(growth.BallTable, "lookup", counting_lookup)
     monkeypatch.setattr(growth, "Element", counting_element)
-    # Within exact_radius only the eight generators become an Element and
-    # a lookup call.
-    for text, radius in (("(012)", 12), ("(0012)", 8)):
+    for text, shift, radius in (
+        ("(012)", 0, 12),
+        ("(0012)", 0, 10),
+        ("(0102011)", 3, 9),
+        ("0(1)", 0, 70),
+    ):
         del lookups[:], outside[:]
-        table = enumerate_ball(parse_omega(text), 0, radius)
-        assert table.complete and radius <= table.exact_radius
-        assert lookups == [(1, True)] * 8 and outside == [1] * 8
-    # (0012) at shift 0 is exact to 8: the generators and each candidate
-    # built from spheres 8 and 9 whose product is not in the sphere below
-    # are one Element and one lookup with its key, and no other candidate
-    # is.
-    del lookups[:], outside[:]
-    table = enumerate_ball(parse_omega("(0012)"), 0, 10)
-    assert table.complete and table.exact_radius == 8
-    assert table.entries == plain.entries
-    candidates = [1] * 8 + [
-        n + 1
-        for n in (8, 9)
-        for eid in table.strata[n]
-        for letter in (range(1, 8) if table.entries[eid][-1] == A else (A,))
-        if letter not in down[eid]
-    ]
-    assert any(down.values())
-    assert sorted(lookups) == [(n, True) for n in candidates]
-    assert sorted(outside) == candidates
+        table = enumerate_ball(parse_omega(text), shift, radius)
+        balls = 1 + (table.inner is not None)
+        assert table.complete and table.radius == radius
+        assert lookups == [(1, True)] * 8 * balls
+        assert outside == [1] * 8 * balls
+
+
+def test_an_inner_ball_that_stops_short_stops_the_ball():
+    # The inner ball of (012) at radius 400 is the ball of radius 7 at
+    # shift 6 with at most 255 ids.  It stops at radius 4, so the keys
+    # cover the elements up to length 256; a budget stops the ball far
+    # below that.
+    omega = parse_omega("(012)")
+    table = BallTable(omega, 0, 400)
+    assert table.reach == 7 and not table.inner.complete
+    assert table.inner.radius == 4 and len(table.inner.entries) <= NO_CLASS
+    assert enumerate_ball(omega, 0, 400, budget=3000).radius < 256
+    # Keys that cover the root alone stop the ball as a budget overrun
+    # stops it.
+    table.inner.radius = 0
+    assert list(grow_ball(table)) == [range(1)]
+    assert not table.complete and table.radius == 0
+    # An inner ball that completes stops nothing.
+    table = enumerate_ball(parse_omega("(0)"), 0, 300)
+    assert table.complete and table.inner.complete and table.inner.radius == 5
 
 
 def test_lookup_rejects_a_foreign_shift_or_sequence():
@@ -333,32 +429,35 @@ def test_lookup_rejects_a_foreign_shift_or_sequence():
             table.lookup(foreign, table.keys[b])
     # An equal spec parsed on its own is the same sequence.
     assert table.lookup(generator("b", parse_omega("(012)"))) == b
+    # A key that is not the word's split key is an error.
+    with pytest.raises(RuntimeError):
+        table.lookup(generator("b", omega), table.keys[b + 1])
 
 
 def test_portraits_read_off_level_eight_tables():
+    # Portraits to every depth up to 8, read off the keys of random words
+    # within the keys of a ball, above, on and below its key level.
     rng = random.Random(3)
-    elements = [Element.identity(parse_omega("(012)"))]
-    for text in ("(012)", "01(2)", "(0012)"):
+    for text, radius in (("(012)", 30), ("01(2)", 12), ("(0012)", 3), ("0(1)", 70)):
         omega = parse_omega(text)
-        elements += [
-            Element(reduce(random_raw_word(rng, 30)).word, omega, rng.randrange(3))
-            for _ in range(20)
-        ]
-    halves = [level_table(g, TABLE_DEPTH_MAX)[::2] for g in elements]
-    for depth in range(TABLE_DEPTH_MAX + 1):
-        signs = portrait_bytes(halves, depth)
-        for g, sign in zip(elements, signs, strict=True):
-            assert sign == signature_bytes(signature(g, depth))
-    for depth in (-1, TABLE_DEPTH_MAX + 1):
-        with pytest.raises(ValueError):
-            list(portrait_bytes(halves, depth))
+        table = BallTable(omega, rng.randrange(3), radius)
+        words = [b""] + [reduce(random_raw_word(rng, radius)).word for _ in range(20)]
+        keys = [table.split_key(w) for w in words]
+        for depth in range(9):
+            signs = table.portrait_bytes(keys, depth)
+            for w, sign in zip(words, signs, strict=True):
+                g = Element(w, omega, table.shift)
+                assert sign == signature_bytes(signature(g, depth)), (text, depth)
+        for depth in (-1, 9):
+            with pytest.raises(ValueError):
+                list(table.portrait_bytes(keys, depth))
 
 
 def test_portrait_chunks_cover_any_number_of_tables():
     # The identity (signature 0 -> b"\0") comes first; the lengths straddle
     # the chunk size, and the whole ball is not a multiple of it.
     table = enumerate_ball(parse_omega("(012)"), 0, 6)
-    size, chunk = len(table.keys), _PORTRAIT_CHUNK
+    size, chunk = len(table.keys), growth._PORTRAIT_CHUNK
     assert size % chunk
     for depth in (0, 1, 3, 7, 8):
         signs = [
@@ -366,7 +465,7 @@ def test_portrait_chunks_cover_any_number_of_tables():
         ]
         assert signs[0] == b"\0"
         for n in (0, 1, chunk - 1, chunk, chunk + 1, size):
-            assert list(portrait_bytes(table.keys[:n], depth)) == signs[:n]
+            assert list(table.portrait_bytes(table.keys[:n], depth)) == signs[:n]
 
 
 def test_ball_export_lines_are_sorted_json(tmp_path):

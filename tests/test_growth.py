@@ -145,11 +145,11 @@ def test_ball_budget_cap():
 
 
 def test_ball_memory_per_element():
-    # An element is its word, its 128-byte half-table key and its id in the
-    # key index: about 291 traced bytes at (012) r=10 under CPython 3.11
-    # (327 with stored links, 676 with the 256-byte table, a one-id list
-    # per key and a list of link tuples).  The bound leaves 10% for other
-    # interpreter versions.
+    # An element is its word, its 32-byte key (a level-4 table and 16 class
+    # bytes at r=10) and its entry in the key index, which maps the key to
+    # the word itself: about 169 traced bytes at (012) r=10 under CPython
+    # 3.11 (292 with a 128-byte level-8 key and an int id per key, 327 with
+    # stored links too).  The bound leaves 6% for other interpreter versions.
     tracemalloc.start()
     try:
         table = enumerate_ball(parse_omega("(012)"), 0, 10)
@@ -157,7 +157,7 @@ def test_ball_memory_per_element():
     finally:
         tracemalloc.stop()
     assert len(table.entries) == 13_883
-    assert traced / len(table.entries) < 320
+    assert traced / len(table.entries) < 180
 
 
 def test_streamed_growth_peaks_below_the_whole_ball(tmp_path, capsys):
@@ -190,14 +190,6 @@ def test_strata_lengths_and_canonical_words():
             assert reduce(t.entries[eid]).contractions == 0
     gam = t.gamma()
     assert all(gam[i] < gam[i + 1] for i in range(len(gam) - 1))
-
-
-@pytest.mark.parametrize("text", ["(012)", "(0012)"])
-def test_stored_keys_are_the_even_bytes_of_each_words_table(text):
-    # The loop composes keys in its own leaf order; perm_of in the tables'.
-    table = ball(text, 10)
-    for word, key in zip(table.entries, table.keys):
-        assert key == table.perm_of(word)[::2]
 
 
 def test_geodesic_words_structure():
@@ -355,7 +347,8 @@ def test_lemma8_check_keeps_no_minimal_words():
 
 @pytest.mark.parametrize(
     "text, radius",
-    # (0012) is past its exact_radius of 8; (0) hits the cap at element 34.
+    # The old level-8 key was exact to radius 8 over (0012); (0) hits the
+    # cap at element 34.
     [("(012)", 10), ("(0012)", 10), ("(01)", 12), ("01(2)", 14), ("(0)", 20)],
 )
 def test_lemma8_check_matches_listing_every_word(text, radius):

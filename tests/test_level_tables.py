@@ -1,6 +1,6 @@
 """Level tables and the table-keyed ball, checked against the slow paths:
-a ball deduplicated by the word problem alone, ``act`` leaf by leaf, and
-``signature`` for the exported portrait hashes."""
+a ball deduplicated by the word problem alone, ``act`` vertex by vertex,
+and ``signature`` for the exported portrait hashes."""
 
 import json
 import random
@@ -17,10 +17,9 @@ from overgrowth.elements import (
     generator,
     level_table,
     mul,
-    portrait_bytes,
     signature,
 )
-from overgrowth.growth import _FLIP, BallTable, enumerate_ball, export_portrait_depth
+from overgrowth.growth import BallTable, enumerate_ball, export_portrait_depth
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
 from overgrowth.words import reduce, render_letters
 
@@ -94,9 +93,10 @@ def test_table_keyed_ball_matches_word_problem_dedup(omega, shift, radius):
 def test_stored_tables_and_exported_hashes(tmp_path):
     for text in ("(012)", "01(2)"):
         table = enumerate_ball(parse_omega(text), 0, 6)
+        n = 1 << table.depth
         for eid, key in enumerate(table.keys):
-            assert key == table_by_act(table.element(eid), 8)[::2]
-        # The keys are level-8 half tables; the hashes keep the portrait depth.
+            assert key[:n] == table_by_act(table.element(eid), table.depth)[:n]
+        # The keys hold level-3 tables; the hashes keep the portrait depth.
         depth = export_portrait_depth(6)
         path = tmp_path / "ball.jsonl"
         argv = ["growth", "--omega", text, "--radius", "6", "--export-ball", str(path)]
@@ -113,13 +113,14 @@ def test_stored_tables_and_exported_hashes(tmp_path):
 def test_table_signer_matches_signature_at_every_depth():
     rng = random.Random(11)
     omega = parse_omega("(012)")
+    table = BallTable(omega, 0, 30)
     elements = [Element.identity(omega)] + [
         Element(reduce([rng.randrange(8) for _ in range(rng.randrange(1, 30))]).word, omega, 0)
         for _ in range(40)
     ]
-    halves = [level_table(g, 8)[::2] for g in elements]
+    keys = [table.split_key(g.word) for g in elements]
     for depth in range(9):
-        signs = list(portrait_bytes(halves, depth))
+        signs = list(table.portrait_bytes(keys, depth))
         assert len(signs) == len(elements)
         for g, sign in zip(elements, signs):
             assert sign == signature_bytes(signature(g, depth))
@@ -136,13 +137,9 @@ def test_half_tables_decide_level_tables(omega, shift, rng):
     tables = [level_table(g, 8) for g in elements]
     halves = [t[::2] for t in tables]
     for t, half in zip(tables, halves):
-        assert t[1::2] == half.translate(_FLIP)
+        assert t[1::2] == bytes(v ^ 1 for v in half)
     # Two halves are equal exactly when the two tables are.
     assert len(set(halves)) == len(set(tables)) == len(set(zip(halves, tables)))
-    for depth in range(9):
-        signs = portrait_bytes(halves, depth)
-        for g, sign in zip(elements, signs, strict=True):
-            assert sign == signature_bytes(signature(g, depth))
 
 
 def test_level_tables_compose_like_products():
@@ -162,12 +159,17 @@ def test_level_tables_compose_like_products():
     st.lists(st.integers(0, 7), max_size=60),
 )
 def test_lookup_key_composed_from_letter_tables(text, shift, raw):
-    # An element given to ``lookup`` without its table is keyed by composing
-    # the letter tables along its word, the path the ball loop takes.
-    table = BallTable(parse_omega(text), shift, 0)
+    # ``lookup`` keys a word by composing the letters' moves along it, the
+    # path the ball loop takes; within the keys of a radius-64 ball that
+    # is the split key, and its first bytes are the word's level-6 table.
+    table = BallTable(parse_omega(text), shift, 64)
     word = reduce(raw).word
     element = Element(word, table.omega, table.shift)
-    assert table.perm_of(word) == level_table(element, 8)
+    key = table.root_key
+    for letter in word:
+        key = table.letter_indices[letter].translate(table._layout(key))
+    assert key == table.split_key(word)
+    assert key[:64] == level_table(element, 6)[:64]
 
 
 def test_dedup_depth_is_capped_at_eight():
@@ -184,8 +186,8 @@ def test_budget_limited_ball_at_the_depth_cap_is_coherent():
     assert len(table.entries) == table.gamma()[-1] <= 2000
     assert len(table.strata) == table.radius + 1
     for eid, key in enumerate(table.keys):
-        assert key == level_table(table.element(eid), 8)[::2]
+        assert key == table.split_key(table.entries[eid])
         assert table.lookup(table.element(eid)) == eid
-    signs = list(portrait_bytes(table.keys, 8))
+    signs = list(table.portrait_bytes(table.keys, 8))
     for eid in range(0, len(table.keys), 97):
         assert signs[eid] == signature_bytes(signature(table.element(eid), 8))

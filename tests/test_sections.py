@@ -286,10 +286,11 @@ def test_stabilizes_level_matches_vertex_action():
 
 
 def test_level_stabilizers_read_off_tables_match_the_recursion():
-    # Levels up to 8 are read off the stored tables; (0000000012) shows its
-    # third symbol at s = 10, which takes the recursion.
+    # Levels down to the keys' level are read off their tables and deeper
+    # ones off the section classes: (0000000012) shows its third symbol at
+    # s = 10, and (0) at radius 66 keys its sections by an inner ball.
     cases = [(text, 6) for text in ("(012)", "01(2)", "(0012)")]
-    for text, radius in cases + [("(0000000012)", 5)]:
+    for text, radius in cases + [("(0000000012)", 5), ("(0)", 66)]:
         table = enumerate_ball(parse_omega(text), 0, radius)
         for s in range(11):
             expected = [
