@@ -31,7 +31,7 @@ from .omega import (
     first_third_symbol_index,
     parse_omega,
 )
-from .words import WordParseError, parse_letters, reduce, render_letters, render_words
+from .words import _LETTER_TEXT, WordParseError, parse_letters, reduce, render_letters
 from .elements import (
     IDENTITY_TABLE,
     TABLE_DEPTH_MAX,
@@ -229,29 +229,70 @@ def _growth_rows(table: gr.BallTable, curve_eps: Fraction) -> list[dict]:
     return rows
 
 
+# Ids per bulk pass of ``_export_sphere``.
+_EXPORT_CHUNK = 1024
+_HASH_FIELD = b'"portrait_hash": "'
+_WORD_FIELD = b'"word": "'
+
+
 def _export_sphere(export, table: gr.BallTable, sphere: range, depth: int) -> None:
-    """Write the ``--export-ball`` lines of one sphere of ``table``.
+    """Write the ``--export-ball`` lines of one sphere of ``table`` to the
+    binary file ``export``.
 
     They are the bytes of json.dumps(record, sort_keys=True): every field
-    is an int or an ASCII string that needs no escaping.  Words are
-    rendered a chunk of ids at a time; ``portraits`` comes last in the zip,
-    so it is not drawn past the chunk.  The lines go out by ``writelines``:
-    one joined write per chunk raises the peak RSS.
+    is an int or an ASCII string that needs no escaping.  A chunk of ids
+    at a time, the table packs their portrait records, each record is
+    hashed once, and 8 strided slices of the joined digests give their
+    first 8 bytes for one ``hex``.  A sphere's words have one length, so
+    ids of one number of digits make lines of one width: each such run is
+    a template line repeated, with the id digits, hash digits and letter
+    names written in a column at a time by strided slice assignment (the
+    letters a line at a time when the run has fewer lines than letters),
+    and goes out in one write.
     """
-    portraits = table.portrait_bytes(table.keys[sphere.start : sphere.stop], depth)
-    for start in range(sphere.start, sphere.stop, gr._PORTRAIT_CHUNK):
-        chunk = table.entries[start : min(start + gr._PORTRAIT_CHUNK, sphere.stop)]
-        export.writelines(
-            f'{{"id": {eid}, "length": {len(word)}, '
-            f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
-            f'"word": "{text}"}}\n'
-            for eid, word, text, sig in zip(
-                range(start, start + len(chunk)),
-                chunk,
-                render_words(chunk),
-                portraits,
+    if not sphere:
+        return
+    n = len(table.entries[sphere.start])
+    for start in range(sphere.start, sphere.stop, _EXPORT_CHUNK):
+        stop = min(start + _EXPORT_CHUNK, sphere.stop)
+        records = table.portrait_records(table.keys[start:stop], depth)
+        width = len(records) // (stop - start)
+        digests = b"".join([
+            sha256(records[i : i + width].lstrip(b"\0") or b"\0").digest()
+            for i in range(0, len(records), width)
+        ])
+        prefixes = bytearray(8 * (stop - start))
+        for j in range(8):
+            prefixes[j::8] = digests[j::32]
+        hashes = prefixes.hex().encode()
+        letters = b"".join(table.entries[start:stop]).translate(_LETTER_TEXT)
+        # Split the chunk into runs at powers of ten.
+        lo = start
+        while lo < stop:
+            digits = len(str(lo))
+            hi = min(stop, 10**digits)
+            line = b'{"id": %s, "length": %d, %s%s", %s%s"}\n' % (
+                b"0" * digits, n, _HASH_FIELD, b"0" * 16, _WORD_FIELD, b" ".join([b"a"] * n)
             )
-        )
+            size = len(line)
+            hash_at = line.index(_HASH_FIELD) + len(_HASH_FIELD)
+            word_at = line.index(_WORD_FIELD) + len(_WORD_FIELD)
+            lines = bytearray(line) * (hi - lo)
+            ids = "".join(map(str, range(lo, hi))).encode()
+            for k in range(digits):
+                lines[len(b'{"id": ') + k :: size] = ids[k::digits]
+            i, j = lo - start, hi - start
+            for k in range(16):
+                lines[hash_at + k :: size] = hashes[16 * i + k : 16 * j : 16]
+            if n <= j - i:
+                for k in range(n):
+                    lines[word_at + 2 * k :: size] = letters[n * i + k : n * j : n]
+            else:
+                # Fewer lines than letters: a line at a time.
+                for row, at in enumerate(range(word_at, len(lines), size), start=i):
+                    lines[at : at + 2 * n : 2] = letters[n * row : n * row + n]
+            export.write(lines)
+            lo = hi
 
 
 def cmd_growth(args) -> int:
@@ -267,7 +308,7 @@ def cmd_growth(args) -> int:
         raise ValueError("curve epsilon must be positive")
     with ExitStack() as files:
         export = (
-            files.enter_context(open(args.export_ball, "w", encoding="utf-8"))
+            files.enter_context(open(args.export_ball, "wb"))
             if args.export_ball
             else None
         )

@@ -71,9 +71,6 @@ KEY_DEPTH_MAX = 6
 # class, and as a budget it caps the ids of an inner ball below it.
 NO_CLASS = 255
 
-# Keys read per bulk pass of ``BallTable.portrait_bytes``.
-_PORTRAIT_CHUNK = 256
-
 
 class BudgetExceeded(RuntimeError):
     pass
@@ -212,31 +209,40 @@ class BallTable:
         return Element(self.entries[eid], self.omega, self.shift)
 
     def split_key(self, word: bytes) -> Optional[bytes]:
-        """Key of a reduced word from its sections ``depth`` levels down
-        (``decompose``, which splits by ``split_sections``), or None when a
-        section has no class.  A section of at most one letter maps
-        straight to its class; a longer one, which only a word longer than
-        the keys cover has, is decided by the word problem against the
-        class words, or looked up in ``inner``."""
-        g = Element(word, self.omega, self.shift)
-        sections = [g]
-        for _ in range(self.depth):
-            # An empty section's sections are empty: its shift is not read.
-            sections = [half for e in sections for half in
-                        ((decompose(e).left, decompose(e).right) if e.word else (e, e))]
+        """Key of a reduced word from its sections ``depth`` levels down,
+        split level by level by ``split_sections`` (not through the memo of
+        ``decompose``), or None when a section has no class.  The image of
+        a level-``depth`` vertex v is v with its bit k from the top flipped
+        where the level-k vertex above v swaps.  A section of at most one
+        letter maps straight to its class; a longer one, which only a word
+        longer than the keys cover has, is decided by the word problem
+        against the class words, or looked up in ``inner``."""
+        h = self.depth
+        words, swaps = [word], []
+        for level in range(h):
+            symbol = symbol_at(self.omega, self.shift + level + 1)
+            # An empty section's sections are empty.
+            split = [split_sections(w, symbol) if w else (False, w, w) for w in words]
+            swaps.append([swap for swap, _, _ in split])
+            words = [half for _, left, right in split for half in (left, right)]
+        table = bytes(
+            v ^ sum(swaps[k][v >> (h - k)] << (h - 1 - k) for k in range(h))
+            for v in range(1 << h)
+        )
         classes = bytearray()
-        for section in sections:
-            if len(section.word) <= 1:
-                c = self._letter_class[section.word[0]] if section.word else 0
+        for w in words:
+            if len(w) <= 1:
+                c = self._letter_class[w[0]] if w else 0
             elif self.inner is not None:
-                c = self.inner.lookup(section)
+                c = self.inner.lookup(Element(w, self.omega, self.class_shift))
             else:
-                c = next((c for c, w in self._class_words.items()
-                          if equal(section, Element(w, self.omega, self.class_shift))), None)
+                section = Element(w, self.omega, self.class_shift)
+                c = next((c for c, cw in self._class_words.items()
+                          if equal(section, Element(cw, self.omega, self.class_shift))), None)
             if c is None:
                 return None
             classes.append(c)
-        return level_table(g, self.depth)[: len(sections)] + classes
+        return table + classes
 
     def lookup(self, element: Element, key: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
@@ -277,13 +283,15 @@ class BallTable:
         out.sort()
         return out
 
-    def portrait_bytes(self, keys, depth: int):
-        """Yield ``signature(g, depth)`` as minimal big-endian bytes
-        (``b"\\0"`` for 0) for the element g of each key in ``keys``.
+    def portrait_records(self, keys, depth: int) -> bytes:
+        """``signature(g, depth)`` for the element g of each key in
+        ``keys``, as big-endian records of one width packed into one
+        ``bytes``: stripped of its leading zero bytes (``b"\\0"`` for 0), a
+        record is the signature's minimal bytes.
 
         A label above the keys' level h is bit k of the table byte of the
         depth-k vertex's leftmost descendant; a deeper one is that of the
-        class at its ancestor on level h.  Over a chunk of keys joined into one
+        class at its ancestor on level h.  Over the keys joined into one
         ``bytes``, one stride slice and one ``translate`` read a label of
         every key; eight of them, moved to their bits and OR-ed as ints,
         make a byte column of records (labels in reversed preorder).
@@ -314,18 +322,15 @@ class BallTable:
             self._portrait_columns[depth] = columns
         columns = self._portrait_columns[depth]
         width, stride = len(columns), len(self.root_key)
-        for start in range(0, len(keys), _PORTRAIT_CHUNK):
-            chunk = b"".join(keys[start : start + _PORTRAIT_CHUNK])
-            n = len(chunk) // stride
-            records = bytearray(n * width)
-            for m, reads in enumerate(columns):
-                acc = 0
-                for index, move in reads:
-                    acc |= int.from_bytes(chunk[index::stride].translate(move), "big")
-                records[m::width] = acc.to_bytes(n, "big")
-            records = bytes(records)
-            for i in range(0, n * width, width):
-                yield records[i : i + width].lstrip(b"\0") or b"\0"
+        joined = b"".join(keys)
+        n = len(keys)
+        records = bytearray(n * width)
+        for m, reads in enumerate(columns):
+            acc = 0
+            for index, move in reads:
+                acc |= int.from_bytes(joined[index::stride].translate(move), "big")
+            records[m::width] = acc.to_bytes(n, "big")
+        return bytes(records)
 
     def drop_sphere(self, n: int) -> None:
         """Forget sphere n's words and keys; its ids stay, with ``None`` in
@@ -337,16 +342,19 @@ class BallTable:
         element's word.
         """
         stratum = self.strata[n]
-        for key in self.keys[stratum.start : stratum.stop]:
-            del self._by_key[key]
         blank = [None] * len(stratum)
         self.entries[stratum.start : stratum.stop] = blank
         self.keys[stratum.start : stratum.stop] = blank
-        # A dict keeps its size when entries go; refilled from a copy, it
-        # is sized for the kept ones and stays the object the loop holds.
-        kept = dict(self._by_key)
+        # A dict keeps its table when entries go.  Cleared, which frees
+        # the table, and refilled from the kept ids' keys and words, it is
+        # sized for them and stays the object the loop holds; a copy of the
+        # kept entries would sit beside the old table at the peak.
         self._by_key.clear()
-        self._by_key.update(kept)
+        for kept in (*self.strata, range(self.strata[-1].stop, len(self.entries))):
+            if kept and self.keys[kept.start] is not None:
+                self._by_key.update(
+                    zip(self.keys[kept.start : kept.stop], self.entries[kept.start : kept.stop])
+                )
 
 
 def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]:

@@ -15,7 +15,7 @@ a reduced word is never checked again.  ``split_reduce`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 A = 0
 X = 4
@@ -82,22 +82,6 @@ _LETTER_TEXT = bytes.maketrans(bytes(range(8)), LETTER_NAMES.encode())
 
 def render_letters(letters: Iterable[int]) -> str:
     return " ".join(bytes(letters).translate(_LETTER_TEXT).decode())
-
-
-def render_words(words: Sequence[bytes]) -> list[str]:
-    """``[render_letters(w) for w in words]``, rendered together.
-
-    The words, joined by newlines, are named by one ``translate``, a space
-    goes between every two bytes by one slice assignment, the spaces next
-    to a newline come off again, and one decode and split give the texts.
-    An empty word leaves two newlines side by side.
-    """
-    if not words:
-        return []
-    joined = b"\n".join(words).translate(_LETTER_TEXT)
-    spaced = bytearray(b" ") * (2 * len(joined) - 1)
-    spaced[::2] = joined
-    return spaced.replace(b" \n", b"\n").replace(b"\n ", b"\n").decode().split("\n")
 
 
 def a_count(word: bytes) -> int:

@@ -32,7 +32,7 @@ from overgrowth.elements import (
     level_table,
 )
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize, symbol_at
-from overgrowth.words import render_words, split_sections
+from overgrowth.words import render_letters, split_sections
 
 A = 0
 
@@ -227,6 +227,17 @@ def signature_bytes(sig: int) -> bytes:
     return sig.to_bytes((sig.bit_length() + 7) // 8 or 1, "big")
 
 
+def portrait_signs(table, keys, depth: int) -> list[bytes]:
+    """``table.portrait_records(keys, depth)`` cut into one record per key,
+    each stripped to minimal bytes, after checking that the records have
+    the width of 2^depth - 1 label bits."""
+    records = table.portrait_records(keys, depth)
+    width = max(1, -(-((1 << depth) - 1) // 8))
+    assert len(records) == width * len(keys)
+    return [records[i : i + width].lstrip(b"\0") or b"\0"
+            for i in range(0, len(records), width)]
+
+
 def random_raw_word(rng, max_len: int) -> tuple[int, ...]:
     return tuple(rng.randrange(8) for _ in range(rng.randrange(max_len + 1)))
 
@@ -340,10 +351,8 @@ def growth_whole_ball(args) -> int:
             export.writelines(
                 f'{{"id": {eid}, "length": {len(word)}, '
                 f'"portrait_hash": "{sha256(sig).hexdigest()[:16]}", '
-                f'"word": "{text}"}}\n'
-                for eid, word, text in zip(
-                    range(len(table.entries)), table.entries, render_words(table.entries)
-                )
+                f'"word": "{render_letters(word)}"}}\n'
+                for eid, word in enumerate(table.entries)
                 for sig in [signature_bytes(memo_signature(table.element(eid), depth, memo))]
             )
         if args.format == "json":

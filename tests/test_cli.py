@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import overgrowth.cli as cli
 import overgrowth.growth as gr
 from overgrowth.cli import build_parser, main
 
@@ -333,6 +334,26 @@ def test_streamed_growth_matches_the_whole_ball_export(tmp_path, argv, code):
         assert outputs[0][2].count(b"\n") == 3804
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+@pytest.mark.parametrize("radius", [0, 10])
+def test_bulk_export_matches_the_whole_ball_export(tmp_path, monkeypatch, chunk, radius):
+    # Radius 10 has ids up to 5 digits, so runs split at 10, 100, 1,000
+    # and 10,000 inside and at the edges of chunks; radius 0 is the root
+    # alone, with portrait b"\0".
+    monkeypatch.setattr(cli, "_EXPORT_CHUNK", chunk)
+    argv = ["growth", "--omega", "(012)", "--radius", str(radius)]
+    outputs = []
+    for name, run in (
+        ("bulk", main),
+        ("whole", lambda full: growth_whole_ball(build_parser().parse_args(full))),
+    ):
+        csv, ball = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+        full = [*argv, "--output", str(csv), "--export-ball", str(ball)]
+        outputs.append((run(full), csv.read_bytes(), ball.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2].count(b"\n") == (1 if radius == 0 else 13_883)
+
+
 @pytest.mark.parametrize("flag", ["--output", "--export-ball"])
 def test_growth_fails_on_a_bad_path_before_building_the_ball(
     capsys, tmp_path, monkeypatch, flag
@@ -384,8 +405,6 @@ def test_verify_invalid_delta_exits_2(capsys):
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):
-    import overgrowth.cli as cli
-
     monkeypatch.setattr(
         cli, "_suite_eq1", lambda cfg: {"checks": 1, "violations": [{"pair": "zz"}]}
     )
@@ -399,8 +418,6 @@ def test_verify_violation_exit_code(capsys, monkeypatch):
 
 
 def test_eq1_checks_each_generator_on_the_action(capsys, monkeypatch):
-    import overgrowth.cli as cli
-
     # A b that moves the leaves 0 -> 1 -> 2 -> 0 is no involution.
     real = cli.level_table
     cycle = bytes((1, 2, 0)) + bytes(range(3, 256))

@@ -37,6 +37,7 @@ from _oracles import (
     act_word,
     ball_links,
     ball_with_stored_links,
+    portrait_signs,
     random_raw_word,
     signature_bytes,
 )
@@ -132,6 +133,17 @@ def test_stored_keys_are_the_split_keys_of_each_word(text, radius):
     for eid, (word, key) in enumerate(zip(table.entries, table.keys)):
         assert table.split_key(word) == key
         assert key[:n] == level_table(table.element(eid), table.depth)[:n]
+
+
+def test_split_keys_leave_the_section_memo_alone():
+    # split_key splits by split_sections itself: keying every stored word
+    # adds nothing to the sequence's decompose memo.
+    omega = parse_omega("(0012)")
+    table = enumerate_ball(omega, 0, 11)
+    before = len(omega.sections)
+    for word, key in zip(table.entries, table.keys):
+        assert table.split_key(word) == key
+    assert len(omega.sections) == before
 
 
 def long_relator(ball, n):
@@ -444,28 +456,28 @@ def test_portraits_read_off_level_eight_tables():
         words = [b""] + [reduce(random_raw_word(rng, radius)).word for _ in range(20)]
         keys = [table.split_key(w) for w in words]
         for depth in range(9):
-            signs = table.portrait_bytes(keys, depth)
+            signs = portrait_signs(table, keys, depth)
             for w, sign in zip(words, signs, strict=True):
                 g = Element(w, omega, table.shift)
                 assert sign == signature_bytes(signature(g, depth)), (text, depth)
         for depth in (-1, 9):
             with pytest.raises(ValueError):
-                list(table.portrait_bytes(keys, depth))
+                table.portrait_records(keys, depth)
 
 
 def test_portrait_chunks_cover_any_number_of_tables():
-    # The identity (signature 0 -> b"\0") comes first; the lengths straddle
-    # the chunk size, and the whole ball is not a multiple of it.
+    # The identity (signature 0 -> b"\0") comes first; the records of any
+    # run of keys, none at all included, are that run of the whole ball's.
     table = enumerate_ball(parse_omega("(012)"), 0, 6)
-    size, chunk = len(table.keys), growth._PORTRAIT_CHUNK
-    assert size % chunk
-    for depth in (0, 1, 3, 7, 8):
+    size = len(table.keys)
+    for depth in range(9):
         signs = [
             signature_bytes(signature(table.element(eid), depth)) for eid in range(size)
         ]
         assert signs[0] == b"\0"
-        for n in (0, 1, chunk - 1, chunk, chunk + 1, size):
-            assert list(table.portrait_bytes(table.keys[:n], depth)) == signs[:n]
+        assert portrait_signs(table, table.keys, depth) == signs
+        for lo, hi in ((0, 0), (0, 1), (1, 2), (3, 259), (size - 257, size)):
+            assert portrait_signs(table, table.keys[lo:hi], depth) == signs[lo:hi]
 
 
 def test_ball_export_lines_are_sorted_json(tmp_path):

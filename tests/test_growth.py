@@ -182,6 +182,21 @@ def test_streamed_growth_peaks_below_the_whole_ball(tmp_path, capsys):
     assert peak < 0.8 * whole
 
 
+def test_dropped_spheres_leave_the_kept_sphere_keyed():
+    # growth drops each sphere once the next is complete: the key index
+    # is then refilled with exactly the kept sphere.
+    table = growth.BallTable(W012, 0, 7)
+    for n, sphere in enumerate(growth.grow_ball(table)):
+        if n:
+            table.drop_sphere(n - 1)
+        assert len(table._by_key) == len(sphere)
+        for eid in sphere:
+            assert table._by_key[table.keys[eid]] == table.entries[eid]
+            assert table.lookup(table.element(eid)) == eid
+    assert set(table.entries[: table.strata[-1].start]) == {None}
+    assert set(table.keys[: table.strata[-1].start]) == {None}
+
+
 def test_strata_lengths_and_canonical_words():
     t = ball("(012)", 6)
     for n, stratum in enumerate(t.strata):

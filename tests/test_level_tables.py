@@ -23,7 +23,7 @@ from overgrowth.growth import BallTable, enumerate_ball, export_portrait_depth
 from overgrowth.omega import OmegaSpec, parse_omega, shift_normalize
 from overgrowth.words import reduce, render_letters
 
-from _oracles import ball_links, random_raw_word, signature_bytes
+from _oracles import ball_links, portrait_signs, random_raw_word, signature_bytes
 
 
 def reference_ball(omega, shift, radius):
@@ -120,7 +120,7 @@ def test_table_signer_matches_signature_at_every_depth():
     ]
     keys = [table.split_key(g.word) for g in elements]
     for depth in range(9):
-        signs = list(table.portrait_bytes(keys, depth))
+        signs = portrait_signs(table, keys, depth)
         assert len(signs) == len(elements)
         for g, sign in zip(elements, signs):
             assert sign == signature_bytes(signature(g, depth))
@@ -188,6 +188,6 @@ def test_budget_limited_ball_at_the_depth_cap_is_coherent():
     for eid, key in enumerate(table.keys):
         assert key == table.split_key(table.entries[eid])
         assert table.lookup(table.element(eid)) == eid
-    signs = list(table.portrait_bytes(table.keys, 8))
+    signs = portrait_signs(table, table.keys, 8)
     for eid in range(0, len(table.keys), 97):
         assert signs[eid] == signature_bytes(signature(table.element(eid), 8))

@@ -19,7 +19,6 @@ from overgrowth.words import (
     parse_letters,
     reduce,
     render_letters,
-    render_words,
     spine_mul,
 )
 
@@ -177,13 +176,6 @@ REDUCED_WORDS = st.builds(
 def test_extend_matches_reduce_on_random_words(word, letter):
     assert len(word) <= 40
     assert extend(word, letter) == reduce(word + bytes((letter,))).word
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(st.just(b""), REDUCED_WORDS), max_size=8))
-def test_render_words_matches_render_letters(words):
-    # Empty words, the root's among them, sit anywhere in a chunk.
-    assert render_words(words) == [render_letters(w) for w in words]
 
 
 def test_extend_rejects_bad_letters():
