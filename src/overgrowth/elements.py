@@ -91,9 +91,6 @@ class Portrait:
     depth: int
     labels: dict
 
-    def all_trivial(self) -> bool:
-        return all(v == "I" for v in self.labels.values())
-
 
 def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int]:
     """First level of its spine at which a spine letter swaps, or None.
@@ -111,8 +108,9 @@ def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int
 def decompose(g: Element) -> WreathDecomposition:
     """Root swap and both sections by ``split_sections``, memoized on the
     sequence for the callers that revisit sections.  The one-pass walks
-    split words themselves: ``is_identity`` and ``lemma3_check`` with
-    ``split_sections``, ``level_section_trace`` with ``split_reduce``."""
+    split words themselves: ``is_identity``, ``lemma3_check`` and
+    ``BallTable.split_key`` with ``split_sections``,
+    ``level_section_trace`` with ``split_reduce``."""
     memo = g.omega.sections
     key = (g.shift, g.word)
     hit = memo.get(key)

@@ -216,9 +216,10 @@ def split_reduce(word: bytes, symbol: int):
 # Below this many letters ``split_sections`` splits letter by letter with
 # ``split_reduce``.  The bulk split has a fixed cost of about a dozen
 # C-level passes and big-int shifts per word, which the per-letter loop
-# only catches up with at about 110 letters.  Timed on the word-problem
-# benchmark's words (Python 3.11), the bulk split takes 1.5x the loop's
-# time at 64 letters and 0.8x at 128, and a third of it at 1,000 letters.
+# catches up with at about 40 letters.  Timed on the word-problem
+# benchmark's words (Python 3.11), the bulk split takes 0.8x the loop's
+# time at 64 letters, 0.65x at 128 and 0.35x at 1,000 letters.  The bound
+# sits above that crossover: words of 40 to 127 letters still take the loop.
 SPLIT_BULK_MIN = 128
 
 # _DROP[q][k] is 0 when spine letter k swaps at a level carrying symbol q,
@@ -240,7 +241,9 @@ def split_sections(word: bytes, symbol: int) -> tuple[bool, bytes, bytes]:
     0 and P(r+1) its total, gi = Pi ^ P(i+1): the child is fixed by the
     values P1..Pr.  A trivial gi between two ``a``'s is two equal neighbours
     Pi = P(i+1), and ``a a`` cancels them, so reducing the child is a stack
-    pass that cancels equal neighbours (``_reduce_child``).
+    pass that cancels equal neighbours (``_reduce_child``).  That pass is
+    the split's Python work, one step per ``a`` of each child; the rest
+    is C-level work per word.
 
     One stride-2 prefix XOR of the spine, by big-int doubling, gives both
     children's values at once: byte i of ``x`` is the XOR of spine letters
@@ -274,49 +277,17 @@ def split_sections(word: bytes, symbol: int) -> tuple[bool, bytes, bytes]:
 def _reduce_child(values: bytes, total: int) -> bytes:
     """Reduced child word from the XOR values at its ``a``'s and its total.
 
-    Equal neighbours cancel by a stack pass.  The zero bytes of ``same``
-    mark them; the run up to the next one goes onto the stack as one
-    slice.  The cancellation it starts runs on while the stack's top, read
-    downwards, matches the values that follow.  Its length is read off the
-    XOR of the two as big ints, in windows of 8, 64, 512, ... values: the
-    first nonzero byte is the first mismatch.  The stack q1..qs gives the
-    word q1 a (q1 ^ q2) a ... a (qs ^ total), less a leading or trailing
-    trivial letter.
+    Equal neighbours cancel by one stack pass over the values: the top
+    pops when it equals the next value, else the value is pushed.  The
+    stack q1..qs gives the word q1 a (q1 ^ q2) a ... a (qs ^ total), less
+    a leading or trailing trivial letter.
     """
-    n = len(values)
-    stack = values
-    if n > 1:
-        same = (
-            int.from_bytes(values[:-1], "big") ^ int.from_bytes(values[1:], "big")
-        ).to_bytes(n - 1, "big")
-        i = same.find(0)
-        if i >= 0:
-            stack = bytearray()
-            j = 0
-            while i >= 0:
-                # values[i] and values[i + 1] cancel; so do the stack's top
-                # and the values after them, for as long as they match.
-                stack += values[j:i]
-                j = i + 2
-                if stack and j < n and stack[-1] == values[j]:
-                    top = len(stack)
-                    hi = min(top, n - j)
-                    done = 0
-                    width = 8
-                    while done < hi:
-                        k = min(width, hi - done)
-                        diff = int.from_bytes(
-                            stack[top - done - k : top - done][::-1], "big"
-                        ) ^ int.from_bytes(values[j + done : j + done + k], "big")
-                        if diff:
-                            done += k - (diff.bit_length() + 7) // 8
-                            break
-                        done += k
-                        width <<= 3
-                    del stack[top - done :]
-                    j += done
-                i = same.find(0, j)
-            stack += values[j:]
+    stack = bytearray()
+    for v in values:
+        if stack and stack[-1] == v:
+            stack.pop()
+        else:
+            stack.append(v)
     s = len(stack)
     if not s:
         return bytes((total,)) if total else b""

@@ -94,6 +94,12 @@ def spines(max_size):
     ).map(lambda ab: tuple(ab[0][k % len(ab[0])] for k in ab[1]))
 
 
+def cascade(w, t):
+    """``reduce(w + t + w^-1)``: every letter is an involution, so w^-1 is
+    w reversed."""
+    return reduce(w + t + w[::-1]).word
+
+
 @st.composite
 def split_inputs(draw):
     """A reduced word of 0 to about 2,500 letters: a random one, or the
@@ -107,7 +113,7 @@ def split_inputs(draw):
         t = draw(reduced_words(20))
     else:
         t = bytes((0, draw(st.integers(1, 7)))) * draw(st.sampled_from((1, 2, 4, 8, 16, 32)))
-    return reduce(w + t + w[::-1]).word
+    return cascade(w, t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,6 +123,16 @@ def split_inputs(draw):
 @example(word_from_parts(True, (1, 2, 3, 4) * 16, False), 1)
 @example(word_from_parts(True, (7,) * 63, True), 2)
 @example(word_from_parts(False, (7,) * 64, True), 2)
+# A longer cascade than the strategy's w of at most 600 spine letters
+# reaches: at symbol 0 both children of w (a d)^4 w^-1, for w's 3,000 spine
+# letters drawn from b and c, cancel 1,500 values in one run.
+@example(
+    cascade(
+        word_from_parts(True, tuple(random.Random(0).choices((1, 2), k=3000)), False),
+        b"\0\3" * 4,
+    ),
+    0,
+)
 def test_split_sections_matches_split_reduce_and_split_then_reduce(word, symbol):
     omega = parse_omega(CONSTANT[symbol])
     swap, raw_left, raw_right = split_letters(word, omega, 0)
