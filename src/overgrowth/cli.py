@@ -30,8 +30,17 @@ from .omega import (
     classify,
     first_third_symbol_index,
     parse_omega,
+    symbol_at,
 )
-from .words import _LETTER_TEXT, WordParseError, parse_letters, reduce, render_letters
+from .words import (
+    _LETTER_TEXT,
+    REFERENCE_PRODUCTS,
+    WordParseError,
+    parse_letters,
+    reduce,
+    render_letters,
+    spine_mul,
+)
 from .elements import (
     IDENTITY_TABLE,
     TABLE_DEPTH_MAX,
@@ -350,12 +359,10 @@ def cmd_growth(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_eq1(omega: OmegaSpec) -> dict:
-    from .words import REFERENCE_PRODUCTS, parse_letters as pl, spine_mul
-
     violations = []
     seen_pairs = set()
     for n1, n2, prod in REFERENCE_PRODUCTS:
-        (k1,), (k2,), (kp,) = pl(n1), pl(n2), pl(prod)
+        (k1,), (k2,), (kp,) = map(parse_letters, (n1, n2, prod))
         seen_pairs.add(frozenset((k1, k2)))
         if spine_mul(k1, k2) != kp or spine_mul(k2, k1) != kp:
             violations.append({"pair": f"{n1}{n2}", "expected": prod})
@@ -374,8 +381,6 @@ def _suite_eq1(omega: OmegaSpec) -> dict:
 
 
 def _suite_eq2(cfg: RunConfig) -> dict:
-    from .omega import symbol_at
-
     matrix = (
         [cfg.omega]
         if cfg.omega
@@ -558,10 +563,8 @@ def cmd_verify(args) -> int:
         raise ValueError("radius must be at least 1")
     if k_max < 1:
         raise ValueError("kmax must be at least 1")
-    # One spec for every suite on the default sequence.  Its memos hold
-    # little beyond the generators' sections: lemma3 splits each word once
-    # with split_sections, lemma11's traces with split_reduce, and neither
-    # writes to them.
+    # One spec, and so one identity memo, for every suite on the default
+    # sequence.
     omega = cfg.omega or parse_omega("(012)")
     table = None  # the (omega, shift 0, radius) ball of the ball suites
     suites = {}

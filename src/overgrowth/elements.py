@@ -106,23 +106,12 @@ def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int
 
 
 def decompose(g: Element) -> WreathDecomposition:
-    """Root swap and both sections by ``split_sections``, memoized on the
-    sequence for the callers that revisit sections.  The one-pass walks
-    split words themselves: ``is_identity``, ``lemma3_check`` and
-    ``BallTable.split_key`` with ``split_sections``,
-    ``level_section_trace`` with ``split_reduce``."""
-    memo = g.omega.sections
-    key = (g.shift, g.word)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    """Root swap and both sections by ``split_sections``."""
     swap, left, right = split_sections(g.word, symbol_at(g.omega, g.shift + 1))
     down = shift_normalize(g.omega, g.shift + 1)
-    dec = WreathDecomposition(
+    return WreathDecomposition(
         swap, Element(left, g.omega, down), Element(right, g.omega, down)
     )
-    memo[key] = dec
-    return dec
 
 
 def sections(g: Element) -> tuple[Element, Element]:
@@ -165,14 +154,19 @@ def portrait(g: Element, depth: int) -> Portrait:
 
 def signature(g: Element, depth: int) -> int:
     """Portrait to ``depth`` packed into an int (2^depth - 1 label bits)."""
-    if depth == 0 or not g.word:
+    return _signature(g.omega, g.shift, g.word, depth)
+
+
+def _signature(omega: OmegaSpec, shift: int, word: bytes, depth: int) -> int:
+    if depth == 0 or not word:
         return 0
-    d = decompose(g)
+    swap, left, right = split_sections(word, symbol_at(omega, shift + 1))
+    down = shift_normalize(omega, shift + 1)
     half = (1 << (depth - 1)) - 1
     return (
-        int(d.top_swap)
-        | signature(d.left, depth - 1) << 1
-        | signature(d.right, depth - 1) << (1 + half)
+        int(swap)
+        | _signature(omega, down, left, depth - 1) << 1
+        | _signature(omega, down, right, depth - 1) << (1 + half)
     )
 
 
@@ -190,7 +184,7 @@ def level_table(g: Element, depth: int) -> bytes:
     """
     if not 0 <= depth <= TABLE_DEPTH_MAX:
         raise ValueError(f"level tables cover depths 0..{TABLE_DEPTH_MAX}")
-    return _leaf_images(g, depth) + IDENTITY_TABLE[1 << depth:]
+    return _leaf_images(g.omega, g.shift, g.word, depth) + IDENTITY_TABLE[1 << depth:]
 
 
 # _RAISE[k] adds 2^k (mod 256) to every byte: it moves the leaf images of
@@ -200,20 +194,21 @@ _RAISE = tuple(
 )
 
 
-def _leaf_images(g: Element, depth: int) -> bytes:
-    if not g.word or depth == 0:
+def _leaf_images(omega: OmegaSpec, shift: int, word: bytes, depth: int) -> bytes:
+    if not word or depth == 0:
         return IDENTITY_TABLE[: 1 << depth]
-    d = decompose(g)
-    left = _leaf_images(d.left, depth - 1)
-    right = _leaf_images(d.right, depth - 1)
+    swap, left, right = split_sections(word, symbol_at(omega, shift + 1))
+    down = shift_normalize(omega, shift + 1)
+    left = _leaf_images(omega, down, left, depth - 1)
+    right = _leaf_images(omega, down, right, depth - 1)
     up = _RAISE[depth - 1]
-    if d.top_swap:
+    if swap:
         return left.translate(up) + right
     return left + right.translate(up)
 
 
 def is_identity(g: Element) -> bool:
-    """Word problem by contracting section descent; memoizes only the answer."""
+    """Word problem by contracting section descent, memoized on the sequence."""
     return _trivial(g.omega, g.shift, g.word)
 
 

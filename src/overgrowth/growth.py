@@ -210,13 +210,13 @@ class BallTable:
 
     def split_key(self, word: bytes) -> Optional[bytes]:
         """Key of a reduced word from its sections ``depth`` levels down,
-        split level by level by ``split_sections`` (not through the memo of
-        ``decompose``), or None when a section has no class.  The image of
-        a level-``depth`` vertex v is v with its bit k from the top flipped
-        where the level-k vertex above v swaps.  A section of at most one
-        letter maps straight to its class; a longer one, which only a word
-        longer than the keys cover has, is decided by the word problem
-        against the class words, or looked up in ``inner``."""
+        split level by level by ``split_sections``, or None when a section
+        has no class.  The image of a level-``depth`` vertex v is v with its
+        bit k from the top flipped where the level-k vertex above v swaps.
+        A section of at most one letter maps straight to its class; a longer
+        one, which only a word longer than the keys cover has, is decided by
+        the word problem against the class words, or looked up in
+        ``inner``."""
         h = self.depth
         words, swaps = [word], []
         for level in range(h):
@@ -917,7 +917,6 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
         word = table.entries[eid]
         if a_count(word) % 2:
             continue
-        # Split here, not through the sequence's section memo.
         _, left, right = split_sections(word, sym)
         for side, section in (("left", left), ("right", right)):
             found = section_ids.get(section)

@@ -39,16 +39,14 @@ class OmegaSpec:
     its primitive root and the preperiod is shortened as long as its last
     symbol matches the last symbol of the (rotated) period.
 
-    The spec also owns the memos of its group, keyed by ``(shift, word)``:
-    ``elements.decompose`` writes ``sections`` for the callers that revisit
-    sections, and ``elements.is_identity``, which splits words itself,
-    writes only its answers to ``trivial``.  They are not part of its value,
-    so equal specs compare and hash equal whatever they have memoized.
+    The spec also owns the identity memo of its group, ``trivial``: the
+    answers of ``elements.is_identity`` keyed by ``(shift, word)``.  It is
+    not part of its value, so equal specs compare and hash equal whatever
+    they have memoized.
     """
 
     preperiod: str
     period: str
-    sections: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     trivial: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

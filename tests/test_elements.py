@@ -21,6 +21,7 @@ from overgrowth.elements import (
     generator,
     inverse,
     is_identity,
+    level_table,
     mul,
     order_bounded,
     portrait,
@@ -187,6 +188,18 @@ def test_portrait_examples():
         assert len(pic.labels) == (1 << depth) - 1
 
 
+def packed_labels(labels, depth, prefix=""):
+    """A portrait's labels packed into an int as ``signature`` packs them."""
+    if depth == 0:
+        return 0
+    half = (1 << (depth - 1)) - 1
+    return (
+        (labels[prefix] == "P")
+        | packed_labels(labels, depth - 1, prefix + "0") << 1
+        | packed_labels(labels, depth - 1, prefix + "1") << (1 + half)
+    )
+
+
 def test_portrait_matches_letterwise_oracle():
     rng = random.Random(47)
     for _ in range(300):
@@ -194,6 +207,20 @@ def test_portrait_matches_letterwise_oracle():
         raw = random_raw_word(rng, 8)
         g = Element.from_letters(raw, omega)
         assert portrait(g, 4).labels == portrait_via_act(raw, omega, 0, 4)
+    # From 128 letters on a word's sections are split in bulk at the root.
+    for omega, depth in zip(OMEGA_MATRIX, (6, 7, 8, 6, 7)):
+        shift = rng.randrange(omega.cycle_length)
+        spine = [rng.randrange(1, 8) for _ in range(rng.randrange(64, 201))]
+        word = bytes(x for k in spine for x in (0, k))
+        g = Element(word, omega, shift)
+        labels = portrait_via_act(word, omega, shift, depth)
+        assert portrait(g, depth).labels == labels
+        assert signature(g, depth) == packed_labels(labels, depth)
+        images = bytes(
+            int(act_word(word, omega, shift, format(i, f"0{depth}b")), 2)
+            for i in range(1 << depth)
+        )
+        assert level_table(g, depth)[: 1 << depth] == images
 
 
 def test_mul_and_inverse():

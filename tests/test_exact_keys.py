@@ -135,17 +135,6 @@ def test_stored_keys_are_the_split_keys_of_each_word(text, radius):
         assert key[:n] == level_table(table.element(eid), table.depth)[:n]
 
 
-def test_split_keys_leave_the_section_memo_alone():
-    # split_key splits by split_sections itself: keying every stored word
-    # adds nothing to the sequence's decompose memo.
-    omega = parse_omega("(0012)")
-    table = enumerate_ball(omega, 0, 11)
-    before = len(omega.sections)
-    for word, key in zip(table.entries, table.keys):
-        assert table.split_key(word) == key
-    assert len(omega.sections) == before
-
-
 def long_relator(ball, n):
     """A trivial reduced word W1 W2^-1 from two minimal words of one
     element of sphere n, W1 ending with a spine letter and W2 with ``a``."""

