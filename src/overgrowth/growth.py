@@ -149,20 +149,24 @@ class BallTable:
         rows: dict = {}  # one object per distinct row
         self._tails = [rows.setdefault(row, row)
                        for row in (bytes(t[c] for t in times[1:]) + pad for c in range(256))]
+        self.root_key = IDENTITY_TABLE[:n] + bytes(n)
+        self._by_key: dict[bytes, bytes] = {}
+        self._geodesics: dict[int, tuple] = {}
+        self._portrait_columns: dict[int, list] = {}
+        root = self._layout(self.root_key)
         symbol = symbol_at(omega, self.shift + h)
         self.letter_indices = []
         for letter in GENERATOR_LETTERS:
-            perm = level_table(generator(letter, omega, self.shift), h)[:n]
+            g = generator(letter, omega, self.shift)
+            perm = level_table(g, h)[:n]
             index = bytearray(perm + bytes(n + v for v in perm))
             if letter != A:
                 if letter_label(letter, symbol):
                     index[2 * n - 2] = 2 * n
                 index[2 * n - 1] = 2 * n + letter
             self.letter_indices.append(bytes(index))
-        self.root_key = IDENTITY_TABLE[:n] + bytes(n)
-        self._by_key: dict[bytes, bytes] = {}
-        self._geodesics: dict[int, tuple] = {}
-        self._portrait_columns: dict[int, list] = {}
+            # lookup raises unless the letter's move key is its split key.
+            self.lookup(g, self.letter_indices[-1].translate(root))
 
     def _class_products(self) -> list[bytearray]:
         """Set ``_class_words``, a word of each class at ``class_shift``,
@@ -209,32 +213,23 @@ class BallTable:
         return Element(self.entries[eid], self.omega, self.shift)
 
     def split_key(self, word: bytes) -> Optional[bytes]:
-        """Key of a reduced word from its sections ``depth`` levels down,
-        split level by level by ``split_sections``, or None when a section
-        has no class.  The image of a level-``depth`` vertex v is v with its
-        bit k from the top flipped where the level-k vertex above v swaps.
-        A section of at most one letter maps straight to its class; a longer
-        one, which only a word longer than the keys cover has, is decided by
-        the word problem against the class words, or looked up in
-        ``inner``."""
+        """Key of a reduced word: its level table at ``depth``, then the
+        class of each of its sections there, split level by level by
+        ``split_sections``; None when a section has no class.  A section of
+        at most one letter maps straight to its class; a longer one, which
+        only a word longer than the keys cover has, is decided by the word
+        problem against the class words."""
         h = self.depth
-        words, swaps = [word], []
+        words = [word]
         for level in range(h):
             symbol = symbol_at(self.omega, self.shift + level + 1)
             # An empty section's sections are empty.
-            split = [split_sections(w, symbol) if w else (False, w, w) for w in words]
-            swaps.append([swap for swap, _, _ in split])
-            words = [half for _, left, right in split for half in (left, right)]
-        table = bytes(
-            v ^ sum(swaps[k][v >> (h - k)] << (h - 1 - k) for k in range(h))
-            for v in range(1 << h)
-        )
+            words = [half for w in words
+                     for half in (split_sections(w, symbol)[1:] if w else (w, w))]
         classes = bytearray()
         for w in words:
             if len(w) <= 1:
                 c = self._letter_class[w[0]] if w else 0
-            elif self.inner is not None:
-                c = self.inner.lookup(Element(w, self.omega, self.class_shift))
             else:
                 section = Element(w, self.omega, self.class_shift)
                 c = next((c for c, cw in self._class_words.items()
@@ -242,7 +237,7 @@ class BallTable:
             if c is None:
                 return None
             classes.append(c)
-        return table + classes
+        return level_table(Element(word, self.omega, self.shift), h)[: 1 << h] + classes
 
     def lookup(self, element: Element, key: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
@@ -367,7 +362,8 @@ def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]
     A candidate g*s gets its key by one ``translate`` and probes the key
     index: keys are exact, so a miss is a new element with g's word and s.
     A miss whose key holds ``NO_CLASS`` breaks the contraction bound and is
-    an error.  The generators go through ``BallTable.lookup``.
+    an error.  ``BallTable.__init__`` has checked that the generators'
+    move keys are their split keys.
 
     A candidate built from sphere n lands in sphere n - 1 exactly when it
     is a geodesic predecessor of its element, met building sphere n as a
@@ -376,7 +372,6 @@ def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]
     only spheres n and n + 1, and a caller may ``drop_sphere(n - 1)`` once
     sphere n is yielded.
     """
-    omega, shift = table.omega, table.shift
     words, keys, by_key = table.entries, table.keys, table._by_key
     heads, tails = table._heads, table._tails
     # (letter, its one-byte word, its entry of letter_indices) per choice.
@@ -415,11 +410,7 @@ def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]
                 choices = [move for move in choices if not skip >> move[0] & 1]
             for letter, letter_word, letter_index in choices:
                 key = letter_index.translate(layout)
-                if level:
-                    found = by_key.get(key)
-                else:
-                    found = table.lookup(Element(letter_word, omega, shift), key)
-                    found = None if found is None else words[found]
+                found = by_key.get(key)
                 if found is not None:
                     if len(found) > level:
                         down[found] = down.get(found, 0) | 1 << letter
@@ -726,21 +717,16 @@ def stabilizes_level(g: Element, s: int) -> bool:
 def _level_stabilizers(table: BallTable, s: int) -> list[int]:
     """Ids of the ball elements that fix every vertex of level s: their
     level table keeps the top min(s, h) bits of every byte, for the keys'
-    level h, and below h the classes of their sections fix level s - h."""
+    level h, and the words of their sections' classes stabilize level
+    s - h (every class does when s <= h)."""
     h = table.depth
     n = 1 << h
     top = bytes(v >> (h - min(s, h)) for v in range(256))
     fixed = IDENTITY_TABLE[:n].translate(top)
-    if s <= h:
-        fixing = IDENTITY_TABLE
-    elif table.inner is not None:
-        fixing = bytes(_level_stabilizers(table.inner, s - h))
-    else:
-        # A spine letter fixes the levels down to its first swap (or all).
-        fixing = bytes(
-            c for c in table._class_words
-            if c != 8 and (_first_swap_level(c, table.omega, table.class_shift) or s) >= s - h
-        )
+    fixing = bytes(
+        c for c, word in table._class_words.items()
+        if stabilizes_level(Element(word, table.omega, table.class_shift), max(s - h, 0))
+    )
     return [
         eid for eid, key in enumerate(table.keys)
         if key[:n].translate(top) == fixed and not key[n:].translate(None, fixing)
@@ -801,7 +787,7 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     the check stops there, as ``lemma8_check`` does, and part B with it.
     ``complete`` and ``passed`` are as in ``lemma8_check``.
     """
-    eps = as_fraction(epsilon)
+    eps = _spread_epsilon(epsilon)
     omega_here = table.omega
     # The ball's generators read the sequence from position shift + 1 on.
     shifted = shifted_omega(omega_here, table.shift)

@@ -309,12 +309,14 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (("--omega", "(012)", "--radius", "0"), 0),
-        (("--omega", "(012)", "--radius", "10"), 0),
-        # Distinct elements shared the old level-8 keys here.
-        (("--omega", "(000001)", "--shift", "4", "--radius", "10"), 0),
-        # The old level-8 key was exact to radius 8 here.
-        (("--omega", "(0012)", "--radius", "11"), 0),
+        # A complete run's budget sits a little above its ball's size, so a
+        # dedup that stops merging fails at once instead of eating memory.
+        (("--omega", "(012)", "--radius", "0", "--budget", "10"), 0),
+        (("--omega", "(012)", "--radius", "10", "--budget", "14000"), 0),
+        # Distinct elements shared the old level-8 keys here (643 elements).
+        (("--omega", "(000001)", "--shift", "4", "--radius", "10", "--budget", "700"), 0),
+        # The old level-8 key was exact to radius 8 here (36,176 elements).
+        (("--omega", "(0012)", "--radius", "11", "--budget", "37000"), 0),
         # The budget stops inside sphere 9 (ids 3804..7755).
         (("--omega", "(012)", "--radius", "10", "--budget", "5000"), 3),
     ],
@@ -339,9 +341,11 @@ def test_streamed_growth_matches_the_whole_ball_export(tmp_path, argv, code):
 def test_bulk_export_matches_the_whole_ball_export(tmp_path, monkeypatch, chunk, radius):
     # Radius 10 has ids up to 5 digits, so runs split at 10, 100, 1,000
     # and 10,000 inside and at the edges of chunks; radius 0 is the root
-    # alone, with portrait b"\0".
+    # alone, with portrait b"\0".  Each budget sits a little above the
+    # ball's size (13,883 at radius 10), so a broken dedup fails at once.
     monkeypatch.setattr(cli, "_EXPORT_CHUNK", chunk)
-    argv = ["growth", "--omega", "(012)", "--radius", str(radius)]
+    budget = "10" if radius == 0 else "14000"
+    argv = ["growth", "--omega", "(012)", "--radius", str(radius), "--budget", budget]
     outputs = []
     for name, run in (
         ("bulk", main),

@@ -363,8 +363,9 @@ def test_derived_links_match_the_loop_that_stored_them(text, shift, radius, budg
 
 
 def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
-    # Keys are exact at every radius: only the eight generators become an
-    # Element and a lookup call, in the ball and in its inner ball.
+    # Keys are exact at every radius: the loop builds no Element and calls
+    # no lookup.  Only the table's set-up looks up its eight generators, in
+    # the ball and in its inner ball, to check their move keys.
     lookups, outside = [], []
     in_lookup = []
     real_lookup = growth.BallTable.lookup
@@ -396,7 +397,7 @@ def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
         balls = 1 + (table.inner is not None)
         assert table.complete and table.radius == radius
         assert lookups == [(1, True)] * 8 * balls
-        assert outside == [1] * 8 * balls
+        assert outside == []
 
 
 def test_an_inner_ball_that_stops_short_stops_the_ball():

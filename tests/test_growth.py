@@ -457,9 +457,9 @@ def test_level_section_trace_matches_oracle_splits(text):
     assert traced > 100
 
 
-def test_section_walks_write_no_memo(monkeypatch):
-    # lemma3 and the lemma-11 traces visit each section once: they split
-    # words themselves.
+def test_lemma11_traces_split_words_themselves(monkeypatch):
+    # level_section_trace splits each section word itself: it calls neither
+    # stabilizes_level nor decompose, and still stops at a swapping section.
     table = enumerate_ball(parse_omega("(012)"), 0, 8)
     assert lemma3_check(table)["passed"]
 
@@ -480,8 +480,9 @@ def test_section_walks_write_no_memo(monkeypatch):
 
 
 @pytest.mark.parametrize("text, order", [("(012)", 16), ("(0012)", 32)])
-def test_word_problem_writes_no_section_memo(text, order):
-    # is_identity splits each section itself and memoizes only its answer.
+def test_word_problem_memoizes_only_its_answers(text, order):
+    # is_identity and equal split long words section by section, answer
+    # right, and memoize the identity answer of each word in ``trivial``.
     omega = parse_omega(text)
     rng = random.Random(text)
     # a b has this order; its sections stay nonempty for a few levels.
@@ -519,6 +520,11 @@ def test_lemma11_part_a_and_gate():
     assert isinstance(rep["part_b"], dict)
     assert rep["part_b"]["passed"]
     assert rep["passed"]
+    # The lemma holds for 0 < epsilon < 1/2 only.  From 1/2 on, the spread
+    # threshold keeps no word of length n, so part B would pass unchecked.
+    for bad in ("0.7", "1/2", "0", "-0.1"):
+        with pytest.raises(ValueError, match="epsilon"):
+            lemma11_check(t, bad)
 
 
 def test_lemma11_bound_arithmetic():
