@@ -18,6 +18,7 @@ import math
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from hashlib import sha256
 from typing import Optional
@@ -98,6 +99,14 @@ def _emit(payload: dict, path: Optional[str]) -> None:
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
+
+
+def _fmt_exp(log_value: float) -> str:
+    """``_fmt(math.exp(log_value))``, taken in ``decimal`` past float range."""
+    try:
+        return _fmt(math.exp(log_value))
+    except OverflowError:
+        return f"{Context(prec=12).exp(Decimal(log_value)).normalize():g}"
 
 
 def _fraction(text: Optional[str], name: str) -> Optional[Fraction]:
@@ -231,8 +240,8 @@ def _growth_rows(table: gr.BallTable, curve_eps: Fraction) -> list[dict]:
                 "sphere": len(table.strata[n]),
                 "gamma": gam[n],
                 "gamma_root": _fmt(gam[n] ** (1.0 / n)) if n >= 1 else "",
-                "lower_curve": _fmt(math.exp(lo[n])) if n in lo else "",
-                "upper_curve": _fmt(math.exp(up[n])) if n in up else "",
+                "lower_curve": _fmt_exp(lo[n]) if n in lo else "",
+                "upper_curve": _fmt_exp(up[n]) if n in up else "",
             }
         )
     return rows

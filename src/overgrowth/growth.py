@@ -18,6 +18,7 @@ contraction checkers.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,7 @@ from .words import (
     SPINE_LETTERS,
     X,
     a_count,
+    extend,
     fixed_count,
     letter_label,
     reduce,
@@ -51,6 +53,7 @@ from .elements import (
     ContextMismatch,
     Element,
     _first_swap_level,
+    all_generators,
     decompose,
     equal,
     generator,
@@ -113,7 +116,8 @@ class BallTable:
     and for a spine letter the least letter of its coset modulo the ones
     trivial at ``class_shift`` = shift + depth.  Else it is the section's
     id in ``inner``, the ball of radius ``reach`` at ``class_shift`` with at
-    most 255 ids, and the keys cover lengths up to N times its radius.
+    most 255 ids; the keys cover lengths up to N times its radius, so when
+    it stops short ``radius`` is cut to that and ``complete`` unset.
     A key times a letter is one ``translate``: the letter's entry of
     ``letter_indices`` read through the key's ``_layout``, which adds the
     classes of the products that a spine letter's sections a (or 1) at
@@ -137,11 +141,27 @@ class BallTable:
         n = 1 << h
         self.reach = -(-radius // n)
         self.class_shift = shift_normalize(omega, self.shift + h)
-        self.inner = None if self.reach < 2 else enumerate_ball(
-            omega, self.class_shift, self.reach, NO_CLASS)
+        self.inner = None
+        if self.reach < 2:
+            trivial = [0] + [
+                k for k in SPINE_LETTERS
+                if _first_swap_level(k, omega, self.class_shift) is None
+            ]
+            self._letter_class = bytes([8] + [min(k ^ t for t in trivial) for k in SPINE_LETTERS])
+            self._class_words = {0: b"", 8: bytes((A,))}
+            self._class_words.update((c, bytes((c,))) for c in self._letter_class[1:] if c)
+        else:
+            self.inner = inner = enumerate_ball(omega, self.class_shift, self.reach, NO_CLASS)
+            self._letter_class = bytes(map(inner.lookup, all_generators(omega, self.class_shift)))
+            self._class_words = dict(enumerate(inner.entries))
+            if not inner.complete:
+                self.radius = inner.radius << h
+                self.complete = False
         # times[s][c] is the class of class c times letter s.
-        times = self._class_products()
-        self._letter_class = bytes(times[s][0] for s in GENERATOR_LETTERS)
+        times = [bytearray([NO_CLASS]) * 256 for _ in GENERATOR_LETTERS]
+        for c, word in self._class_words.items():
+            for letter in GENERATOR_LETTERS:
+                times[letter][c] = self._class_of(extend(word, letter))
         # Slot 2N of a layout holds the class at vertex N - 2 times a, and
         # slot 2N + s the class at vertex N - 1 times spine letter s.
         self._heads = [bytes((c,)) for c in times[A]]
@@ -168,43 +188,28 @@ class BallTable:
             # lookup raises unless the letter's move key is its split key.
             self.lookup(g, self.letter_indices[-1].translate(root))
 
-    def _class_products(self) -> list[bytearray]:
-        """Set ``_class_words``, a word of each class at ``class_shift``,
-        and return the products of the classes by each letter."""
-        times = [bytearray([NO_CLASS]) * 256 for _ in GENERATOR_LETTERS]
-        inner = self.inner
-        if inner is not None:
-            self._class_words = dict(enumerate(inner.entries))
-            for c, key in enumerate(inner.keys):
-                layout = inner._layout(key)
-                for letter, index in enumerate(inner.letter_indices):
-                    found = inner._by_key.get(index.translate(layout))
-                    if found is not None:
-                        times[letter][c] = inner._id_of(found)
-            return times
-        trivial = [0] + [
-            k for k in SPINE_LETTERS
-            if _first_swap_level(k, self.omega, self.class_shift) is None
-        ]
-        spine = [min(k ^ t for t in trivial) for k in range(8)]
-        self._class_words = {0: b"", 8: bytes((A,))}
-        self._class_words.update((c, bytes((c,))) for c in spine if c)
-        for c in self._class_words:
-            for letter, d in enumerate([8] + spine[1:]):
-                if not c or not d:
-                    times[letter][c] = c | d
-                elif (c == 8) == (d == 8):
-                    times[letter][c] = spine[(c ^ d) & 7]
-        return times
+    def _class_of(self, word: bytes) -> int:
+        """Class of a reduced word at ``class_shift``, or ``NO_CLASS``; past
+        one letter, by the inner ball's lookup or the word problem."""
+        if len(word) <= 1:
+            return self._letter_class[word[0]] if word else 0
+        section = Element(word, self.omega, self.class_shift)
+        if self.inner is not None:
+            found = self.inner.lookup(section)
+            return NO_CLASS if found is None else found
+        # Of the class words only a has an odd number of a's.
+        odd = a_count(word) % 2
+        return next((c for c, class_word in self._class_words.items()
+                     if a_count(class_word) % 2 == odd
+                     and equal(section, Element(class_word, self.omega, self.class_shift))),
+                    NO_CLASS)
 
     def _layout(self, key: bytes) -> bytes:
         return key + self._heads[key[-2]] + self._tails[key[-1]]
 
     def _id_of(self, word: bytes) -> int:
-        n = len(word)
-        if n < len(self.strata):
-            return bisect_left(self.entries, word, self.strata[n].start, self.strata[n].stop)
-        return bisect_left(self.entries, word, self.strata[-1].stop)
+        stratum = self.strata[len(word)]
+        return bisect_left(self.entries, word, stratum.start, stratum.stop)
 
     def gamma(self) -> list[int]:
         return list(accumulate(map(len, self.strata)))
@@ -212,13 +217,13 @@ class BallTable:
     def element(self, eid: int) -> Element:
         return Element(self.entries[eid], self.omega, self.shift)
 
-    def split_key(self, word: bytes) -> Optional[bytes]:
+    def split_key(self, word: bytes) -> bytes:
         """Key of a reduced word: its level table at ``depth``, then the
         class of each of its sections there, split level by level by
-        ``split_sections``; None when a section has no class.  A section of
-        at most one letter maps straight to its class; a longer one, which
-        only a word longer than the keys cover has, is decided by the word
-        problem against the class words."""
+        ``split_sections`` and classed by ``_class_of``.  Only a word
+        longer than the keys cover has a section longer than one letter,
+        and a section with no class reads ``NO_CLASS``, which no stored key
+        holds."""
         h = self.depth
         words = [word]
         for level in range(h):
@@ -226,18 +231,8 @@ class BallTable:
             # An empty section's sections are empty.
             words = [half for w in words
                      for half in (split_sections(w, symbol)[1:] if w else (w, w))]
-        classes = bytearray()
-        for w in words:
-            if len(w) <= 1:
-                c = self._letter_class[w[0]] if w else 0
-            else:
-                section = Element(w, self.omega, self.class_shift)
-                c = next((c for c, cw in self._class_words.items()
-                          if equal(section, Element(cw, self.omega, self.class_shift))), None)
-            if c is None:
-                return None
-            classes.append(c)
-        return level_table(Element(word, self.omega, self.shift), h)[: 1 << h] + classes
+        table = level_table(Element(word, self.omega, self.shift), h)[: 1 << h]
+        return table + bytes(map(self._class_of, words))
 
     def lookup(self, element: Element, key: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
@@ -261,7 +256,7 @@ class BallTable:
                 key = self.letter_indices[letter].translate(self._layout(key))
             if NO_CLASS in key:
                 key = self.split_key(word)
-        found = None if key is None else self._by_key.get(key)
+        found = self._by_key.get(key)
         return None if found is None else self._id_of(found)
 
     def predecessors(self, eid: int) -> list[tuple[int, int]]:
@@ -355,9 +350,8 @@ class BallTable:
 def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]:
     """Fill an empty table breadth-first up to its radius, yielding the id
     range of each sphere as soon as it is complete, the root's first.  On
-    budget overrun, or before a sphere that the keys do not cover, the
-    unfinished sphere is dropped, ``complete`` is unset, ``radius`` is the
-    last sphere yielded, and the generator ends.
+    budget overrun the unfinished sphere is dropped, ``complete`` is unset,
+    ``radius`` is the last sphere yielded, and the generator ends.
 
     A candidate g*s gets its key by one ``translate`` and probes the key
     index: keys are exact, so a miss is a new element with g's word and s.
@@ -377,7 +371,6 @@ def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]
     # (letter, its one-byte word, its entry of letter_indices) per choice.
     moves = [(letter, bytes((letter,)), index) for letter, index in enumerate(table.letter_indices)]
     spine_moves, a_moves = moves[1:], moves[:1]
-    covered = table.radius if table.inner is None else table.inner.radius << table.depth
     words.append(b"")
     keys.append(table.root_key)
     by_key[table.root_key] = b""
@@ -386,10 +379,6 @@ def grow_ball(table: BallTable, budget: int = DEFAULT_BUDGET) -> Iterator[range]
     # down[w]: the hits by letter of the element of the last sphere with word w.
     down: dict[bytes, int] = {}
     for level in range(table.radius):
-        if level == covered:
-            table.complete = False
-            table.radius = level
-            return
         start = len(words)  # the first id of sphere level + 1
         known_down, down = down, {}
         for eid in table.strata[level]:
@@ -584,7 +573,8 @@ def lemma9_report(delta, k_max: int) -> dict:
         raise ValueError("k_max must be positive")
     bound = lemma9_bound(d)
     counts = [count_ftilde(d, k) for k in range(1, k_max + 1)]
-    roots = [c ** (1.0 / k) for k, c in enumerate(counts, start=1)]
+    roots = [c ** (1.0 / k) if c <= sys.float_info.max else math.exp(math.log(c) / k)
+             for k, c in enumerate(counts, start=1)]
     trend = list(roots)
     for i in range(len(trend) - 2, -1, -1):
         trend[i] = max(trend[i], trend[i + 1])

@@ -7,7 +7,8 @@ end: ``ball_links`` reads the links a table derives, and the rest are the
 loops that a fast path replaced (the link-storing ball loop, the whole-ball
 export and the checkers), kept to compare outputs with.  Those read the
 ball only through public functions: ``level_table``, ``equal`` and
-``decompose``.
+``decompose``; only ``class_products``, the class arithmetic that
+``BallTable._class_of`` replaced, reads an inner ball's key index.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from overgrowth import cli, growth
 from overgrowth.elements import (
     IDENTITY_TABLE,
     Element,
+    _first_swap_level,
     decompose,
     equal,
     generator,
@@ -305,6 +307,38 @@ def ball_with_stored_links(omega, shift=0, radius=0, budget=growth.DEFAULT_BUDGE
                     links[found].append((eid, letter))
         ball.strata.append(range(start, len(words)))
     return ball, links
+
+
+def class_products(table) -> list[bytearray]:
+    """``times[s][c]``, the class of class c of ``table`` times letter s,
+    as the table once computed it.  With an inner ball it is the inner id
+    that the move key of inner element c times s finds in the inner key
+    index, or ``NO_CLASS`` on a miss.  With one-letter classes it is coset
+    arithmetic: 0 is the identity, 8 is ``a``, and a spine letter's class
+    is the least letter of its coset modulo the spine letters trivial at
+    ``class_shift``; a spine letter times ``a`` has no class."""
+    times = [bytearray([growth.NO_CLASS]) * 256 for _ in range(8)]
+    inner = table.inner
+    if inner is not None:
+        for c, key in enumerate(inner.keys):
+            layout = inner._layout(key)
+            for letter, index in enumerate(inner.letter_indices):
+                found = inner._by_key.get(index.translate(layout))
+                if found is not None:
+                    times[letter][c] = inner._id_of(found)
+        return times
+    trivial = [0] + [
+        k for k in range(1, 8)
+        if _first_swap_level(k, table.omega, table.class_shift) is None
+    ]
+    spine = [min(k ^ t for t in trivial) for k in range(8)]
+    for c in {0, 8, *spine}:
+        for letter, d in enumerate([8] + spine[1:]):
+            if not c or not d:
+                times[letter][c] = c | d
+            elif (c == 8) == (d == 8):
+                times[letter][c] = spine[(c ^ d) & 7]
+    return times
 
 
 def memo_signature(g: Element, depth: int, memo: dict) -> int:

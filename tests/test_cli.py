@@ -1,9 +1,11 @@
 """Command-line surface: flags, outputs, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,36 @@ def test_growth_dihedral_column(capsys):
     assert code == 0
     rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
     assert [int(r[2]) for r in rows] == [2 * n + 1 for n in range(13)]
+
+
+def test_growth_curves_past_float_range_are_formatted_from_their_logs(capsys):
+    # The upper curve exp(n loglog n / log n) leaves float range at
+    # n = 2,715; from there it is formatted from its log, to the same 12
+    # significant digits.
+    code, out = run(capsys, "growth", "--omega", "(0)", "--radius", "2800")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    _, upper = gr.bound_curves(range(2714, 2801), "1/2")
+    assert rows[2714]["upper_curve"] == f"{math.exp(upper[2714]):.12g}"
+    with pytest.raises(OverflowError):
+        math.exp(upper[2715])
+    for n in (2715, 2800):
+        assert float(Decimal(rows[n]["upper_curve"]).ln()) == pytest.approx(upper[n], rel=1e-12)
+    assert rows[2800]["upper_curve"] == "2.35149153573e+317"
+
+
+def test_lemma9_roots_past_float_range(capsys):
+    # From k = 621 on the count exceeds float range, so its root is taken
+    # through its log.
+    code, data = run_json(capsys, "verify", "--suite", "lemma9", "--kmax", "700")
+    assert code == 0 and data["passed"]
+    rows = data["suites"]["lemma9"]["detail"]["rows"]
+    with pytest.raises(OverflowError):
+        float(rows[620]["count"])
+    for row in rows[619:]:
+        assert row["root"] == pytest.approx(math.exp(math.log(row["count"]) / row["k"]), rel=1e-12)
+        assert row["root"] < row["bound"]
 
 
 def test_growth_radius_zero(capsys):

@@ -4,7 +4,8 @@ Classes are checked against a brute-force search over letterwise vertex
 actions, keys against the word problem on every short reduced word, and
 whole balls against a ball deduplicated by the word problem alone.  The
 ball loop probes the key index itself at every radius and calls neither
-``equal`` nor ``lookup`` but for the eight generators.
+``equal`` nor ``lookup``: only building a table does, to check the eight
+generators and to class the products of its classes.
 """
 
 import itertools
@@ -37,6 +38,7 @@ from _oracles import (
     act_word,
     ball_links,
     ball_with_stored_links,
+    class_products,
     portrait_signs,
     random_raw_word,
     signature_bytes,
@@ -92,6 +94,36 @@ def test_one_letter_classes_match_brute_force(text):
         assert classes[1] == 8 and table._class_words[8] == b"\0"
         for c, word in table._class_words.items():
             assert classes[ONE_LETTER_WORDS.index(word)] == c
+
+
+@pytest.mark.parametrize(
+    "text, shift, radius",
+    [
+        ("(012)", 0, 12),
+        ("(012)", 0, 100),
+        ("(012)", 0, 400),
+        *[("(0012)", shift, radius) for shift in range(4) for radius in (11, 100)],
+        ("(000001)", 4, 10),
+        ("(0102011)", 3, 10),
+        ("01(2)", 0, 24),
+        ("01(2)", 0, 100),
+        ("(0)", 0, 300),
+        ("0(1)", 0, 100),
+        ("(01)", 0, 66),
+    ],
+)
+def test_class_products_match_the_coset_and_inner_key_reference(text, shift, radius):
+    # _class_of names a product by the inner lookup or the word problem;
+    # the reference by coset arithmetic or the inner ball's move keys.
+    # The lookup could name a product past the inner ball's own keys where
+    # the reference reads NO_CLASS, but none of these tables has one: they
+    # agree on every entry, in both regimes.
+    table = BallTable(parse_omega(text), shift, radius)
+    times = class_products(table)
+    pad = bytes(256 - len(table.root_key) - 8)
+    assert table._letter_class == bytes(t[0] for t in times)
+    assert table._heads == [bytes((c,)) for c in times[A]]
+    assert table._tails == [bytes(t[c] for t in times[1:]) + pad for c in range(256)]
 
 
 @pytest.mark.parametrize(
@@ -291,10 +323,14 @@ def test_balls_crossing_exact_radius_match_equal_only_dedup(monkeypatch):
         ("0(1)", 0, 65, 20_000, 65),
     ):
         omega = parse_omega(text)
-        table = enumerate_ball(omega, shift, radius, budget)
+        # Building the table may ask equal to class the products of its
+        # classes; growing the ball and deriving its links ask it nothing.
+        table = BallTable(omega, shift, radius)
+        del asked[:]
+        for _ in grow_ball(table, budget):
+            pass
         assert table.radius == reached
         assert (table.inner is not None) == (radius > 64)
-        # Neither building the ball nor deriving its links asks equal.
         links = ball_links(table)
         assert asked == [], text
         monkeypatch.setattr(growth, "equal", real_equal)
@@ -365,7 +401,7 @@ def test_derived_links_match_the_loop_that_stored_them(text, shift, radius, budg
 def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
     # Keys are exact at every radius: the loop builds no Element and calls
     # no lookup.  Only the table's set-up looks up its eight generators, in
-    # the ball and in its inner ball, to check their move keys.
+    # the table and in its inner ball, to check their move keys.
     lookups, outside = [], []
     in_lookup = []
     real_lookup = growth.BallTable.lookup
@@ -393,31 +429,34 @@ def test_ball_loop_probes_the_key_index_itself_up_to_exact_radius(monkeypatch):
         ("0(1)", 0, 70),
     ):
         del lookups[:], outside[:]
-        table = enumerate_ball(parse_omega(text), shift, radius)
-        balls = 1 + (table.inner is not None)
+        table = BallTable(parse_omega(text), shift, radius)
+        keyed = [lookup for lookup in lookups if lookup[1]]
+        assert keyed == [(1, True)] * 8 * (1 + (table.inner is not None))
+        del lookups[:], outside[:]
+        for _ in grow_ball(table):
+            pass
         assert table.complete and table.radius == radius
-        assert lookups == [(1, True)] * 8 * balls
-        assert outside == []
+        assert lookups == [] and outside == []
 
 
 def test_an_inner_ball_that_stops_short_stops_the_ball():
     # The inner ball of (012) at radius 400 is the ball of radius 7 at
     # shift 6 with at most 255 ids.  It stops at radius 4, so the keys
-    # cover the elements up to length 256; a budget stops the ball far
-    # below that.
+    # cover the elements up to length 4 * 2^6 = 256: the table is cut
+    # there before it grows, and a budget stops the ball far below that.
     omega = parse_omega("(012)")
     table = BallTable(omega, 0, 400)
     assert table.reach == 7 and not table.inner.complete
     assert table.inner.radius == 4 and len(table.inner.entries) <= NO_CLASS
+    assert table.radius == 256 and not table.complete
     assert enumerate_ball(omega, 0, 400, budget=3000).radius < 256
-    # Keys that cover the root alone stop the ball as a budget overrun
-    # stops it.
-    table.inner.radius = 0
-    assert list(grow_ball(table)) == [range(1)]
-    assert not table.complete and table.radius == 0
-    # An inner ball that completes stops nothing.
-    table = enumerate_ball(parse_omega("(0)"), 0, 300)
-    assert table.complete and table.inner.complete and table.inner.radius == 5
+    # An inner ball that completes cuts nothing.
+    table = BallTable(parse_omega("(0)"), 0, 300)
+    assert table.radius == 300 and table.complete
+    assert table.inner.complete and table.inner.radius == 5
+    for _ in grow_ball(table):
+        pass
+    assert table.radius == 300 and table.complete
 
 
 def test_lookup_rejects_a_foreign_shift_or_sequence():
