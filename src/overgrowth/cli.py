@@ -8,6 +8,11 @@ suite did not complete (a ball hit the element budget, or an element had
 more minimal words than a suite keeps).
 Reports carry a header block (tool version, canonical sequence, budget,
 seed) and reruns with equal headers are byte-identical.
+
+``main`` checks the shared options once into a ``RunConfig``.  A
+subcommand that reports on one word or sequence returns only its fields,
+and ``main`` adds the header and writes the report; ``growth`` and
+``verify`` write their own output and return their exit code.
 """
 
 from __future__ import annotations
@@ -132,98 +137,53 @@ def _config(args) -> RunConfig:
     return RunConfig(omega, args.budget, getattr(args, "seed", 0) or 0, eps, delta)
 
 
-def cmd_classify(args) -> int:
-    cfg = _config(args)
+def _element(args, cfg: RunConfig, text: str) -> Element:
+    return Element.from_text(text, cfg.omega, args.shift)
+
+
+def cmd_classify(args, cfg: RunConfig) -> dict:
     cls = classify(cfg.omega)
-    _emit(
-        {
-            "header": cfg.header(),
-            "class": cls.kind.value,
-            "star_window": cls.star_window,
-            "two_symbol": cls.two_symbol,
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "class": cls.kind.value,
+        "star_window": cls.star_window,
+        "two_symbol": cls.two_symbol,
+    }
 
 
-def cmd_reduce(args) -> int:
-    cfg = _config(args)
+def cmd_reduce(args, cfg: RunConfig) -> dict:
     receipt = reduce(parse_letters(args.word))
-    _emit(
-        {
-            "header": cfg.header(),
-            "word": render_letters(receipt.word),
-            "alpha": receipt.contractions,
-        },
-        args.output,
-    )
-    return 0
+    return {"word": render_letters(receipt.word), "alpha": receipt.contractions}
 
 
-def cmd_equal(args) -> int:
-    cfg = _config(args)
-    g = Element.from_text(args.w1, cfg.omega, args.shift)
-    h = Element.from_text(args.w2, cfg.omega, args.shift)
-    _emit({"header": cfg.header(), "equal": equal(g, h)}, args.output)
-    return 0
+def cmd_equal(args, cfg: RunConfig) -> dict:
+    return {"equal": equal(_element(args, cfg, args.w1), _element(args, cfg, args.w2))}
 
 
-def cmd_identity(args) -> int:
-    cfg = _config(args)
-    g = Element.from_text(args.word, cfg.omega, args.shift)
-    _emit({"header": cfg.header(), "identity": is_identity(g)}, args.output)
-    return 0
+def cmd_identity(args, cfg: RunConfig) -> dict:
+    return {"identity": is_identity(_element(args, cfg, args.word))}
 
 
-def cmd_act(args) -> int:
-    cfg = _config(args)
-    g = Element.from_text(args.word, cfg.omega, args.shift)
-    _emit({"header": cfg.header(), "image": act(g, args.vertex)}, args.output)
-    return 0
+def cmd_act(args, cfg: RunConfig) -> dict:
+    return {"image": act(_element(args, cfg, args.word), args.vertex)}
 
 
-def cmd_sections(args) -> int:
-    cfg = _config(args)
-    g = Element.from_text(args.word, cfg.omega, args.shift)
-    left, right = sections(g)
-    _emit(
-        {
-            "header": cfg.header(),
-            "left": render_letters(left.word),
-            "right": render_letters(right.word),
-            "shift": left.shift,
-        },
-        args.output,
-    )
-    return 0
+def cmd_sections(args, cfg: RunConfig) -> dict:
+    left, right = sections(_element(args, cfg, args.word))
+    return {
+        "left": render_letters(left.word),
+        "right": render_letters(right.word),
+        "shift": left.shift,
+    }
 
 
-def cmd_portrait(args) -> int:
-    cfg = _config(args)
-    g = Element.from_text(args.word, cfg.omega, args.shift)
-    pic = portrait(g, args.depth)
-    _emit(
-        {"header": cfg.header(), "depth": pic.depth, "labels": pic.labels},
-        args.output,
-    )
-    return 0
+def cmd_portrait(args, cfg: RunConfig) -> dict:
+    pic = portrait(_element(args, cfg, args.word), args.depth)
+    return {"depth": pic.depth, "labels": pic.labels}
 
 
-def cmd_order(args) -> int:
-    cfg = _config(args)
-    g = Element.from_text(args.word, cfg.omega, args.shift)
-    k = order_bounded(g, args.max_order)
-    _emit(
-        {
-            "header": cfg.header(),
-            "order": k,
-            "max_order": args.max_order,
-            "exceeded": k is None,
-        },
-        args.output,
-    )
-    return 0
+def cmd_order(args, cfg: RunConfig) -> dict:
+    k = order_bounded(_element(args, cfg, args.word), args.max_order)
+    return {"order": k, "max_order": args.max_order, "exceeded": k is None}
 
 
 def _growth_rows(table: gr.BallTable, curve_eps: Fraction) -> list[dict]:
@@ -313,8 +273,7 @@ def _export_sphere(export, table: gr.BallTable, sphere: range, depth: int) -> No
             lo = hi
 
 
-def cmd_growth(args) -> int:
-    cfg = _config(args)
+def cmd_growth(args, cfg: RunConfig) -> int:
     # Bad input fails before the output files are created, and the files
     # are opened before the ball is built, so a bad path fails at once.
     if args.radius < 0:
@@ -322,7 +281,8 @@ def cmd_growth(args) -> int:
     if args.shift < 0:
         raise ValueError("shift must be nonnegative")
     curve_eps = _fraction(args.curve_epsilon, "curve epsilon")
-    if curve_eps is None or curve_eps <= 0:
+    # bound_curves takes its float, which an exact tiny value underflows.
+    if curve_eps is None or float(curve_eps) <= 0:
         raise ValueError("curve epsilon must be positive")
     with ExitStack() as files:
         export = (
@@ -563,8 +523,7 @@ def _inapplicable(name: str, cfg: RunConfig, omega: OmegaSpec) -> Optional[str]:
     return None
 
 
-def cmd_verify(args) -> int:
-    cfg = _config(args)
+def cmd_verify(args, cfg: RunConfig) -> int:
     names = _SUITES if args.suite == "all" else (args.suite,)
     radius = 8 if args.radius is None else args.radius
     k_max = 14 if args.kmax is None else args.kmax
@@ -714,10 +673,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config(args)
+        result = args.func(args, cfg)
+        # growth and verify write their own output and pick their exit code.
+        if isinstance(result, int):
+            return result
+        _emit({"header": cfg.header(), **result}, args.output)
+        return 0
     except (OmegaParseError, WordParseError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

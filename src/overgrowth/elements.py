@@ -182,9 +182,17 @@ def level_table(g: Element, depth: int) -> bytes:
     from 2^depth on are the identity.  Tables compose like the elements:
     the table of ``mul(g, h)`` is ``level_table(h, d).translate(level_table(g, d))``.
     """
+    return level_split(g, depth)[0] + IDENTITY_TABLE[1 << depth:]
+
+
+def level_split(g: Element, depth: int) -> tuple[bytes, list[bytes]]:
+    """The first 2^depth bytes of ``level_table(g, depth)`` and g's section
+    words at the vertices of level ``depth``, in vertex order, from one
+    walk down the sections."""
     if not 0 <= depth <= TABLE_DEPTH_MAX:
         raise ValueError(f"level tables cover depths 0..{TABLE_DEPTH_MAX}")
-    return _leaf_images(g.omega, g.shift, g.word, depth) + IDENTITY_TABLE[1 << depth:]
+    leaves: list[bytes] = []
+    return _leaf_images(g.omega, g.shift, g.word, depth, leaves), leaves
 
 
 # _RAISE[k] adds 2^k (mod 256) to every byte: it moves the leaf images of
@@ -194,13 +202,19 @@ _RAISE = tuple(
 )
 
 
-def _leaf_images(omega: OmegaSpec, shift: int, word: bytes, depth: int) -> bytes:
-    if not word or depth == 0:
+def _leaf_images(omega: OmegaSpec, shift: int, word: bytes, depth: int, leaves: list) -> bytes:
+    """Leaf images of ``word`` at level ``depth``; appends its sections
+    there to ``leaves``, left to right."""
+    if depth == 0:
+        leaves.append(word)
+        return IDENTITY_TABLE[:1]
+    if not word:
+        leaves += [word] * (1 << depth)
         return IDENTITY_TABLE[: 1 << depth]
     swap, left, right = split_sections(word, symbol_at(omega, shift + 1))
     down = shift_normalize(omega, shift + 1)
-    left = _leaf_images(omega, down, left, depth - 1)
-    right = _leaf_images(omega, down, right, depth - 1)
+    left = _leaf_images(omega, down, left, depth - 1, leaves)
+    right = _leaf_images(omega, down, right, depth - 1, leaves)
     up = _RAISE[depth - 1]
     if swap:
         return left.translate(up) + right

@@ -58,6 +58,7 @@ from .elements import (
     equal,
     generator,
     is_identity,
+    level_split,
     level_table,
 )
 
@@ -219,20 +220,13 @@ class BallTable:
 
     def split_key(self, word: bytes) -> bytes:
         """Key of a reduced word: its level table at ``depth``, then the
-        class of each of its sections there, split level by level by
-        ``split_sections`` and classed by ``_class_of``.  Only a word
-        longer than the keys cover has a section longer than one letter,
-        and a section with no class reads ``NO_CLASS``, which no stored key
+        class of each of its sections there, both from one ``level_split``
+        walk, each section classed by ``_class_of``.  Only a word longer
+        than the keys cover has a section longer than one letter, and a
+        section with no class reads ``NO_CLASS``, which no stored key
         holds."""
-        h = self.depth
-        words = [word]
-        for level in range(h):
-            symbol = symbol_at(self.omega, self.shift + level + 1)
-            # An empty section's sections are empty.
-            words = [half for w in words
-                     for half in (split_sections(w, symbol)[1:] if w else (w, w))]
-        table = level_table(Element(word, self.omega, self.shift), h)[: 1 << h]
-        return table + bytes(map(self._class_of, words))
+        table, sections = level_split(Element(word, self.omega, self.shift), self.depth)
+        return table + bytes(map(self._class_of, sections))
 
     def lookup(self, element: Element, key: Optional[bytes] = None) -> Optional[int]:
         """Id of the ball element equal to ``element``, or None.
@@ -474,6 +468,24 @@ def _spread_epsilon(epsilon) -> Fraction:
     return eps
 
 
+def _spread_threshold(eps: Fraction, n: int) -> int:
+    """floor((1/2 - eps) * n): a word of length n is spread when no non-``a``
+    letter occurs more often.  Counts are ints, so comparing with the floor
+    is exact."""
+    return math.floor((Fraction(1, 2) - eps) * n)
+
+
+def _f_type_words(table: BallTable, eid: int, threshold: int) -> tuple:
+    """Element eid's minimal words if it is F-type (each has a non-``a``
+    letter above ``threshold``), else ``()``.  The stored word is a minimal
+    word, so a spread one makes the element D-type before any of its words
+    are listed."""
+    if _max_spine_count(table.entries[eid]) <= threshold:
+        return ()
+    words = geodesic_words(table, eid)
+    return words if all(_max_spine_count(w) > threshold for w in words) else ()
+
+
 @dataclass(frozen=True)
 class GeodesicClassification:
     F: frozenset
@@ -490,14 +502,10 @@ def classify_geodesics(table: BallTable, epsilon, n: int) -> GeodesicClassificat
     eps = _spread_epsilon(epsilon)
     if not 0 <= n <= table.radius:
         raise ValueError("sphere radius outside the computed ball")
-    # Counts are ints, so comparing with the floor of the threshold is exact.
-    threshold = math.floor((Fraction(1, 2) - eps) * n)
+    threshold = _spread_threshold(eps, n)
     f_ids, d_ids = set(), set()
     for eid in table.strata[n]:
-        spread = any(
-            _max_spine_count(w) <= threshold for w in geodesic_words(table, eid)
-        )
-        (d_ids if spread else f_ids).add(eid)
+        (f_ids if _f_type_words(table, eid, threshold) else d_ids).add(eid)
     return GeodesicClassification(frozenset(f_ids), frozenset(d_ids))
 
 
@@ -656,22 +664,17 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
     memo = table._geodesics
     try:
         for n in range(2, table.radius + 1):
-            threshold = math.floor((Fraction(1, 2) - eps) * n)
+            threshold = _spread_threshold(eps, n)
             last = n == table.radius
             for eid in table.strata[n]:
-                if _max_spine_count(table.entries[eid]) <= threshold:
-                    continue
-                words = geodesic_words(table, eid)
-                # F-type: every minimal word has a letter above threshold.
-                if all(_max_spine_count(w) > threshold for w in words):
-                    for w in words:
-                        checked += 1
-                        try:
-                            lemma8_map(w, eps)
-                        except LemmaViolation as exc:
-                            violations.append({"n": n, "eid": eid, "detail": str(exc)})
+                for w in _f_type_words(table, eid, threshold):
+                    checked += 1
+                    try:
+                        lemma8_map(w, eps)
+                    except LemmaViolation as exc:
+                        violations.append({"n": n, "eid": eid, "detail": str(exc)})
                 if last:
-                    del memo[eid]
+                    memo.pop(eid, None)
             # Listing sphere n's words fills the memo below it out of order;
             # sphere n + 1's words extend sphere n's, so keep only those.
             start = table.strata[n].start
@@ -792,7 +795,7 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     stab_ids = _level_stabilizers(table, s)
     n = table.radius
     gated = n * eps > Fraction(5, 2)
-    threshold = math.floor((Fraction(1, 2) - eps) * n)
+    threshold = _spread_threshold(eps, n)
     headline = (1 - eps / 5) * n + (1 << s) - 1
     violations_a = []
     violations_b = []

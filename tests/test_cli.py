@@ -412,6 +412,8 @@ def test_growth_bad_input_creates_no_file(capsys, tmp_path, flag):
         ("--radius", "-1"),
         ("--radius", "4", "--curve-epsilon", "0"),
         ("--radius", "2", "--shift", "-1"),
+        # Exact and positive, but its float underflows to 0.
+        ("--radius", "3", "--curve-epsilon", "1e-400"),
     ):
         path = tmp_path / "f"
         assert main(["growth", "--omega", "(012)", *bad, flag, str(path)]) == 2
@@ -499,6 +501,31 @@ def test_headers_everywhere(capsys):
         header = data["header"]
         assert header["tool"].startswith("overgrowth ")
         assert header["budget"] == gr.DEFAULT_BUDGET and "seed" in header
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--omega", "(012)"),
+        ("reduce", "--word", "B x"),
+        ("equal", "--omega", "(01)", "--w1", "b", "--w2", "x"),
+        ("identity", "--omega", "(0)", "--word", "d"),
+        ("act", "--omega", "(012)", "--word", "a b", "--vertex", "0110"),
+        ("sections", "--omega", "(012)", "--word", "b", "--shift", "1"),
+        ("portrait", "--omega", "(012)", "--word", "x", "--depth", "3"),
+        ("order", "--omega", "(012)", "--word", "a d", "--seed", "7"),
+    ],
+)
+def test_one_element_reports_print_what_they_write(capsys, tmp_path, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    assert main([*argv, "--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text(encoding="utf-8") == out
+    header = json.loads(out)["header"]
+    assert sorted(header) == ["budget", "omega", "seed", "tool"]
+    assert header["tool"].startswith("overgrowth ")
 
 
 def test_zero_or_negative_budget_exits_2(capsys):
