@@ -177,6 +177,12 @@ def cmd_sections(args, cfg: RunConfig) -> dict:
 
 
 def cmd_portrait(args, cfg: RunConfig) -> dict:
+    # Its 2^depth - 1 labels fit the budget while 2^depth <= budget + 1.
+    if args.depth >= (cfg.budget + 1).bit_length():
+        raise ValueError(
+            f"a portrait to depth {args.depth} has 2^{args.depth} - 1 labels, "
+            f"more than the budget of {cfg.budget}"
+        )
     pic = portrait(_element(args, cfg, args.word), args.depth)
     return {"depth": pic.depth, "labels": pic.labels}
 
@@ -274,12 +280,10 @@ def _export_sphere(export, table: gr.BallTable, sphere: range, depth: int) -> No
 
 
 def cmd_growth(args, cfg: RunConfig) -> int:
-    # Bad input fails before the output files are created, and the files
-    # are opened before the ball is built, so a bad path fails at once.
-    if args.radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if args.shift < 0:
-        raise ValueError("shift must be nonnegative")
+    # Bad input fails before the output files are created (the table checks
+    # the radius and the shift), and the files are opened before the ball
+    # is built, so a bad path fails at once.
+    table = gr.BallTable(cfg.omega, args.shift, args.radius)
     curve_eps = _fraction(args.curve_epsilon, "curve epsilon")
     # bound_curves takes its float, which an exact tiny value underflows.
     if curve_eps is None or float(curve_eps) <= 0:
@@ -298,7 +302,6 @@ def cmd_growth(args, cfg: RunConfig) -> int:
         # Once sphere n is complete, sphere n - 1 goes (the loop reads it
         # no more) and sphere n's export lines go out.  A budget stop drops
         # the unfinished sphere unexported.
-        table = gr.BallTable(cfg.omega, args.shift, args.radius)
         depth = gr.export_portrait_depth(args.radius)
         for n, sphere in enumerate(gr.grow_ball(table, cfg.budget)):
             if n:

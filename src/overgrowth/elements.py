@@ -136,24 +136,19 @@ def act(g: Element, vertex: str) -> str:
 
 
 def portrait(g: Element, depth: int) -> Portrait:
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    labels: dict = {}
-
-    def fill(e: Element, prefix: str) -> None:
-        if len(prefix) >= depth:
-            return
-        d = decompose(e)
-        labels[prefix] = "P" if d.top_swap else "I"
-        fill(d.left, prefix + "0")
-        fill(d.right, prefix + "1")
-
-    fill(g, "")
-    return Portrait(depth, labels)
+    """``signature`` unpacked: it packs the labels in preorder, which is
+    the sorted order of the vertex strings."""
+    bits = signature(g, depth)
+    n = (1 << depth) - 1
+    flags = format(bits, f"0{n}b")[::-1].replace("0", "I").replace("1", "P")
+    vertices = sorted(bin(m)[3:] for m in range(1, n + 1))
+    return Portrait(depth, dict(zip(vertices, flags)))
 
 
 def signature(g: Element, depth: int) -> int:
     """Portrait to ``depth`` packed into an int (2^depth - 1 label bits)."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     return _signature(g.omega, g.shift, g.word, depth)
 
 

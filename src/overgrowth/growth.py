@@ -131,6 +131,8 @@ class BallTable:
     """
 
     def __init__(self, omega: OmegaSpec, shift: int, radius: int):
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
         self.omega = omega
         self.shift = shift_normalize(omega, shift)
         self.radius = radius
@@ -423,8 +425,6 @@ def enumerate_ball(omega: OmegaSpec, shift: int = 0, radius: int = 0,
     """Breadth-first ball, every sphere kept; on budget overrun returns the
     completed strata with ``complete`` unset rather than a partial stratum.
     ``grow_ball`` builds it."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be positive")
     table = BallTable(omega, shift, radius)

@@ -422,11 +422,30 @@ def test_growth_bad_input_creates_no_file(capsys, tmp_path, flag):
 
 
 def test_too_deep_recursion_exits_2(capsys):
-    argv = ["portrait", "--omega", "(012)", "--word", "x", "--depth", "3000"]
+    # A budget of 2^3000 - 1 labels lets the walk start.
+    argv = ["portrait", "--omega", "(012)", "--word", "x", "--depth", "3000",
+            "--budget", str(2**3000 - 1)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("error: maximum recursion depth")
+    assert captured.err.count("\n") == 1
+
+
+def test_portrait_labels_are_bounded_by_the_budget(capsys):
+    # A portrait to depth d has 2^d - 1 labels; a deeper one is refused
+    # before any walk.
+    argv = ["portrait", "--omega", "(012)", "--word", "x", "--depth"]
+    assert main([*argv, "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "depth 40" in captured.err and str(gr.DEFAULT_BUDGET) in captured.err
+    code, data = run_json(capsys, *argv, "3", "--budget", "7")
+    assert code == 0 and len(data["labels"]) == 7
+    assert main([*argv, "3", "--budget", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget of 6" in captured.err
 
 
 def test_verify_lemma3_radius(capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from overgrowth.omega import parse_omega, symbol_at
 from overgrowth.words import a_count, letter_label, parse_letters, render_letters
+from overgrowth.growth import stabilizes_level
 from overgrowth.elements import (
     ContextMismatch,
     Element,
@@ -221,6 +222,19 @@ def test_portrait_matches_letterwise_oracle():
             for i in range(1 << depth)
         )
         assert level_table(g, depth)[: 1 << depth] == images
+    # Depths 0 and 1, deeper portraits and nonzero shifts on short words.
+    for _ in range(20):
+        omega = rng.choice(OMEGA_MATRIX)
+        shift = rng.randrange(1, omega.cycle_length + 2)
+        raw = random_raw_word(rng, 8)
+        g = Element.from_letters(raw, omega, shift)
+        for depth in (0, 1, 9, 10):
+            labels = portrait_via_act(raw, omega, shift, depth)
+            assert portrait(g, depth).labels == labels
+            assert signature(g, depth) == packed_labels(labels, depth)
+    for g in (Element.identity(W012), el("a b a c")):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            signature(g, -1)
 
 
 def test_mul_and_inverse():
@@ -303,6 +317,32 @@ def test_identity_iff_deep_portrait_trivial():
         assert is_identity(g) == (signature(g, 14) == 0)
         if i < 10:
             assert is_identity(g) == (set(portrait(g, 14).labels.values()) == {"I"})
+
+
+def test_stabilizes_level_matches_oracle():
+    # g^(2^j) fixes level j (the action on level j lies in a 2-group of
+    # exponent 2^j), so the powers give words that fix deep levels.
+    rng = random.Random(61)
+    fixing = [0] * 7
+    for omega in OMEGA_MATRIX:
+        for i in range(12):
+            shift = rng.randrange(omega.cycle_length + 2)
+            if i % 4 == 0:
+                # From 128 letters on a word's sections are split in bulk.
+                spine = [rng.randrange(1, 8) for _ in range(rng.randrange(64, 101))]
+                g = Element.from_letters([x for k in spine for x in (0, k)], omega, shift)
+                powers = (1, 2)
+            else:
+                g = Element.from_letters(random_raw_word(rng, 10), omega, shift)
+                powers = (1, 2, 4, 8)
+            for k in powers:
+                h = power(g, k)
+                for s in range(1, 7):
+                    fixes = identity_to_depth(h.word, omega, h.shift, s)
+                    assert stabilizes_level(h, s) == fixes
+                    fixing[s] += fixes and h.word != b""
+    # Nonempty words that fix each level 1..6.
+    assert min(fixing[1:]) > 20
 
 
 def test_equal_is_congruence():

@@ -197,6 +197,13 @@ def test_dropped_spheres_leave_the_kept_sphere_keyed():
     assert set(table.keys[: table.strata[-1].start]) == {None}
 
 
+def test_ball_table_refuses_a_negative_radius():
+    # enumerate_ball and growth read the table's check.
+    for build in (growth.BallTable, enumerate_ball):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            build(W012, 0, -1)
+
+
 def test_strata_lengths_and_canonical_words():
     t = ball("(012)", 6)
     for n, stratum in enumerate(t.strata):
