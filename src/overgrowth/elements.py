@@ -177,7 +177,9 @@ def level_table(g: Element, depth: int) -> bytes:
     from 2^depth on are the identity.  Tables compose like the elements:
     the table of ``mul(g, h)`` is ``level_table(h, d).translate(level_table(g, d))``.
     """
-    return level_split(g, depth)[0] + IDENTITY_TABLE[1 << depth:]
+    if not 0 <= depth <= TABLE_DEPTH_MAX:
+        raise ValueError(f"level tables cover depths 0..{TABLE_DEPTH_MAX}")
+    return _leaf_images(g.omega, g.shift, g.word, depth, None) + IDENTITY_TABLE[1 << depth:]
 
 
 def level_split(g: Element, depth: int) -> tuple[bytes, list[bytes]]:
@@ -197,14 +199,18 @@ _RAISE = tuple(
 )
 
 
-def _leaf_images(omega: OmegaSpec, shift: int, word: bytes, depth: int, leaves: list) -> bytes:
+def _leaf_images(
+    omega: OmegaSpec, shift: int, word: bytes, depth: int, leaves: Optional[list]
+) -> bytes:
     """Leaf images of ``word`` at level ``depth``; appends its sections
-    there to ``leaves``, left to right."""
+    there to ``leaves``, left to right, unless ``leaves`` is None."""
     if depth == 0:
-        leaves.append(word)
+        if leaves is not None:
+            leaves.append(word)
         return IDENTITY_TABLE[:1]
     if not word:
-        leaves += [word] * (1 << depth)
+        if leaves is not None:
+            leaves += [word] * (1 << depth)
         return IDENTITY_TABLE[: 1 << depth]
     swap, left, right = split_sections(word, symbol_at(omega, shift + 1))
     down = shift_normalize(omega, shift + 1)

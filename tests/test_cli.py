@@ -351,6 +351,11 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
         (("--omega", "(0012)", "--radius", "11", "--budget", "37000"), 0),
         # The budget stops inside sphere 9 (ids 3804..7755).
         (("--omega", "(012)", "--radius", "10", "--budget", "5000"), 3),
+        # Keys of level 6 with one-letter classes (5,099 elements): the
+        # level-7 portrait labels come from the class words' tables.
+        (("--omega", "0(1)", "--radius", "50", "--budget", "5200"), 0),
+        # Keys of level 6 with an inner ball (601 elements in 301 spheres).
+        (("--omega", "(0)", "--radius", "300", "--budget", "650"), 0),
     ],
 )
 def test_streamed_growth_matches_the_whole_ball_export(tmp_path, argv, code):

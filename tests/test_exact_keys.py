@@ -479,7 +479,9 @@ def test_portraits_read_off_level_eight_tables():
     # Portraits to every depth up to 8, read off the keys of random words
     # within the keys of a ball, above, on and below its key level.
     rng = random.Random(3)
-    for text, radius in (("(012)", 30), ("01(2)", 12), ("(0012)", 3), ("0(1)", 70)):
+    for text, radius in (
+        ("(012)", 30), ("01(2)", 12), ("(0012)", 3), ("0(1)", 50), ("0(1)", 70)
+    ):
         omega = parse_omega(text)
         table = BallTable(omega, rng.randrange(3), radius)
         words = [b""] + [reduce(random_raw_word(rng, radius)).word for _ in range(20)]
@@ -492,6 +494,27 @@ def test_portraits_read_off_level_eight_tables():
         for depth in (-1, 9):
             with pytest.raises(ValueError):
                 table.portrait_records(keys, depth)
+
+
+def test_portrait_records_read_each_key_byte_once_per_record_byte():
+    # The labels of one record byte that sit in one key byte share one
+    # read of it, so a call makes at most one read per label, and fewer
+    # once a record byte holds labels of one level-h subtree.
+    # Radii 2 to 64 give key levels h = 1 to 6 with one-letter classes,
+    # radius 100 level 6 with an inner ball.
+    omega = parse_omega("(012)")
+    levels = []
+    for radius in (2, 4, 8, 16, 32, 64, 100):
+        table = BallTable(omega, 0, radius)
+        levels.append((table.depth, table.inner is None))
+        for depth in range(9):
+            table.portrait_records([table.root_key], depth)
+            columns = table._portrait_columns[depth]
+            for reads in columns:
+                indices = [index for index, _ in reads]
+                assert len(set(indices)) == len(indices), (radius, depth)
+            assert sum(map(len, columns)) <= (1 << depth) - 1, (radius, depth)
+    assert levels == [(h, True) for h in range(1, 7)] + [(6, False)]
 
 
 def test_portrait_chunks_cover_any_number_of_tables():
