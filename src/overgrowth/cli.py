@@ -90,7 +90,8 @@ class RunConfig:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # NaN and Infinity are not JSON: a report holding one fails loudly.
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(payload: dict, path: Optional[str]) -> None:
@@ -393,29 +394,7 @@ def _suite_eq2(cfg: RunConfig) -> dict:
     return {"checks": checks, "violations": violations}
 
 
-def _suite_lemma3(cfg: RunConfig, table: gr.BallTable) -> dict:
-    try:
-        rep = gr.lemma3_check(table, cfg.budget)
-    except gr.BudgetExceeded as exc:
-        # The shifted ball completed no sphere, so no check was made.
-        return {
-            "checks": 0,
-            "violations": [],
-            "radius": None,
-            "complete": False,
-            "detail": str(exc),
-        }
-    return {
-        "checks": rep["gamma"][-1],
-        "radius": rep["radius"],
-        "complete": rep["complete"],
-        "violations": rep["violations"]
-        + ([] if rep["numeric_inequality"]["passed"] else [rep["numeric_inequality"]]),
-        "detail": rep["numeric_inequality"],
-    }
-
-
-def _suite_lemma4(cfg: RunConfig) -> dict:
+def _suite_lemma4() -> dict:
     violations = []
 
     def expect(omega_text: str, left: str, right: str, same: bool = True):
@@ -433,20 +412,6 @@ def _suite_lemma4(cfg: RunConfig) -> dict:
     expect("(0)", "C", "")
     expect("(0)", "D", "x")
     return {"checks": 7, "violations": violations}
-
-
-def _suite_lemma8(cfg: RunConfig, table: gr.BallTable) -> dict:
-    eps = cfg.epsilon or Fraction(1, 10)
-    rep = gr.lemma8_check(table, eps)
-    result = {
-        "checks": rep["checked_words"],
-        "violations": rep["violations"],
-        "radius": rep["radius"],
-        "complete": rep["complete"],
-    }
-    if "cap_exceeded" in rep:
-        result["detail"] = rep["cap_exceeded"]
-    return result
 
 
 def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
@@ -468,46 +433,25 @@ def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
     return {"checks": len(rep["rows"]), "violations": violations, "detail": rep}
 
 
-def _suite_lemma11(cfg: RunConfig, table: gr.BallTable) -> dict:
-    eps = cfg.epsilon or Fraction(8, 25)
-    rep = gr.lemma11_check(table, eps)
-    violations = list(rep["part_a_violations"])
-    if isinstance(rep["part_b"], dict):
-        violations.extend(rep["part_b"]["violations"])
-    return {
-        "checks": rep["checked_words"],
-        "violations": violations,
-        "radius": rep["radius"],
-        "complete": rep["complete"],
-        "detail": rep.get("cap_exceeded", {"s": rep["s"], "part_b": rep["part_b"]}),
-    }
-
-
 def _suite_prop6(cfg: RunConfig, radius: int) -> dict:
     targets = (
         [cfg.omega]
         if cfg.omega
         else [parse_omega(s) for s in ("(0)", "(1)", "(2)", "01(2)")]
     )
-    violations = []
-    details = {}
-    reps = []
+    reps = {}
     for omega in targets:
         deg_radius = radius if len(omega.preperiod) == 0 else min(radius, 10)
-        rep = gr.prop6_check(omega, radius, cfg.budget, degree_radius=deg_radius)
-        reps.append(rep)
-        details[str(omega)] = {
-            "collapsed_set": rep["collapsed_set"],
-            "degree_estimate": rep["degree_estimate"],
-        }
-        if not rep["dihedral_exact"] or rep["collapsed_set"] != ["a", "x"]:
-            violations.append({"omega": str(omega), "detail": rep["collapse"]})
+        reps[str(omega)] = gr.prop6_check(omega, radius, cfg.budget, degree_radius=deg_radius)
     return {
         "checks": len(targets),
-        "violations": violations,
-        "radius": min(rep["radius"] for rep in reps),
-        "complete": all(rep["complete"] for rep in reps),
-        "detail": details,
+        "violations": [v for rep in reps.values() for v in rep["violations"]],
+        "radius": min(rep["radius"] for rep in reps.values()),
+        "complete": all(rep["complete"] for rep in reps.values()),
+        "detail": {
+            text: {"collapsed_set": rep["collapsed_set"], "degree_estimate": rep["degree_estimate"]}
+            for text, rep in reps.items()
+        },
     }
 
 
@@ -538,43 +482,32 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     # sequence.
     omega = cfg.omega or parse_omega("(012)")
     table = None  # the (omega, shift 0, radius) ball of the ball suites
+    runners = {
+        "eq1": lambda: _suite_eq1(omega),
+        "eq2": lambda: _suite_eq2(cfg),
+        "lemma3": lambda: gr.lemma3_check(table, cfg.budget),
+        "lemma4": _suite_lemma4,
+        "lemma8": lambda: gr.lemma8_check(table, cfg.epsilon or Fraction(1, 10)),
+        "lemma9": lambda: _suite_lemma9(cfg, k_max),
+        "lemma11": lambda: gr.lemma11_check(table, cfg.epsilon or Fraction(8, 25)),
+        "prop6": lambda: _suite_prop6(cfg, 20 if args.radius is None else radius),
+    }
     suites = {}
     total_violations = 0
     incomplete = 0
     for name in names:
         reason = _inapplicable(name, cfg, omega) if args.suite == "all" else None
         if reason:
-            suites[name] = {
-                "checks": 0,
-                "violations": [],
-                "detail": reason,
-                "status": "skipped",
-                "passed": False,
-            }
-            continue
-        if name in _BALL_SUITES and table is None:
-            table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
-        if name == "eq1":
-            result = _suite_eq1(omega)
-        elif name == "eq2":
-            result = _suite_eq2(cfg)
-        elif name == "lemma3":
-            result = _suite_lemma3(cfg, table)
-        elif name == "lemma4":
-            result = _suite_lemma4(cfg)
-        elif name == "lemma8":
-            result = _suite_lemma8(cfg, table)
-        elif name == "lemma9":
-            result = _suite_lemma9(cfg, k_max)
-        elif name == "lemma11":
-            result = _suite_lemma11(cfg, table)
+            rep, status = {"checks": 0, "violations": [], "detail": reason}, "skipped"
         else:
-            result = _suite_prop6(cfg, 20 if args.radius is None else radius)
-        complete = result.pop("complete", True)
-        if result["violations"]:
-            status = "failed"
-        else:
-            status = "passed" if complete else "incomplete"
+            if name in _BALL_SUITES and table is None:
+                table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
+            rep = runners[name]()
+            if rep["violations"]:
+                status = "failed"
+            else:
+                status = "passed" if rep.get("complete", True) else "incomplete"
+        result = {k: rep[k] for k in ("checks", "violations", "radius", "detail") if k in rep}
         result["status"] = status
         result["passed"] = status == "passed"
         total_violations += len(result["violations"])

@@ -76,10 +76,6 @@ KEY_DEPTH_MAX = 6
 NO_CLASS = 255
 
 
-class BudgetExceeded(RuntimeError):
-    pass
-
-
 class GeodesicCapExceeded(RuntimeError):
     """An element has more minimal words than the cap; ``length`` is its length."""
 
@@ -661,18 +657,18 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
     words checked in the same pass.  The stored word is a minimal word, so
     an element whose stored word is spread is D-type and is skipped before
     any of its words are listed.  When an element has more minimal words
-    than ``geodesic_words`` keeps, the check stops there: ``cap_exceeded``
+    than ``geodesic_words`` keeps, the check stops there: ``detail``
     holds the message and ``radius`` the spheres checked before it (spheres
-    are checked in increasing order).  ``complete`` means the ball is
-    complete and the cap was not hit; ``passed`` needs it.  Once sphere n
-    is checked, the ``geodesic_words`` memo drops every element below it,
-    and no word of the last sphere stays in it once its element is checked,
-    so a later caller recomputes those words.
+    are checked in increasing order).  ``checks`` counts the words checked,
+    and ``complete`` means the ball is complete and the cap was not hit.
+    Once sphere n is checked, the ``geodesic_words`` memo drops every
+    element below it, and no word of the last sphere stays in it once its
+    element is checked, so a later caller recomputes those words.
     """
     eps = _spread_epsilon(epsilon)
     violations = []
     checked = 0
-    report = {"epsilon": str(eps), "radius": table.radius}
+    report = {"radius": table.radius}
     memo = table._geodesics
     try:
         for n in range(2, table.radius + 1):
@@ -694,11 +690,10 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
                 del memo[eid]
     except GeodesicCapExceeded as exc:
         report["radius"] = n - 1
-        report["cap_exceeded"] = str(exc)
-    report["checked_words"] = checked
+        report["detail"] = str(exc)
+    report["checks"] = checked
     report["violations"] = violations
-    report["complete"] = table.complete and "cap_exceeded" not in report
-    report["passed"] = not violations and report["complete"]
+    report["complete"] = table.complete and "detail" not in report
     return report
 
 
@@ -790,7 +785,9 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
 
     When an element has more minimal words than ``geodesic_words`` keeps,
     the check stops there, as ``lemma8_check`` does, and part B with it.
-    ``complete`` and ``passed`` are as in ``lemma8_check``.
+    ``checks`` counts the part-A words, ``violations`` lists part A's, then
+    part B's, and ``detail`` is the cap message, or else s and part B's
+    report.  ``radius`` and ``complete`` are as in ``lemma8_check``.
     """
     eps = _spread_epsilon(epsilon)
     omega_here = table.omega
@@ -812,13 +809,7 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     violations_a = []
     violations_b = []
     checked = checked_b = 0
-    report = {
-        "s": s,
-        "t": t,
-        "epsilon": str(eps),
-        "stabilizer_elements": len(stab_ids),
-        "radius": n,
-    }
+    report = {"t": t, "radius": n, "complete": table.complete}
     try:
         for eid in stab_ids:
             for w in geodesic_words(table, eid):
@@ -865,17 +856,14 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
             }
         else:
             part_b = "precondition unmet, skipped"
+        report["detail"] = {"s": s, "part_b": part_b}
     except GeodesicCapExceeded as exc:
         # Stabilizers are checked in order of length.
         report["radius"] = exc.length - 1
-        report["cap_exceeded"] = str(exc)
-        part_b = "stopped at the geodesic cap"
-    report["checked_words"] = checked
-    report["part_a_violations"] = violations_a
-    report["part_a_passed"] = not violations_a
-    report["part_b"] = part_b
-    report["complete"] = table.complete and "cap_exceeded" not in report
-    report["passed"] = not violations_a and not violations_b and report["complete"]
+        report["complete"] = False
+        report["detail"] = str(exc)
+    report["checks"] = checked
+    report["violations"] = violations_a + violations_b
     return report
 
 
@@ -887,24 +875,31 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
     ball, built here within ``budget``; numerically, gamma(m) <= 2 *
     gamma_shifted(ceil((m + 2) / 2)) ** 2.  Here m is the table's radius,
     or the largest radius both balls cover when either is incomplete;
-    ``complete`` is unset then.  Raises ``BudgetExceeded`` if they cover none.
-    A section the shifted ball does not hold is a violation of its own
-    (``detail: "section not in shifted ball"``).
+    ``complete`` is unset then.  ``checks`` is gamma(m), ``detail`` the
+    numeric inequality, and ``violations`` lists the section violations,
+    then the inequality when it fails.  A section the shifted ball does not
+    hold is a violation of its own (``detail: "section not in shifted
+    ball"``).  When the balls cover no radius, nothing is checked and
+    ``radius`` is None.
     """
     table_s = enumerate_ball(table.omega, table.shift + 1, (table.radius + 3) // 2, budget)
     # The largest m <= table.radius with ceil((m + 2) / 2) <= table_s.radius.
     m = min(table.radius, 2 * table_s.radius - 2)
     if m < 0:
-        raise BudgetExceeded("ball enumeration hit the element budget")
-    half = (m + 3) // 2
-    g_here = table.gamma()[: m + 1]
-    g_shift = table_s.gamma()[: half + 1]
+        return {
+            "checks": 0,
+            "violations": [],
+            "radius": None,
+            "complete": False,
+            "detail": "ball enumeration hit the element budget",
+        }
+    gamma_m = table.gamma()[m]
     violations = []
     sym = symbol_at(table.omega, table.shift + 1)
     # Shifted-ball id of each section word found so far.  A miss is not
     # kept: each one is looked up, and reported, again.
     section_ids: dict[bytes, int] = {}
-    for eid in range(g_here[m]):
+    for eid in range(gamma_m):
         word = table.entries[eid]
         if a_count(word) % 2:
             continue
@@ -931,20 +926,14 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
                         "bound": (len(word) + 1) / 2,
                     }
                 )
-    numeric_ok = g_here[m] <= 2 * g_shift[half] ** 2
-    complete = table.complete and table_s.complete
+    rhs = 2 * table_s.gamma()[(m + 3) // 2] ** 2
+    numeric = {"lhs": gamma_m, "rhs": rhs, "passed": gamma_m <= rhs}
     return {
+        "checks": gamma_m,
         "radius": m,
-        "complete": complete,
-        "gamma": g_here,
-        "gamma_shifted": g_shift,
-        "numeric_inequality": {
-            "lhs": g_here[m],
-            "rhs": 2 * g_shift[half] ** 2,
-            "passed": numeric_ok,
-        },
-        "violations": violations,
-        "passed": numeric_ok and not violations and complete,
+        "complete": table.complete and table_s.complete,
+        "violations": violations + ([] if numeric["passed"] else [numeric]),
+        "detail": numeric,
     }
 
 
@@ -956,9 +945,11 @@ def prop6_check(
 ) -> dict:
     """Eventually-constant collapse: past the preperiod the distinct
     generators reduce to {identity, a, x} and growth is exactly 2n + 1;
-    the unshifted ball yields a polynomial-degree estimate.  When a ball
-    hits the budget, growth is checked up to the ``radius`` it completed
-    and ``complete`` and ``passed`` are unset."""
+    the unshifted ball yields a polynomial-degree estimate (None when that
+    ball has fewer than 3 spheres).  A failed collapse or growth check is
+    one violation, the generators' collapse its detail.  When a ball hits
+    the budget, growth is checked up to the ``radius`` it completed and
+    ``complete`` is unset."""
     if classify(omega).kind is not OmegaKind.OMEGA2:
         raise ValueError("sequence must be eventually constant")
     pre = len(omega.preperiod)
@@ -990,21 +981,17 @@ def prop6_check(
     degree = (
         math.log(g_unshifted[-1]) / math.log(len(g_unshifted) - 1)
         if len(g_unshifted) > 2
-        else float("nan")
+        else None
     )
-    complete = table.complete and unshifted.complete
-    passed = dihedral_ok and collapsed_set == {"a", "x"} and complete
+    violations = []
+    if not dihedral_ok or collapsed_set != {"a", "x"}:
+        violations.append({"omega": str(omega), "detail": collapse})
     return {
-        "preperiod": pre,
-        "collapse": collapse,
-        "collapsed_set": sorted(collapsed_set),
-        "gamma_shifted": g_shifted,
-        "dihedral_exact": dihedral_ok,
-        "degree_estimate": degree,
-        "degree_radius": deg_radius,
+        "violations": violations,
         "radius": table.radius,
-        "complete": complete,
-        "passed": passed,
+        "complete": table.complete and unshifted.complete,
+        "collapsed_set": sorted(collapsed_set),
+        "degree_estimate": degree,
     }
 
 

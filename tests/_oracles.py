@@ -409,7 +409,7 @@ def lemma8_every_word(table, epsilon) -> dict:
     eps = Fraction(epsilon)
     violations = []
     checked = first_kept = 0
-    report = {"epsilon": str(eps), "radius": table.radius}
+    report = {"radius": table.radius}
     try:
         for n in range(2, table.radius + 1):
             threshold = math.floor((Fraction(1, 2) - eps) * n)
@@ -430,11 +430,10 @@ def lemma8_every_word(table, epsilon) -> dict:
             first_kept = table.strata[n].start
     except growth.GeodesicCapExceeded as exc:
         report["radius"] = exc.length - 1
-        report["cap_exceeded"] = str(exc)
-    report["checked_words"] = checked
+        report["detail"] = str(exc)
+    report["checks"] = checked
     report["violations"] = violations
-    report["complete"] = table.complete and "cap_exceeded" not in report
-    report["passed"] = not violations and report["complete"]
+    report["complete"] = table.complete and "detail" not in report
     return report
 
 
@@ -446,7 +445,13 @@ def lemma3_every_lookup(table, budget: int = growth.DEFAULT_BUDGET) -> dict:
     )
     m = min(table.radius, 2 * table_s.radius - 2)
     if m < 0:
-        raise growth.BudgetExceeded("ball enumeration hit the element budget")
+        return {
+            "checks": 0,
+            "violations": [],
+            "radius": None,
+            "complete": False,
+            "detail": "ball enumeration hit the element budget",
+        }
     half = (m + 3) // 2
     g_here = table.gamma()[: m + 1]
     g_shift = table_s.gamma()[: half + 1]
@@ -475,17 +480,11 @@ def lemma3_every_lookup(table, budget: int = growth.DEFAULT_BUDGET) -> dict:
                     }
                 )
     numeric_ok = g_here[m] <= 2 * g_shift[half] ** 2
-    complete = table.complete and table_s.complete
+    numeric = {"lhs": g_here[m], "rhs": 2 * g_shift[half] ** 2, "passed": numeric_ok}
     return {
+        "checks": g_here[m],
         "radius": m,
-        "complete": complete,
-        "gamma": g_here,
-        "gamma_shifted": g_shift,
-        "numeric_inequality": {
-            "lhs": g_here[m],
-            "rhs": 2 * g_shift[half] ** 2,
-            "passed": numeric_ok,
-        },
-        "violations": violations,
-        "passed": numeric_ok and not violations and complete,
+        "complete": table.complete and table_s.complete,
+        "violations": violations + ([] if numeric_ok else [numeric]),
+        "detail": numeric,
     }

@@ -137,7 +137,7 @@ def test_c03_section_contraction():
     gam, gam_s = t.gamma(), t_s.gamma()
     assert gam[6] <= 2 * gam_s[4] ** 2
     rep = lemma3_check(enumerate_ball(W012, 0, 6))
-    assert rep["passed"]
+    assert rep["complete"] and rep["violations"] == []
     print("ACCEPTANCE 03 PASS - section lengths and one-step growth inequality")
 
 
@@ -160,7 +160,7 @@ def test_c05_dihedral_growth():
         assert ball(text, 20).gamma() == [2 * n + 1 for n in range(21)]
     rep = prop6_check(parse_omega("01(2)"), 12, degree_radius=8)
     assert rep["collapsed_set"] == ["a", "x"]
-    assert rep["dihedral_exact"]
+    assert rep["violations"] == [] and rep["radius"] == 12
     print("ACCEPTANCE 05 PASS - 2n+1 growth over constant tails, 01(2) collapse")
 
 
@@ -252,8 +252,8 @@ def test_c09_iterated_contraction(monkeypatch):
         t = ball(text, radius)
         read.clear()
         rep = lemma11_check(t, Fraction(1, 5))
-        assert rep["part_a_passed"], (text, rep["part_a_violations"])
-        assert (rep["t"], rep["s"]) == (t_, s)
+        assert rep["violations"] == [], text
+        assert (rep["t"], rep["detail"]["s"]) == (t_, s)
         # independent re-check of the inequality on every traced word
         expected = []
         violations = 0
@@ -271,7 +271,7 @@ def test_c09_iterated_contraction(monkeypatch):
                 if total > len(w) + (1 << s) - 1 - x0 - y - z - alphas:
                     violations += 1
         assert violations == 0, text
-        assert len(expected) == 3 * rep["checked_words"] > 0, text
+        assert len(expected) == 3 * rep["checks"] > 0, text
         assert read == expected, text
     print(f"ACCEPTANCE 09 PASS - unconditional bound over {len(LEMMA11_CASES)} sequences")
 

@@ -203,6 +203,25 @@ def test_verify_all_entry_point(capsys):
     }
 
 
+@pytest.mark.parametrize("argv, exit_code", [(("--radius", "1"), 0), (("--budget", "2"), 3)])
+def test_prop6_reports_strict_json_below_three_spheres(capsys, argv, exit_code):
+    # A ball of fewer than 3 spheres has no degree estimate: it is null,
+    # not NaN, which is not JSON.
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    code, out = run(capsys, "verify", "--suite", "prop6", *argv)
+    assert code == exit_code
+    detail = json.loads(out, parse_constant=refuse)["suites"]["prop6"]["detail"]
+    assert len(detail) == 4
+    assert all(rep["degree_estimate"] is None for rep in detail.values())
+
+
+def test_reports_refuse_nan():
+    with pytest.raises(ValueError):
+        cli._json_text({"value": float("nan")})
+
+
 def test_verify_all_skips_suites_a_sequence_cannot_run(capsys):
     # lemma11 needs all three symbols in the first cycle, prop6 an
     # eventually constant sequence; under "all" they are skipped, which is

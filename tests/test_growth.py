@@ -19,7 +19,6 @@ from overgrowth.words import (
 from overgrowth import cli, growth
 from overgrowth.elements import Element, equal, generator, is_identity, mul
 from overgrowth.growth import (
-    BudgetExceeded,
     GeodesicCapExceeded,
     LemmaViolation,
     NotLevelStabilizer,
@@ -68,6 +67,17 @@ def test_ball_examples():
     assert ball("(012)", 0).gamma() == [1]
     assert ball("(012)", 1).gamma() == [1, 9]
     assert ball("(0)", 5).gamma() == [1, 3, 5, 7, 9, 11]
+
+
+@pytest.mark.parametrize("text", ["(012)", "01(2)", "(0012)", "(01)", "0(12)", "012(0)", "(0)"])
+def test_growth_is_invariant_under_relabelling_the_symbols(text):
+    # Renaming the symbols 0, 1, 2 renames the spine letters' coordinates,
+    # so the six relabelled sequences give isomorphic groups.
+    gammas = {
+        tuple(enumerate_ball(parse_omega(text.translate(str.maketrans("012", perm))), 0, 10).gamma())
+        for perm in map("".join, itertools.permutations("012"))
+    }
+    assert len(gammas) == 1
 
 
 def test_generators_distinct_over_012():
@@ -341,15 +351,36 @@ def test_lemma8_map():
         lemma8_map(parse_letters("b a c a d a x"), "0.01")
 
 
+def test_lemma8_inequalities_hold_for_every_f_type_count():
+    # The three inequalities lemma8_map checks, on every length n, every
+    # epsilon = p/q < 1/2 with q <= 16, both spine-letter counts n' a reduced
+    # word can have, and every count m of an F-type word's top spine letter.
+    # None fails, so lemma8_check can list no violation for a reduced word.
+    cases = 0
+    epsilons = {Fraction(p, q) for q in range(2, 17) for p in range(1, (q + 1) // 2)}
+    for n in range(2, 121):
+        for eps in epsilons:
+            delta = 2 * eps + Fraction(3, n - 1)
+            floor_m = math.floor((Fraction(1, 2) - eps) * n)
+            for n_prime in {n // 2, (n + 1) // 2}:
+                assert Fraction(n - 1, 2) <= n_prime <= Fraction(n + 1, 2)
+                line = (1 - delta) * n_prime
+                for m in range(floor_m + 1, n_prime + 1):
+                    assert m > line, (n, eps, n_prime, m)
+                    cases += 1
+    assert cases == 111_163
+
+
 def test_lemma8_check_clean():
     rep = lemma8_check(ball("(012)", 6), "0.1")
-    assert rep["passed"] and rep["checked_words"] > 0
+    assert rep["complete"] and rep["violations"] == [] and rep["checks"] > 0
+    assert "detail" not in rep
 
 
 def test_lemma8_check_keeps_no_minimal_words():
     table = enumerate_ball(W012, 0, 8)
     rep = lemma8_check(table, "0.1")
-    assert rep["passed"] and rep["checked_words"] > 0
+    assert rep["complete"] and rep["violations"] == [] and rep["checks"] > 0
     # A sphere's words go once the next sphere is checked, and a last-sphere
     # element's once that element is checked.
     assert table._geodesics == {}
@@ -360,7 +391,7 @@ def test_lemma8_check_keeps_no_minimal_words():
         for n in range(2, 9)
         for eid in classify_geodesics(fresh, "0.1", n).F
     )
-    assert rep["checked_words"] == f_words
+    assert rep["checks"] == f_words
     # Evicted words are recomputed on demand, the same as on a fresh table.
     for eid in range(0, len(table.entries), 37):
         assert geodesic_words(table, eid) == geodesic_words(fresh, eid)
@@ -377,8 +408,8 @@ def test_lemma8_check_matches_listing_every_word(text, radius):
     omega = parse_omega(text)
     rep = lemma8_check(enumerate_ball(omega, 0, radius), "0.1")
     assert rep == lemma8_every_word(enumerate_ball(omega, 0, radius), "0.1")
-    assert rep["checked_words"] > 0
-    assert ("cap_exceeded" in rep) == (text == "(0)")
+    assert rep["checks"] > 0
+    assert ("detail" in rep) == (text == "(0)") == (not rep["complete"])
 
 
 def test_lemma8_check_lists_words_of_unspread_elements_only(monkeypatch):
@@ -408,7 +439,7 @@ def test_lemma8_check_lists_words_of_unspread_elements_only(monkeypatch):
 
     monkeypatch.setattr(growth, "geodesic_words", counting)
     rep = lemma8_check(table, "0.1")
-    assert rep["passed"]
+    assert rep["complete"] and rep["violations"] == []
     assert listed == unspread and len(listed) == 201
 
 
@@ -468,7 +499,8 @@ def test_lemma11_traces_split_words_themselves(monkeypatch):
     # level_section_trace splits each section word itself: it calls neither
     # stabilizes_level nor decompose, and still stops at a swapping section.
     table = enumerate_ball(parse_omega("(012)"), 0, 8)
-    assert lemma3_check(table)["passed"]
+    rep = lemma3_check(table)
+    assert rep["complete"] and rep["violations"] == []
 
     def not_called(*args):
         raise AssertionError("level_section_trace must walk the words itself")
@@ -520,13 +552,13 @@ def test_word_problem_memoizes_only_its_answers(text, order):
 def test_lemma11_part_a_and_gate():
     t = ball("(012)", 6)
     rep = lemma11_check(t, "0.3")
-    assert rep["s"] == 3 and rep["t"] == 2
-    assert rep["part_a_passed"]
-    assert rep["part_b"] == "precondition unmet, skipped"
+    assert rep["detail"]["s"] == 3 and rep["t"] == 2
+    assert rep["violations"] == []
+    assert rep["detail"]["part_b"] == "precondition unmet, skipped"
     rep = lemma11_check(t, "0.45")
-    assert isinstance(rep["part_b"], dict)
-    assert rep["part_b"]["passed"]
-    assert rep["passed"]
+    assert isinstance(rep["detail"]["part_b"], dict)
+    assert rep["detail"]["part_b"]["passed"]
+    assert rep["complete"] and rep["violations"] == []
     # The lemma holds for 0 < epsilon < 1/2 only.  From 1/2 on, the spread
     # threshold keeps no word of length n, so part B would pass unchecked.
     for bad in ("0.7", "1/2", "0", "-0.1"):
@@ -550,9 +582,9 @@ def test_lemma11_symbol_roles_generalize():
         ("22(012)", 4, 3),
     ):
         rep = lemma11_check(ball(text, 7), "0.4")
-        assert (rep["s"], rep["t"]) == (s, t)
-        assert rep["part_a_passed"] and rep["checked_words"] > 0
-        assert rep["passed"]
+        assert (rep["detail"]["s"], rep["t"]) == (s, t)
+        assert rep["violations"] == [] and rep["checks"] > 0
+        assert rep["complete"]
 
 
 def test_lemma11_check_reads_the_shifted_sequence():
@@ -560,7 +592,7 @@ def test_lemma11_check_reads_the_shifted_sequence():
     # same ball and the same levels and symbol roles.
     shifted = lemma11_check(enumerate_ball(parse_omega("(0012)"), 1, 10), Fraction(1, 5))
     assert shifted == lemma11_check(ball("(0120)", 10), Fraction(1, 5))
-    assert (shifted["s"], shifted["t"], shifted["checked_words"]) == (3, 2, 229)
+    assert (shifted["detail"]["s"], shifted["t"], shifted["checks"]) == (3, 2, 229)
 
 
 def test_lemma11_rejects_wrong_level():
@@ -577,11 +609,12 @@ def test_lemma11_full_scale():
         13883, 28427, 51112, 101736,
     ]
     rep = lemma11_check(t, Fraction(1, 5))
-    assert rep["part_a_passed"]
-    assert rep["checked_words"] == 2477
-    assert rep["part_b"]["bound"] == pytest.approx(19.48)
-    assert rep["part_b"]["checked_words"] == 1676
-    assert rep["part_b"]["passed"]
+    assert rep["violations"] == []
+    assert rep["checks"] == 2477
+    part_b = rep["detail"]["part_b"]
+    assert part_b["bound"] == pytest.approx(19.48)
+    assert part_b["checked_words"] == 1676
+    assert part_b["passed"]
 
 
 def reference_part_b(t, eps):
@@ -618,7 +651,7 @@ def reference_part_b(t, eps):
 )
 def test_lemma11_part_b_matches_a_separate_pass(text, radius, eps, checked):
     t = ball(text, radius)
-    part_b = lemma11_check(t, eps)["part_b"]
+    part_b = lemma11_check(t, eps)["detail"]["part_b"]
     assert (part_b["checked_words"], part_b["violations"]) == reference_part_b(t, eps)
     assert part_b["checked_words"] == checked
 
@@ -629,40 +662,48 @@ def test_checkers_never_pass_an_incomplete_ball():
     t = enumerate_ball(W012, 0, 10, budget=200)
     assert (t.radius, t.complete) == (4, False)
     rep = lemma8_check(t, "0.1")
-    assert rep["checked_words"] > 0 and rep["violations"] == []
-    assert not rep["complete"] and not rep["passed"]
+    assert rep["checks"] > 0 and rep["violations"] == []
+    assert not rep["complete"]
     rep = lemma11_check(t, Fraction(8, 25))
-    assert rep["checked_words"] > 0 and rep["part_a_passed"]
-    assert not rep["complete"] and not rep["passed"]
+    assert rep["checks"] > 0 and rep["violations"] == []
+    assert not rep["complete"]
     full = ball("(012)", 6)
     assert lemma8_check(full, "0.1")["complete"]
     assert lemma11_check(full, Fraction(8, 25))["complete"]
     rep = prop6_check(parse_omega("01(2)"), 20, budget=100)
-    assert rep["dihedral_exact"] and rep["collapsed_set"] == ["a", "x"]
-    assert (rep["complete"], rep["passed"]) == (False, False)
+    assert rep["violations"] == [] and rep["collapsed_set"] == ["a", "x"]
+    assert rep["complete"] is False
 
 
 def test_lemma3_check():
     rep = lemma3_check(enumerate_ball(W012, 0, 6))
-    assert rep["passed"]
-    assert rep["numeric_inequality"]["lhs"] <= rep["numeric_inequality"]["rhs"]
+    assert rep["complete"] and rep["violations"] == []
+    assert rep["detail"]["lhs"] <= rep["detail"]["rhs"]
+    assert (rep["checks"], rep["radius"]) == (ball("(012)", 6).gamma()[6], 6)
     # the contraction is not specific to three-symbol sequences
-    assert lemma3_check(enumerate_ball(parse_omega("(01)"), 0, 6))["passed"]
-    assert lemma3_check(enumerate_ball(parse_omega("01(2)"), 0, 6))["passed"]
+    for text in ("(01)", "01(2)"):
+        rep = lemma3_check(enumerate_ball(parse_omega(text), 0, 6))
+        assert rep["complete"] and rep["violations"] == []
 
 
 def test_lemma3_checks_the_radius_both_balls_cover():
     # At budget 300 both (012) balls complete radius 4, and the sections of
     # a length-m element need the shifted ball to ceil((m + 2) / 2).
     rep = lemma3_check(enumerate_ball(W012, 0, 10, budget=300), budget=300)
-    assert (rep["radius"], rep["complete"], rep["passed"]) == (4, False, False)
-    assert rep["gamma"] == ball("(012)", 4).gamma()
-    assert rep["gamma_shifted"] == ball("(012)", 3, shift=1).gamma()
-    assert rep["numeric_inequality"] == {"lhs": 168, "rhs": 2 * 79**2, "passed": True}
+    assert (rep["radius"], rep["complete"]) == (4, False)
+    assert rep["checks"] == ball("(012)", 4).gamma()[4] == 168
+    assert ball("(012)", 3, shift=1).gamma()[3] == 79
+    assert rep["detail"] == {"lhs": 168, "rhs": 2 * 79**2, "passed": True}
     assert rep["violations"] == []
     assert lemma3_check(enumerate_ball(W012, 0, 6, budget=9), budget=9)["radius"] == 0
-    with pytest.raises(BudgetExceeded):
-        lemma3_check(enumerate_ball(W012, 0, 6, budget=8), budget=8)
+    # Neither ball covers a radius: nothing is checked, which is no pass.
+    assert lemma3_check(enumerate_ball(W012, 0, 6, budget=8), budget=8) == {
+        "checks": 0,
+        "violations": [],
+        "radius": None,
+        "complete": False,
+        "detail": "ball enumeration hit the element budget",
+    }
 
 
 def test_lemma3_check_looks_up_each_distinct_section_once(monkeypatch):
@@ -683,11 +724,13 @@ def test_lemma3_check_looks_up_each_distinct_section_once(monkeypatch):
 
 
 def test_prop6():
+    # No violation at a complete radius 12: the shifted ball's spheres are
+    # exactly the 2n + 1 of the infinite dihedral group.
     rep = prop6_check(W0, 12)
-    assert rep["passed"]
-    assert rep["gamma_shifted"] == [2 * n + 1 for n in range(13)]
+    assert (rep["violations"], rep["radius"], rep["complete"]) == ([], 12, True)
+    assert rep["degree_estimate"] == pytest.approx(math.log(25) / math.log(12))
     rep = prop6_check(parse_omega("01(2)"), 8, degree_radius=6)
-    assert rep["passed"]
+    assert rep["violations"] == [] and rep["complete"]
     assert rep["collapsed_set"] == ["a", "x"]
     with pytest.raises(ValueError):
         prop6_check(W012, 4)
