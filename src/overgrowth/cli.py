@@ -135,6 +135,8 @@ def _config(args) -> RunConfig:
     if eps is not None and not 0 < eps < Fraction(1, 2):
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
     delta = _fraction(getattr(args, "delta", None), "delta")
+    if delta is not None and not 0 < delta < 1:
+        raise ValueError("delta must lie strictly between 0 and 1")
     return RunConfig(omega, args.budget, getattr(args, "seed", 0) or 0, eps, delta)
 
 
@@ -414,25 +416,6 @@ def _suite_lemma4() -> dict:
     return {"checks": 7, "violations": violations}
 
 
-def _suite_lemma9(cfg: RunConfig, k_max: int) -> dict:
-    delta = Fraction(3, 10) if cfg.delta is None else cfg.delta
-    rep = gr.lemma9_report(delta, k_max)
-    violations = []
-    for k in range(1, min(4, k_max) + 1):
-        dp = gr.count_ftilde(delta, k)
-        ex = gr.count_ftilde_exhaustive(delta, k)
-        if dp != ex:
-            violations.append({"k": k, "dp": dp, "exhaustive": ex})
-    trend = [r["trend"] for r in rep["rows"]]
-    for i in range(1, len(trend)):
-        if trend[i] > trend[i - 1] + 1e-12:
-            violations.append({"k": i + 1, "detail": "trend not monotone"})
-    late_flags = [k for k in rep["flagged_k"] if k > 4]
-    if late_flags:
-        violations.append({"flags_beyond_small_k": late_flags})
-    return {"checks": len(rep["rows"]), "violations": violations, "detail": rep}
-
-
 def _suite_prop6(cfg: RunConfig, radius: int) -> dict:
     targets = (
         [cfg.omega]
@@ -481,6 +464,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     # One spec, and so one identity memo, for every suite on the default
     # sequence.
     omega = cfg.omega or parse_omega("(012)")
+    reasons = {name: _inapplicable(name, cfg, omega) for name in names}
+    if args.suite != "all" and reasons[args.suite]:
+        # A suite named alone that cannot run is bad input.
+        raise ValueError(reasons[args.suite])
     table = None  # the (omega, shift 0, radius) ball of the ball suites
     runners = {
         "eq1": lambda: _suite_eq1(omega),
@@ -488,39 +475,39 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         "lemma3": lambda: gr.lemma3_check(table, cfg.budget),
         "lemma4": _suite_lemma4,
         "lemma8": lambda: gr.lemma8_check(table, cfg.epsilon or Fraction(1, 10)),
-        "lemma9": lambda: _suite_lemma9(cfg, k_max),
+        "lemma9": lambda: gr.lemma9_report(cfg.delta or Fraction(3, 10), k_max),
         "lemma11": lambda: gr.lemma11_check(table, cfg.epsilon or Fraction(8, 25)),
         "prop6": lambda: _suite_prop6(cfg, 20 if args.radius is None else radius),
     }
     suites = {}
     total_violations = 0
     incomplete = 0
-    for name in names:
-        reason = _inapplicable(name, cfg, omega) if args.suite == "all" else None
-        if reason:
-            rep, status = {"checks": 0, "violations": [], "detail": reason}, "skipped"
-        else:
-            if name in _BALL_SUITES and table is None:
-                table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
-            rep = runners[name]()
-            if rep["violations"]:
-                status = "failed"
+    # The arguments are checked, so a bad path fails before any suite runs.
+    with ExitStack() as files:
+        out = (
+            files.enter_context(open(args.output, "w", encoding="utf-8"))
+            if args.output
+            else sys.stdout
+        )
+        for name in names:
+            if reasons[name]:
+                rep, status = {"checks": 0, "violations": [], "detail": reasons[name]}, "skipped"
             else:
-                status = "passed" if rep.get("complete", True) else "incomplete"
-        result = {k: rep[k] for k in ("checks", "violations", "radius", "detail") if k in rep}
-        result["status"] = status
-        result["passed"] = status == "passed"
-        total_violations += len(result["violations"])
-        incomplete += status == "incomplete"
-        suites[name] = result
-    _emit(
-        {
-            "header": cfg.header(),
-            "suites": suites,
-            "passed": total_violations == 0 and not incomplete,
-        },
-        args.output,
-    )
+                if name in _BALL_SUITES and table is None:
+                    table = gr.enumerate_ball(omega, 0, radius, cfg.budget)
+                rep = runners[name]()
+                if rep["violations"]:
+                    status = "failed"
+                else:
+                    status = "passed" if rep.get("complete", True) else "incomplete"
+            result = {k: rep[k] for k in ("checks", "violations", "radius", "detail") if k in rep}
+            result["status"] = status
+            result["passed"] = status == "passed"
+            total_violations += len(result["violations"])
+            incomplete += status == "incomplete"
+            suites[name] = result
+        passed = total_violations == 0 and not incomplete
+        out.write(_json_text({"header": cfg.header(), "suites": suites, "passed": passed}))
     if total_violations:
         return 1
     return 3 if incomplete else 0

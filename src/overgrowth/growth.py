@@ -29,8 +29,6 @@ from .omega import (
     OmegaKind,
     OmegaSpec,
     classify,
-    first_third_symbol_index,
-    shift as shifted_omega,
     shift_normalize,
     symbol_at,
 )
@@ -77,11 +75,7 @@ NO_CLASS = 255
 
 
 class GeodesicCapExceeded(RuntimeError):
-    """An element has more minimal words than the cap; ``length`` is its length."""
-
-    def __init__(self, message: str, length: int):
-        super().__init__(message)
-        self.length = length
+    """An element has more minimal words than the cap."""
 
 
 class NotLevelStabilizer(ValueError):
@@ -456,8 +450,7 @@ def geodesic_words(table: BallTable, eid: int) -> tuple:
             acc += [w + suffix for w in geodesic_words(table, pred)]
             if len(acc) > GEODESIC_CAP:
                 raise GeodesicCapExceeded(
-                    f"element {eid} has more than {GEODESIC_CAP} minimal words",
-                    len(word),
+                    f"element {eid} has more than {GEODESIC_CAP} minimal words"
                 )
         result = tuple(sorted(acc))
     table._geodesics[eid] = result
@@ -574,17 +567,18 @@ def lemma9_bound(delta) -> float:
 
 
 def lemma9_report(delta, k_max: int) -> dict:
-    """Frequency-count roots against their limiting bound.
+    """The ``lemma9`` suite's record for k = 1..k_max (``checks``).
 
-    The ``trend`` column is the running maximum of the remaining roots
-    (a nonincreasing envelope of the sawtoothed raw sequence); ``flag``
-    marks raw roots exceeding the bound, expected only at small k.
+    A violation is a count that differs from ``count_ftilde_exhaustive``
+    (k <= 4) or that exceeds 7 * B^k for the limiting bound B, which every
+    count obeys (README).  ``detail`` holds the rows: ``trend`` is the
+    running maximum of the remaining roots (a nonincreasing envelope of the
+    sawtoothed raw sequence), and ``flag`` marks a raw root above B: not a
+    violation, as small k shows one, and for small delta much larger k too.
     """
     d = as_fraction(delta)
-    if d <= 0 or float(d) >= 6 / math.e:
-        raise ValueError("delta must lie strictly between 0 and 6/e")
-    if d >= 1:
-        raise ValueError("delta must be below 1 for the bound to be finite")
+    if not 0 < d < 1:
+        raise ValueError("delta must lie strictly between 0 and 1")
     if k_max < 1:
         raise ValueError("k_max must be positive")
     bound = lemma9_bound(d)
@@ -605,11 +599,24 @@ def lemma9_report(delta, k_max: int) -> dict:
         }
         for k in range(1, k_max + 1)
     ]
+    violations = []
+    for k in range(1, min(4, k_max) + 1):
+        ex = count_ftilde_exhaustive(d, k)
+        if counts[k - 1] != ex:
+            violations.append({"k": k, "dp": counts[k - 1], "exhaustive": ex})
+    # In logs: the counts leave float range at k = 621.
+    for k, c in enumerate(counts, start=1):
+        if math.log(c) > (math.log(7) + k * math.log(bound)) * (1 + 1e-12):
+            violations.append({"k": k, "count": c, "detail": "above 7 * bound^k"})
     return {
-        "delta": str(d),
-        "bound": bound,
-        "rows": rows,
-        "flagged_k": [r["k"] for r in rows if r["flag"]],
+        "checks": k_max,
+        "violations": violations,
+        "detail": {
+            "delta": str(d),
+            "bound": bound,
+            "rows": rows,
+            "flagged_k": [r["k"] for r in rows if r["flag"]],
+        },
     }
 
 
@@ -756,14 +763,6 @@ def level_section_trace(g: Element, s: int) -> tuple:
     return tuple(levels)
 
 
-def _second_symbol_index(omega: OmegaSpec) -> Optional[int]:
-    first = symbol_at(omega, 1)
-    for n in range(2, omega.cycle_length + 1):
-        if symbol_at(omega, n) != first:
-            return n
-    return None
-
-
 def lemma11_check(table: BallTable, epsilon) -> dict:
     """Two-part contraction check over level-s stabilizer elements, where s
     is the first position at which the sequence, read from the ball's shift
@@ -787,20 +786,20 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     the check stops there, as ``lemma8_check`` does, and part B with it.
     ``checks`` counts the part-A words, ``violations`` lists part A's, then
     part B's, and ``detail`` is the cap message, or else s and part B's
-    report.  ``radius`` and ``complete`` are as in ``lemma8_check``.
+    report.  ``radius`` and ``complete`` are as in ``lemma8_check``: after a
+    cap stop, ``radius`` is the length of the stabilizer being listed, less 1.
     """
     eps = _spread_epsilon(epsilon)
     omega_here = table.omega
-    # The ball's generators read the sequence from position shift + 1 on.
-    shifted = shifted_omega(omega_here, table.shift)
-    s = first_third_symbol_index(shifted)
-    if s is None:
+    # The ball's generators read the sequence from position shift + 1 on,
+    # and every symbol it shows there shows within one cycle: each symbol
+    # in order of its first position.
+    first = {}
+    for n in range(1, omega_here.cycle_length + 1):
+        first.setdefault(symbol_at(omega_here, table.shift + n), n)
+    if len(first) < 3:
         raise ValueError("sequence never shows all three symbols")
-    t = _second_symbol_index(shifted)
-    assert t is not None and 2 <= t < s + 1
-    sym1 = symbol_at(shifted, 1)
-    sym2 = symbol_at(shifted, t)
-    sym3 = symbol_at(shifted, s)
+    (sym1, _), (sym2, t), (sym3, s) = first.items()
     stab_ids = _level_stabilizers(table, s)
     n = table.radius
     gated = n * eps > Fraction(5, 2)
@@ -858,8 +857,9 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
             part_b = "precondition unmet, skipped"
         report["detail"] = {"s": s, "part_b": part_b}
     except GeodesicCapExceeded as exc:
-        # Stabilizers are checked in order of length.
-        report["radius"] = exc.length - 1
+        # Stabilizers are checked in order of length: the cap may stop a
+        # predecessor, but every shorter stabilizer is checked.
+        report["radius"] = len(table.entries[eid]) - 1
         report["complete"] = False
         report["detail"] = str(exc)
     report["checks"] = checked

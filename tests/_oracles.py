@@ -429,7 +429,8 @@ def lemma8_every_word(table, epsilon) -> dict:
                 table._geodesics.pop(eid, None)
             first_kept = table.strata[n].start
     except growth.GeodesicCapExceeded as exc:
-        report["radius"] = exc.length - 1
+        # Sphere n - 1's words are listed, so the cap stopped this sphere.
+        report["radius"] = n - 1
         report["detail"] = str(exc)
     report["checks"] = checked
     report["violations"] = violations

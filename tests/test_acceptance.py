@@ -211,7 +211,7 @@ def test_c08_frequency_counts():
     for delta in ("0.3", "0.5", "0.7"):
         for k in range(1, 5):
             assert count_ftilde(delta, k) == count_ftilde_exhaustive(delta, k)
-    rep = lemma9_report("0.3", 14)
+    rep = lemma9_report("0.3", 14)["detail"]
     roots = [r["root"] for r in rep["rows"]]
     trend = [r["trend"] for r in rep["rows"]]
     assert all(r > 0 and r < float("inf") for r in roots)

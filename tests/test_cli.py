@@ -483,6 +483,49 @@ def test_verify_lemma3_radius(capsys):
 def test_verify_invalid_delta_exits_2(capsys):
     code = main(["verify", "--suite", "lemma9", "--delta", "2.5"])
     assert code == 2
+    assert capsys.readouterr().err == "error: delta must lie strictly between 0 and 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--delta", "0.01"), ("--delta", "0.05"), ("--delta", "0.1"), ("--delta", "0.2"),
+     ("--delta", "1e-300", "--kmax", "5")],
+)
+def test_lemma9_flags_are_not_violations(capsys, argv):
+    # Past k = 4 a root can still stand above the limiting bound, the more
+    # so for small delta; only a count above 7 * bound^k fails.
+    code, data = run_json(capsys, "verify", "--suite", "lemma9", *argv)
+    rep = data["suites"]["lemma9"]
+    assert code == 0 and rep["status"] == "passed" and rep["violations"] == []
+    assert max(rep["detail"]["flagged_k"]) > 4
+
+
+def test_lemma9_fails_on_a_count_above_its_bound(capsys, monkeypatch):
+    real = gr.count_ftilde
+    monkeypatch.setattr(gr, "count_ftilde", lambda d, k: 7**k if k > 4 else real(d, k))
+    code, data = run_json(capsys, "verify", "--suite", "lemma9")
+    rep = data["suites"]["lemma9"]
+    assert code == 1 and rep["status"] == "failed"
+    assert [v["k"] for v in rep["violations"]] == list(range(5, 15))
+    assert all(v["detail"] == "above 7 * bound^k" for v in rep["violations"])
+
+
+def test_verify_checks_its_arguments_before_any_suite_runs(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_suite_eq1", refuse)
+    monkeypatch.setattr(gr, "enumerate_ball", refuse)
+    for argv in (
+        ["--suite", "all", "--output", str(tmp_path / "missing" / "x.json")],
+        ["--suite", "all", "--delta", "2.5"],
+        ["--suite", "lemma11", "--omega", "(01)"],
+    ):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_verify_violation_exit_code(capsys, monkeypatch):

@@ -326,7 +326,7 @@ def test_count_ftilde_against_exhaustive():
 
 
 def test_lemma9_report():
-    rep = lemma9_report("0.3", 14)
+    rep = lemma9_report("0.3", 14)["detail"]
     assert rep["bound"] == pytest.approx(0.7 ** -1 * 0.05 ** -0.3, rel=1e-12)
     assert rep["rows"][0]["root"] == 7.0
     trend = [r["trend"] for r in rep["rows"]]
@@ -337,6 +337,21 @@ def test_lemma9_report():
         lemma9_report("0", 5)
     # limiting bound tends to 1 for vanishing delta
     assert lemma9_bound("0.000001") == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "delta",
+    ["1/1000", "1/100", "1/20", "1/10", "1/5", "3/10", "1/2", "6/7", "9/10", "99/100"],
+)
+def test_lemma9_counts_stay_below_seven_bound_to_the_k(delta):
+    # A fixed letter dominates in sum_{j < delta k} C(k, j) 6^j words, at
+    # most B^k of them for delta <= 6/7 (a Chernoff bound), and 7^k <= B^k
+    # beyond; the union over the 7 letters gives 7 B^k.
+    rep = lemma9_report(delta, 60)
+    assert rep["checks"] == 60 and rep["violations"] == []
+    log_bound = math.log(rep["detail"]["bound"])
+    for row in rep["detail"]["rows"]:
+        assert math.log(row["count"]) < math.log(7) + row["k"] * log_bound
 
 
 def test_lemma8_map():
@@ -593,6 +608,20 @@ def test_lemma11_check_reads_the_shifted_sequence():
     shifted = lemma11_check(enumerate_ball(parse_omega("(0012)"), 1, 10), Fraction(1, 5))
     assert shifted == lemma11_check(ball("(0120)", 10), Fraction(1, 5))
     assert (shifted["detail"]["s"], shifted["t"], shifted["checks"]) == (3, 2, 229)
+
+
+@pytest.mark.parametrize("cap", [24, 32])
+def test_lemma11_cap_radius_counts_the_stabilizer_being_listed(monkeypatch, cap):
+    # Over 01(2) the cap stops element 6590, of length 11, while a level-3
+    # stabilizer of length 13 lists its words: every stabilizer up to
+    # length 12 is checked.  A memo that lemma8 leaves changes nothing.
+    monkeypatch.setattr(growth, "GEODESIC_CAP", cap)
+    t = enumerate_ball(parse_omega("01(2)"), 0, 14)
+    for _ in range(2):
+        rep = lemma11_check(t, Fraction(8, 25))
+        assert rep["detail"] == f"element 6590 has more than {cap} minimal words"
+        assert rep["radius"] == 12 and not rep["complete"]
+        lemma8_check(t, Fraction(1, 10))
 
 
 def test_lemma11_rejects_wrong_level():
