@@ -7,6 +7,7 @@ from .omega import (
     OmegaParseError,
     OmegaSpec,
     classify,
+    first_positions,
     first_third_symbol_index,
     parse_omega,
     shift,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .omega import OmegaSpec, shift_normalize, symbol_at
+from .omega import OmegaSpec, first_positions, shift_normalize, symbol_at
 from .words import (
     a_count,
     extend,
@@ -93,16 +93,10 @@ class Portrait:
 
 
 def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int]:
-    """First level of its spine at which a spine letter swaps, or None.
-
-    Levels 1 .. cycle_length cover the rest of the preperiod and a full
-    period, so every symbol still to come: a letter that swaps at none of
-    them is trivial.
-    """
-    for level in range(1, omega.cycle_length + 1):
-        if letter_label(letter, symbol_at(omega, shift + level)):
-            return level
-    return None
+    """First level of its spine at which a spine letter swaps, or None: a
+    letter that swaps at none of the symbols still to come is trivial."""
+    levels = [n for q, n in first_positions(omega, shift).items() if letter_label(letter, q)]
+    return min(levels, default=None)
 
 
 def decompose(g: Element) -> WreathDecomposition:

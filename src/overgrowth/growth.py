@@ -29,6 +29,7 @@ from .omega import (
     OmegaKind,
     OmegaSpec,
     classify,
+    first_positions,
     shift_normalize,
     symbol_at,
 )
@@ -50,7 +51,6 @@ from .elements import (
     TABLE_DEPTH_MAX,
     ContextMismatch,
     Element,
-    _first_swap_level,
     all_generators,
     decompose,
     equal,
@@ -136,9 +136,9 @@ class BallTable:
         self.class_shift = shift_normalize(omega, self.shift + h)
         self.inner = None
         if self.reach < 2:
+            ahead = first_positions(omega, self.class_shift)
             trivial = [0] + [
-                k for k in SPINE_LETTERS
-                if _first_swap_level(k, omega, self.class_shift) is None
+                k for k in SPINE_LETTERS if not any(letter_label(k, q) for q in ahead)
             ]
             self._letter_class = bytes([8] + [min(k ^ t for t in trivial) for k in SPINE_LETTERS])
             self._class_words = {0: b"", 8: bytes((A,))}
@@ -791,12 +791,8 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     """
     eps = _spread_epsilon(epsilon)
     omega_here = table.omega
-    # The ball's generators read the sequence from position shift + 1 on,
-    # and every symbol it shows there shows within one cycle: each symbol
-    # in order of its first position.
-    first = {}
-    for n in range(1, omega_here.cycle_length + 1):
-        first.setdefault(symbol_at(omega_here, table.shift + n), n)
+    # The ball's generators read the sequence from position shift + 1 on.
+    first = first_positions(omega_here, table.shift)
     if len(first) < 3:
         raise ValueError("sequence never shows all three symbols")
     (sym1, _), (sym2, t), (sym3, s) = first.items()

@@ -128,43 +128,35 @@ def shift_normalize(omega: OmegaSpec, k: int) -> int:
     return pre + (k - pre) % len(omega.period)
 
 
+def first_positions(omega: OmegaSpec, shift: int = 0) -> dict[int, int]:
+    """Each symbol that shows from position shift + 1 on, mapped to the
+    least n >= 1 with omega_(shift + n) equal to it, in order of n; n up to
+    cycle_length covers the rest of the preperiod and a full period."""
+    first: dict[int, int] = {}
+    for n in range(1, omega.cycle_length + 1):
+        first.setdefault(symbol_at(omega, shift + n), n)
+    return first
+
+
 def classify(omega: OmegaSpec) -> OmegaClass:
     """Class by the symbols occurring infinitely often (= the period's symbols).
 
     ``star_window`` is the least window size M such that every length-M
     window of the sequence contains all three symbols (three-symbol case)
     or at least two (two-symbol case); absent for eventually constant
-    sequences.  For an eventually periodic sequence such an M always
-    exists, so the scan is bounded.
+    sequences.  The window from position k + 1 holds that many symbols
+    once it reaches the third (or second) symbol to show there, and a
+    window that starts past position cycle_length repeats one a period
+    earlier.
     """
-    period_symbols = set(omega.period)
-    if len(period_symbols) == 1:
-        kind = OmegaKind.OMEGA2
-    elif len(period_symbols) == 3:
-        kind = OmegaKind.OMEGA0
-    else:
-        kind = OmegaKind.OMEGA1
-    two_symbol = len(set(omega.preperiod) | period_symbols) <= 2
-    star: Optional[int] = None
-    if kind is not OmegaKind.OMEGA2:
-        need = 3 if kind is OmegaKind.OMEGA0 else 2
-        starts = range(1, omega.cycle_length + 1)
-        for m in range(1, len(omega.preperiod) + 2 * len(omega.period) + 1):
-            if all(
-                len({symbol_at(omega, k + i) for i in range(m)}) >= need
-                for k in starts
-            ):
-                star = m
-                break
-        assert star is not None
-    return OmegaClass(kind, star, two_symbol)
+    need = len(first_positions(omega, len(omega.preperiod)))
+    windows = [list(first_positions(omega, k).values()) for k in range(omega.cycle_length)]
+    star = max(w[need - 1] for w in windows) if need > 1 else None
+    kind = (OmegaKind.OMEGA2, OmegaKind.OMEGA1, OmegaKind.OMEGA0)[need - 1]
+    return OmegaClass(kind, star, len(first_positions(omega)) <= 2)
 
 
 def first_third_symbol_index(omega: OmegaSpec) -> Optional[int]:
     """Least s with {omega_1..omega_s} = {0,1,2}, or None if never."""
-    seen: set[int] = set()
-    for n in range(1, omega.cycle_length + 1):
-        seen.add(symbol_at(omega, n))
-        if len(seen) == 3:
-            return n
-    return None
+    first = first_positions(omega)
+    return max(first.values()) if len(first) == 3 else None

@@ -27,7 +27,6 @@ from overgrowth import cli, growth
 from overgrowth.elements import (
     IDENTITY_TABLE,
     Element,
-    _first_swap_level,
     decompose,
     equal,
     generator,
@@ -329,7 +328,7 @@ def class_products(table) -> list[bytearray]:
         return times
     trivial = [0] + [
         k for k in range(1, 8)
-        if _first_swap_level(k, table.omega, table.class_shift) is None
+        if first_swap_level_loop(k, table.omega, table.class_shift) is None
     ]
     spine = [min(k ^ t for t in trivial) for k in range(8)]
     for c in {0, 8, *spine}:
@@ -489,3 +488,53 @@ def lemma3_every_lookup(table, budget: int = growth.DEFAULT_BUDGET) -> dict:
         "violations": violations + ([] if numeric_ok else [numeric]),
         "detail": numeric,
     }
+
+
+def small_canonical_specs() -> list[OmegaSpec]:
+    """Every canonical spec with preperiod at most 3 and period at most 4
+    symbols (from the 4,800 raw pairs), in order of their text."""
+    raw = (
+        OmegaSpec("".join(pre), "".join(per))
+        for pre_len in range(4)
+        for pre in itertools.product("012", repeat=pre_len)
+        for per_len in range(1, 5)
+        for per in itertools.product("012", repeat=per_len)
+    )
+    return sorted(set(raw), key=str)
+
+
+def first_swap_level_loop(letter: int, omega: OmegaSpec, shift: int) -> Optional[int]:
+    """First level 1 .. cycle_length below ``shift`` at which a spine letter
+    swaps, or None, level by level."""
+    for level in range(1, omega.cycle_length + 1):
+        if SWAPS[letter][symbol_at(omega, shift + level)]:
+            return level
+    return None
+
+
+def first_third_symbol_loop(omega: OmegaSpec) -> Optional[int]:
+    """Least s with {omega_1..omega_s} = {0,1,2}, or None, position by position."""
+    seen = set()
+    for n in range(1, omega.cycle_length + 1):
+        seen.add(symbol_at(omega, n))
+        if len(seen) == 3:
+            return n
+    return None
+
+
+def classify_by_window_search(omega: OmegaSpec) -> tuple[str, Optional[int], bool]:
+    """``classify``'s (kind value, star window, two_symbol) from the period's
+    symbols and a search over window sizes m up to pre + 2 per: the least m
+    such that every length-m window from positions 1 .. cycle_length holds
+    as many symbols as the period."""
+    period_symbols = set(omega.period)
+    need = len(period_symbols)
+    kind = {1: "Omega2", 2: "Omega1", 3: "Omega0"}[need]
+    two_symbol = len(set(omega.preperiod) | period_symbols) <= 2
+    if need == 1:
+        return kind, None, two_symbol
+    starts = range(1, omega.cycle_length + 1)
+    for m in range(1, len(omega.preperiod) + 2 * len(omega.period) + 1):
+        if all(len({symbol_at(omega, k + i) for i in range(m)}) >= need for k in starts):
+            return kind, m, two_symbol
+    raise AssertionError(f"no star window for {omega} up to pre + 2 per")

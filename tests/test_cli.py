@@ -1,5 +1,6 @@
 """Command-line surface: flags, outputs, exit codes, reproducibility."""
 
+import ast
 import json
 import math
 import os
@@ -445,6 +446,53 @@ def test_growth_bad_input_creates_no_file(capsys, tmp_path, flag):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("held", [None, b"bytes that must survive\n"], ids=["absent", "held"])
+@pytest.mark.parametrize("export", ["f", "./f", "absolute"])
+def test_growth_refuses_one_file_for_report_and_export(
+    capsys, tmp_path, monkeypatch, held, export
+):
+    # Both opens would truncate it, and the report, written last through
+    # the other handle, would overwrite the start of the export.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "f"
+    if held is not None:
+        path.write_bytes(held)
+    if export == "absolute":
+        export = str(path)
+    argv = ["growth", "--omega", "(012)", "--radius", "3", "--output", "f", "--export-ball", export]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --output and --export-ball name one file\n"
+    if held is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == held
+
+
+def test_growth_refuses_a_hard_link_of_the_report_as_export(capsys, tmp_path):
+    # Two names, one file: only an existing pair can be told apart this way.
+    path, link = tmp_path / "f", tmp_path / "g"
+    path.write_bytes(b"kept\n")
+    os.link(path, link)
+    argv = ["growth", "--omega", "(012)", "--radius", "3",
+            "--output", str(path), "--export-ball", str(link)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_no_assert_statement_in_src():
+    # python -O strips every assert, so no check in a report may be one.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "overgrowth").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_too_deep_recursion_exits_2(capsys):
     # A budget of 2^3000 - 1 labels lets the walk start.
     argv = ["portrait", "--omega", "(012)", "--word", "x", "--depth", "3000",
@@ -552,6 +600,19 @@ def test_eq1_checks_each_generator_on_the_action(capsys, monkeypatch):
     rep = data["suites"]["eq1"]
     assert code == 1 and rep["status"] == "failed" and rep["checks"] == 36
     assert rep["violations"] == [{"pair": "bb", "expected": "identity"}]
+
+
+def test_eq1_checks_the_products_through_reduce(capsys, monkeypatch):
+    # Every parsed word and every product goes through reduce: a reduce
+    # that merges b c into b must fail eq1 on bc.
+    real = cli.reduce
+    monkeypatch.setattr(
+        cli, "reduce", lambda raw: real(b"\1") if bytes(raw) == b"\1\2" else real(raw)
+    )
+    code, data = run_json(capsys, "verify", "--suite", "eq1")
+    rep = data["suites"]["eq1"]
+    assert code == 1 and rep["status"] == "failed" and rep["checks"] == 36
+    assert rep["violations"] == [{"pair": "bc", "expected": "d"}]
 
 
 def test_eq2_checks_the_recursion_at_every_shift(capsys, monkeypatch):

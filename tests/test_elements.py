@@ -15,6 +15,7 @@ from overgrowth.elements import (
     ContextMismatch,
     Element,
     OddParityError,
+    _first_swap_level,
     act,
     all_generators,
     decompose,
@@ -33,10 +34,12 @@ from overgrowth.elements import (
 
 from _oracles import (
     act_word,
+    first_swap_level_loop,
     identity_to_depth,
     parse_element,
     portrait_via_act,
     random_raw_word,
+    small_canonical_specs,
     word_from_parts,
 )
 
@@ -61,6 +64,13 @@ def test_generator_basics():
 def spine_label(k, omega, shift, level):
     """Whether spine letter k swaps at the given level of its spine."""
     return letter_label(k, symbol_at(omega, shift + level))
+
+
+def test_first_swap_level_matches_the_level_loop():
+    for omega in small_canonical_specs():
+        for shift in range(omega.cycle_length + 2):
+            for k in range(1, 8):
+                assert _first_swap_level(k, omega, shift) == first_swap_level_loop(k, omega, shift)
 
 
 def test_letter_label_examples():

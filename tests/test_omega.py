@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from _oracles import classify_by_window_search, first_third_symbol_loop, small_canonical_specs
 from overgrowth.omega import (
     OmegaKind,
     OmegaParseError,
     OmegaSpec,
     classify,
+    first_positions,
     first_third_symbol_index,
     parse_omega,
     shift,
@@ -149,6 +151,27 @@ def test_first_third_symbol_index():
     assert first_third_symbol_index(parse_omega("(012)")) == 3
     assert first_third_symbol_index(parse_omega("(01)")) is None
     assert first_third_symbol_index(parse_omega("2201(0)")) == 4
+
+
+def test_first_positions_examples():
+    w = parse_omega("(012)")
+    assert first_positions(w) == {0: 1, 1: 2, 2: 3}
+    assert list(first_positions(w, 1).items()) == [(1, 1), (2, 2), (0, 3)]
+    # Past the preperiod only the period's symbols show.
+    assert first_positions(parse_omega("01(2)"), 2) == {2: 1}
+    assert list(first_positions(parse_omega("2201(0)")).items()) == [(2, 1), (0, 3), (1, 4)]
+    # A shift past the preperiod reads the period from where it stands.
+    assert list(first_positions(parse_omega("2(001)"), 7).items()) == [(0, 1), (1, 3)]
+
+
+def test_classify_matches_the_window_search():
+    # The window search and the position loop that first_positions replaced.
+    specs = small_canonical_specs()
+    assert len(specs) == 2835
+    for w in specs:
+        cls = classify(w)
+        assert (cls.kind.value, cls.star_window, cls.two_symbol) == classify_by_window_search(w)
+        assert first_third_symbol_index(w) == first_third_symbol_loop(w)
 
 
 def test_render_round_trip():
