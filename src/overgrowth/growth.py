@@ -22,7 +22,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Optional
 
 from .omega import (
@@ -161,7 +161,7 @@ class BallTable:
         pad = bytes(256 - 2 * n - 8)
         rows: dict = {}  # one object per distinct row
         self._tails = [rows.setdefault(row, row)
-                       for row in (bytes(t[c] for t in times[1:]) + pad for c in range(256))]
+                       for row in (bytes(column) + pad for column in zip(*times[1:]))]
         self.root_key = IDENTITY_TABLE[:n] + bytes(n)
         self._by_key: dict[bytes, bytes] = {}
         self._geodesics: dict[int, tuple] = {}
@@ -462,6 +462,55 @@ def _max_spine_count(word: bytes) -> int:
     return max(map(word.count, SPINE_LETTERS))
 
 
+# A reduced word of length n has at most ceil(n / 2) non-``a`` letters, so
+# up to this length a letter's count in it fits in one byte.
+_COLUMN_LENGTH_MAX = 510
+# Words a column pass joins at once: a whole sphere joined would raise the
+# peak by the sphere's size.
+_COLUMN_CHUNK = 1024
+# _INDICATORS[k - 1] maps letter k to 1 and every other byte to 0.
+_INDICATORS = tuple(bytes(v == k for v in range(256)) for k in SPINE_LETTERS)
+
+
+def _f_type_candidates(table: BallTable, n: int, threshold: int) -> list[int]:
+    """Ids of sphere n, in order, whose stored word has a non-``a`` letter
+    above ``threshold``.  The stored word is a minimal word, so only these
+    can be F-type.
+
+    A sphere's words all have length n, so over a chunk of them joined into
+    one ``bytes``, column j = ``joined[j::n]`` holds letter j of every word.
+    One of two neighbouring letters of a reduced word is ``a`` (0), so
+    columns 2i and 2i + 1 OR-ed hold the word's i-th non-``a`` letter; for
+    odd n the last column, unpaired, holds the last one or ``a``.  A letter's
+    indicator columns, summed as ints, hold its count in every word, one
+    byte per word; one ``translate`` marks the counts above ``threshold``,
+    and the seven letters' marks OR-ed pick the ids.  Past
+    ``_COLUMN_LENGTH_MAX`` letters a count may not fit in a byte, and the
+    words are read one at a time.
+    """
+    stratum, words = table.strata[n], table.entries
+    if n > _COLUMN_LENGTH_MAX:
+        return [eid for eid in stratum if _max_spine_count(words[eid]) > threshold]
+    above = bytes(threshold + 1).ljust(256, b"\1")
+    out = []
+    for start in range(stratum.start, stratum.stop, _COLUMN_CHUNK):
+        stop = min(start + _COLUMN_CHUNK, stratum.stop)
+        m = stop - start
+        joined = b"".join(words[start:stop])
+        x = int.from_bytes(joined, "big")
+        # Byte i of paired is letter i OR letter i - 1.
+        paired = (x | x >> 8).to_bytes(len(joined), "big")
+        columns = [paired[j::n] for j in range(1, n, 2)]
+        if n % 2:
+            columns.append(joined[n - 1 :: n])
+        marked = 0
+        for indicator in _INDICATORS:
+            counts = sum(int.from_bytes(column.translate(indicator), "big") for column in columns)
+            marked |= int.from_bytes(counts.to_bytes(m, "big").translate(above), "big")
+        out += compress(range(start, stop), marked.to_bytes(m, "big"))
+    return out
+
+
 def _spread_epsilon(epsilon) -> Fraction:
     eps = as_fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
@@ -478,11 +527,8 @@ def _spread_threshold(eps: Fraction, n: int) -> int:
 
 def _f_type_words(table: BallTable, eid: int, threshold: int) -> tuple:
     """Element eid's minimal words if it is F-type (each has a non-``a``
-    letter above ``threshold``), else ``()``.  The stored word is a minimal
-    word, so a spread one makes the element D-type before any of its words
-    are listed."""
-    if _max_spine_count(table.entries[eid]) <= threshold:
-        return ()
+    letter above ``threshold``), else ``()``; eid is one of
+    ``_f_type_candidates``."""
     words = geodesic_words(table, eid)
     return words if all(_max_spine_count(w) > threshold for w in words) else ()
 
@@ -504,10 +550,11 @@ def classify_geodesics(table: BallTable, epsilon, n: int) -> GeodesicClassificat
     if not 0 <= n <= table.radius:
         raise ValueError("sphere radius outside the computed ball")
     threshold = _spread_threshold(eps, n)
-    f_ids, d_ids = set(), set()
-    for eid in table.strata[n]:
-        (f_ids if _f_type_words(table, eid, threshold) else d_ids).add(eid)
-    return GeodesicClassification(frozenset(f_ids), frozenset(d_ids))
+    f_ids = frozenset(
+        eid for eid in _f_type_candidates(table, n, threshold)
+        if _f_type_words(table, eid, threshold)
+    )
+    return GeodesicClassification(f_ids, frozenset(table.strata[n]) - f_ids)
 
 
 def count_ftilde(delta, k: int) -> int:
@@ -662,15 +709,16 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
 
     Each element is classified as ``classify_geodesics`` does and its
     words checked in the same pass.  The stored word is a minimal word, so
-    an element whose stored word is spread is D-type and is skipped before
-    any of its words are listed.  When an element has more minimal words
-    than ``geodesic_words`` keeps, the check stops there: ``detail``
-    holds the message and ``radius`` the spheres checked before it (spheres
-    are checked in increasing order).  ``checks`` counts the words checked,
-    and ``complete`` means the ball is complete and the cap was not hit.
-    Once sphere n is checked, the ``geodesic_words`` memo drops every
-    element below it, and no word of the last sphere stays in it once its
-    element is checked, so a later caller recomputes those words.
+    an element whose stored word is spread is D-type: each sphere's
+    ``_f_type_candidates`` drops those before any word is listed.  When an
+    element has more minimal words than ``geodesic_words`` keeps, the
+    check stops there: ``detail`` holds the message and ``radius`` the
+    spheres checked before it (spheres are checked in increasing order).
+    ``checks`` counts the words checked, and ``complete`` means the ball is
+    complete and the cap was not hit.  Once sphere n is checked, the
+    ``geodesic_words`` memo drops every element below it, and no word of
+    the last sphere stays in it once its element is checked, nor once that
+    sphere is, so a later caller recomputes those words.
     """
     eps = _spread_epsilon(epsilon)
     violations = []
@@ -681,7 +729,7 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
         for n in range(2, table.radius + 1):
             threshold = _spread_threshold(eps, n)
             last = n == table.radius
-            for eid in table.strata[n]:
+            for eid in _f_type_candidates(table, n, threshold):
                 for w in _f_type_words(table, eid, threshold):
                     checked += 1
                     try:
@@ -691,9 +739,10 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
                 if last:
                     memo.pop(eid, None)
             # Listing sphere n's words fills the memo below it out of order;
-            # sphere n + 1's words extend sphere n's, so keep only those.
-            start = table.strata[n].start
-            for eid in [i for i in memo if i < start]:
+            # sphere n + 1's words extend sphere n's, so keep only those,
+            # and none of the last sphere.
+            end = table.strata[n].stop if last else table.strata[n].start
+            for eid in [i for i in memo if i < end]:
                 del memo[eid]
     except GeodesicCapExceeded as exc:
         report["radius"] = n - 1

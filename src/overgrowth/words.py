@@ -214,13 +214,15 @@ def split_reduce(word: bytes, symbol: int):
 
 
 # Below this many letters ``split_sections`` splits letter by letter with
-# ``split_reduce``.  The bulk split has a fixed cost of about a dozen
-# C-level passes and big-int shifts per word, which the per-letter loop
-# catches up with at about 40 letters.  Timed on the word-problem
-# benchmark's words (Python 3.11), the bulk split takes 0.8x the loop's
-# time at 64 letters, 0.65x at 128 and 0.35x at 1,000 letters.  The bound
-# sits above that crossover: words of 40 to 127 letters still take the loop.
-SPLIT_BULK_MIN = 128
+# ``split_reduce``.  The bulk split costs about a dozen C-level passes and
+# big-int shifts per word plus one Python step per ``a`` of each child; the
+# loop costs a Python step per letter.  On the sections that the word-problem
+# benchmark splits (seed 1, Python 3.11) the two break even at 40 to 47
+# letters, and the bulk split takes 0.84x the loop's time at 48 to 63
+# letters, 0.66x at 112 to 127 and 0.35x at 1,000.  On words whose children
+# barely cancel the loop holds out longer: the bulk split takes 1.2x its
+# time at 48 letters and breaks even at about 64.
+SPLIT_BULK_MIN = 48
 
 # _DROP[q][k] is 0 when spine letter k swaps at a level carrying symbol q,
 # so that it sends an ``a`` to the other child, and 8 when it does not:

@@ -411,6 +411,8 @@ def test_lemma8_check_keeps_no_minimal_words():
     for eid in range(0, len(table.entries), 37):
         assert geodesic_words(table, eid) == geodesic_words(fresh, eid)
     assert lemma8_check(table, "0.1") == rep == lemma8_check(fresh, "0.1")
+    # fresh held words of last-sphere elements that lemma8 does not list.
+    assert table._geodesics == fresh._geodesics == {}
 
 
 @pytest.mark.parametrize(
@@ -456,6 +458,59 @@ def test_lemma8_check_lists_words_of_unspread_elements_only(monkeypatch):
     rep = lemma8_check(table, "0.1")
     assert rep["complete"] and rep["violations"] == []
     assert listed == unspread and len(listed) == 201
+
+
+def _has_letter_above(word, threshold):
+    return any(word.count(k) > threshold for k in SPINE_LETTERS)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize(
+    "text, radius",
+    [("(012)", 10), ("01(2)", 14), ("(0012)", 10), ("(01)", 12), ("(0)", 520), ("0(1)", 40)],
+)
+def test_sphere_selection_matches_the_per_element_rule(monkeypatch, text, radius, chunk):
+    # Chunks of 7 words put chunk boundaries inside every sphere past 7.
+    if chunk is not None:
+        monkeypatch.setattr(growth, "_COLUMN_CHUNK", chunk)
+    t = ball(text, radius)
+    for eps in (Fraction(1, 10), Fraction(8, 25), Fraction(49, 100)):
+        for n in range(radius + 1):
+            threshold = math.floor((Fraction(1, 2) - eps) * n)
+            expected = [eid for eid in t.strata[n] if _has_letter_above(t.entries[eid], threshold)]
+            assert growth._f_type_candidates(t, n, threshold) == expected
+
+
+def test_sphere_selection_cases_reach_past_a_chunk_and_a_byte():
+    # The cases above hold a sphere of several chunks, and (0)'s words of
+    # 510 letters, whose letter b occurs 255 times, then longer words, read
+    # one at a time.
+    assert len(ball("(012)", 10).strata[10]) > 5 * growth._COLUMN_CHUNK
+    t = ball("(0)", 520)
+    assert growth._COLUMN_LENGTH_MAX == 510
+    assert [t.entries[eid].count(1) for eid in t.strata[510]] == [255, 255]
+    assert sorted(t.entries[eid].count(1) for eid in t.strata[511]) == [255, 256]
+
+
+@pytest.mark.parametrize(
+    "text, radius", [("(012)", 9), ("01(2)", 12), ("(0012)", 9), ("(01)", 12), ("0(1)", 14)]
+)
+def test_f_type_split_matches_listing_every_word_across_chunks(monkeypatch, text, radius):
+    monkeypatch.setattr(growth, "_COLUMN_CHUNK", 7)
+    omega = parse_omega(text)
+    rep = lemma8_check(enumerate_ball(omega, 0, radius), "0.1")
+    assert rep == lemma8_every_word(enumerate_ball(omega, 0, radius), "0.1")
+    assert rep["complete"] and rep["checks"] > 0
+    t = enumerate_ball(omega, 0, radius)
+    for eps in (Fraction(1, 10), Fraction(8, 25)):
+        for n in range(radius + 1):
+            threshold = math.floor((Fraction(1, 2) - eps) * n)
+            f_ids = frozenset(
+                eid for eid in t.strata[n]
+                if all(_has_letter_above(w, threshold) for w in geodesic_words(t, eid))
+            )
+            cls = classify_geodesics(t, eps, n)
+            assert (cls.F, cls.D) == (f_ids, frozenset(t.strata[n]) - f_ids)
 
 
 def test_level_section_trace():

@@ -118,7 +118,12 @@ def split_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(split_inputs(), st.integers(0, 2))
-# 127 and 128 letters: the last word split letter by letter and the first in bulk.
+# 47 and 48 letters: the last word split letter by letter and the first in bulk.
+@example(word_from_parts(False, (1, 2, 3, 4) * 6, False), 0)
+@example(word_from_parts(True, (1, 2, 3, 4) * 6, False), 1)
+@example(word_from_parts(True, (7,) * 23, True), 2)
+@example(word_from_parts(False, (7,) * 24, True), 2)
+# 127 and 128 letters, both split in bulk.
 @example(word_from_parts(False, (1, 2, 3, 4) * 16, False), 0)
 @example(word_from_parts(True, (1, 2, 3, 4) * 16, False), 1)
 @example(word_from_parts(True, (7,) * 63, True), 2)
