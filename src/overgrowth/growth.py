@@ -38,13 +38,14 @@ from .words import (
     SPINE_LETTERS,
     X,
     a_count,
+    even_section_inputs,
     extend,
     fixed_count,
     letter_label,
     reduce,
     render_letters,
+    section_of,
     split_reduce,
-    split_sections,
 )
 from .elements import (
     IDENTITY_TABLE,
@@ -465,8 +466,9 @@ def _max_spine_count(word: bytes) -> int:
 # A reduced word of length n has at most ceil(n / 2) non-``a`` letters, so
 # up to this length a letter's count in it fits in one byte.
 _COLUMN_LENGTH_MAX = 510
-# Words a column pass joins at once: a whole sphere joined would raise the
-# peak by the sphere's size.
+# Words of one sphere that a column pass (``_f_type_candidates``, and the
+# section split ``lemma3_check`` reads) takes at once: a whole sphere at
+# once would raise the peak by the sphere's size.
 _COLUMN_CHUNK = 1024
 # _INDICATORS[k - 1] maps letter k to 1 and every other byte to 0.
 _INDICATORS = tuple(bytes(v == k for v in range(256)) for k in SPINE_LETTERS)
@@ -926,6 +928,17 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
     hold is a violation of its own (``detail: "section not in shifted
     ball"``).  When the balls cover no radius, nothing is checked and
     ``radius`` is None.
+
+    Sphere by sphere, one chunk of at most ``_COLUMN_CHUNK`` words at a
+    time, ``even_section_inputs`` gives the raw inputs of the even words'
+    sections in a few column passes.  Equal raw inputs reduce to one
+    section word, so a raw input is decoded (``section_of``) and its word
+    looked up in the shifted ball only the first time: that is one lookup
+    per distinct section word.  A miss is kept in no cache, so it is looked
+    up, and reported, again at each occurrence.  All words of a sphere have
+    one length, so one ``max`` over a chunk's section lengths decides if
+    any breaks the bound; only then are the chunk's violations listed, in
+    id order, left before right.
     """
     table_s = enumerate_ball(table.omega, table.shift + 1, (table.radius + 3) // 2, budget)
     # The largest m <= table.radius with ceil((m + 2) / 2) <= table_s.radius.
@@ -939,38 +952,60 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
             "detail": "ball enumeration hit the element budget",
         }
     gamma_m = table.gamma()[m]
-    violations = []
     sym = symbol_at(table.omega, table.shift + 1)
-    # Shifted-ball id of each section word found so far.  A miss is not
-    # kept: each one is looked up, and reported, again.
-    section_ids: dict[bytes, int] = {}
-    for eid in range(gamma_m):
-        word = table.entries[eid]
-        if a_count(word) % 2:
-            continue
-        _, left, right = split_sections(word, sym)
-        for side, section in (("left", left), ("right", right)):
-            found = section_ids.get(section)
+    # Geodesic length in the shifted ball (that of the stored word of the id
+    # ``lookup`` returns) of each section word, and of each raw input,
+    # found so far.
+    word_lengths: dict[bytes, int] = {}
+    input_lengths: dict[bytes, int] = {}
+
+    def length_of(raw: bytes) -> Optional[int]:
+        section = section_of(raw)
+        length = word_lengths.get(section)
+        if length is None:
+            found = table_s.lookup(Element(section, table.omega, table_s.shift))
             if found is None:
-                found = table_s.lookup(Element(section, table.omega, table_s.shift))
-                if found is None:
-                    # The shifted ball's radius covers every section's length.
-                    violations.append(
-                        {"eid": eid, "side": side, "detail": "section not in shifted ball"}
-                    )
-                    continue
-                section_ids[section] = found
-            length = len(table_s.entries[found])
-            # length > (|g| + 1) / 2, on ints.
-            if 2 * length > len(word) + 1:
-                violations.append(
-                    {
-                        "eid": eid,
-                        "side": side,
-                        "section_length": length,
-                        "bound": (len(word) + 1) / 2,
-                    }
+                return None
+            length = word_lengths[section] = len(table_s.entries[found])
+        input_lengths[raw] = length
+        return length
+
+    def chunk_violations(n: int, start: int, stop: int) -> list:
+        """Violations of ids start..stop - 1 of sphere n, in order."""
+        offsets, inputs = even_section_inputs(table.entries[start:stop], sym)
+        lengths = list(map(input_lengths.get, inputs))
+        # The chunk's new raw inputs, each looked up at its first
+        # occurrence; a miss is looked up again at each later one.
+        fresh = {}
+        if None in lengths:
+            fresh = {
+                raw: length_of(raw) for raw in dict.fromkeys(inputs) if raw not in input_lengths
+            }
+            lengths = list(map(input_lengths.get, inputs))
+        # A section violates when its length exceeds (n + 1) / 2, on ints.
+        if None not in lengths and 2 * max(lengths, default=0) <= n + 1:
+            return []
+        out = []
+        for i, length in enumerate(lengths):
+            if length is None:
+                raw = inputs[i]
+                length = fresh.pop(raw) if raw in fresh else length_of(raw)
+            eid, side = start + offsets[i >> 1], ("left", "right")[i & 1]
+            if length is None:
+                # The shifted ball's radius covers every section's length.
+                out.append({"eid": eid, "side": side, "detail": "section not in shifted ball"})
+            elif 2 * length > n + 1:
+                out.append(
+                    {"eid": eid, "side": side, "section_length": length, "bound": (n + 1) / 2}
                 )
+        return out
+
+    violations = []
+    for n in range(m + 1):
+        stratum = table.strata[n]
+        for start in range(stratum.start, stratum.stop, _COLUMN_CHUNK):
+            # The chunk's inputs are dropped when the call returns.
+            violations += chunk_violations(n, start, min(start + _COLUMN_CHUNK, stratum.stop))
     rhs = 2 * table_s.gamma()[(m + 3) // 2] ** 2
     numeric = {"lhs": gamma_m, "rhs": rhs, "passed": gamma_m <= rhs}
     return {

@@ -9,13 +9,16 @@ A reduced word is the ``bytes`` of its letters: ``a`` alternating with
 the spine letters 1..7, as [a] s1 a s2 a ... a sm [a].  Letters are
 checked where they enter (``reduce``, ``extend``, ``parse_letters``), so
 a reduced word is never checked again.  ``split_reduce`` and
-``split_sections`` split a reduced word into its root swap and sections.
+``split_sections`` split a reduced word into its root swap and sections;
+``even_section_inputs`` splits the even words of one length together, into
+raw inputs that ``section_of`` reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 A = 0
 X = 4
@@ -298,6 +301,89 @@ def _reduce_child(values: bytes, total: int) -> bytes:
     out = bytearray(2 * s + 1)
     out[::2] = groups
     return bytes(out[groups[0] == 0 : 2 * s + (groups[-1] != 0)])
+
+
+# Two bytes after each word ``even_section_inputs`` joins.  Not ``a``, they
+# stay when the ``a``'s are deleted; no letter, ``_DROP`` leaves them
+# unmarked; and ``_UNPAD`` reads them as trivial letters.
+_PAD = b"\x08\x08"
+_UNPAD = bytes(range(8)) + bytes(1) + bytes(range(9, 256))
+# _LEADS[lead] maps a first letter to 1 when a word starting with it has
+# that lead (1 for ``a``, 0 for a spine letter, or no letter: a pad).
+_LEADS = (b"\0" + b"\1" * 255, b"\1" + bytes(255))
+
+
+def even_section_inputs(words: list[bytes], symbol: int) -> tuple[Sequence[int], list[bytes]]:
+    """Sections of the words of even parity among ``words``, all of one
+    length n, at a level carrying ``symbol``, as raw inputs to ``section_of``.
+
+    Returns the offsets of those words in ``words``, in order, and the raw
+    inputs of their sections, left then right: [left0, right0, left1, ...].
+    A raw input is a child's values at its ``a``'s, ``_DROP`` marks kept,
+    then its total; equal raw inputs give equal sections.
+
+    A word of length n has (n + lead) // 2 ``a``'s, with lead 1 when it
+    starts with ``a``.  So modulo 4 the words are all even when n = 0, none
+    is when n = 2, and when n = 3 or 1 those of lead 1 or 0 are, read off
+    the column of first letters.  Either way the even words have one number
+    m of spine letters.  Joined with ``_PAD`` after each and stripped of
+    their ``a``'s, they are records of m + 2 letters, the last two trivial.
+    As in ``split_sections``, one stride-2 prefix XOR, by big-int doubling
+    over all records at once and masked at their bounds, and the ``_DROP``
+    marks give byte i of a record: the XOR value of the ``a`` that spine
+    letter i sends, XOR of letters i - 1, i - 3, ...  The two trivial
+    letters leave bytes m and m + 1 the totals of the two parities, so each
+    child is one stride-2 slice of its record: from byte 0 the child of the
+    odd letters (left for lead 0), from byte 1 that of the even ones.  The
+    C-level work is a few passes per doubling step over the whole chunk,
+    and one pair of slices per word.
+    """
+    n = len(words[0])
+    if n % 4 == 2:
+        return [], []
+    joined = _PAD.join(words) + _PAD
+    firsts = joined[:: n + 2]
+    leads = firsts.translate(_LEADS[1])
+    offsets = range(len(words))
+    if n % 2:
+        even = firsts.translate(_LEADS[n % 4 == 3])
+        offsets = list(compress(offsets, even))
+        if not offsets:
+            return [], []
+        joined = _PAD.join(compress(words, even)) + _PAD
+        leads = compress(leads, even)
+    spine = joined.translate(None, b"\0")
+    size = len(spine)
+    width = size // len(offsets)
+    x = int.from_bytes(spine.translate(_UNPAD), "big")
+    if len(offsets) == 1:
+        # One record: what a shift moves past its end drops off.
+        step = 2
+        while step < width:
+            x ^= x >> 8 * step
+            step <<= 1
+        x >>= 8
+    else:
+        # Masks that clear the first byte, and the first ``step`` bytes, of
+        # every record; each is the last one AND-ed with itself shifted.
+        first = int.from_bytes((b"\0" + b"\xff" * (width - 1)) * len(offsets), "big")
+        mask, step = first & first >> 8, 2
+        while step < width:
+            x ^= (x >> 8 * step) & mask
+            mask &= mask >> 8 * step
+            step <<= 1
+        x = (x >> 8) & first
+    records = (x | int.from_bytes(spine.translate(_DROP[symbol]), "big")).to_bytes(size, "big")
+    inputs = []
+    for start, lead in zip(range(0, size, width), leads):
+        end = start + width
+        inputs += (records[start + lead : end : 2], records[start + 1 - lead : end : 2])
+    return offsets, inputs
+
+
+def section_of(raw: bytes) -> bytes:
+    """Reduced section from its raw input (``even_section_inputs``)."""
+    return _reduce_child(raw[:-1].translate(None, _DROPPED), raw[-1])
 
 
 # _FIXED[q] holds the letters ``fixed_count`` counts at symbol q.

@@ -8,15 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from overgrowth.omega import first_third_symbol_index, parse_omega
+from overgrowth.omega import first_third_symbol_index, parse_omega, symbol_at
 from overgrowth.words import (
     SPINE_LETTERS,
+    even_section_inputs,
     fixed_count,
     parse_letters,
     reduce,
     render_letters,
+    section_of,
+    split_sections,
 )
-from overgrowth import cli, growth
+from overgrowth import cli, growth, words
 from overgrowth.elements import Element, equal, generator, is_identity, mul
 from overgrowth.growth import (
     GeodesicCapExceeded,
@@ -805,6 +808,123 @@ def test_lemma3_check_looks_up_each_distinct_section_once(monkeypatch):
     monkeypatch.setattr(growth.BallTable, "lookup", counting)
     assert lemma3_check(table) == expected
     assert len(asked) == len(set(asked)) == 471
+
+
+SPLIT_BALLS = [
+    ("(012)", 10, 0),
+    ("(012)", 9, 1),
+    ("(012)", 9, 2),
+    ("01(2)", 14, 0),
+    ("(0012)", 10, 0),
+    ("(01)", 14, 0),
+    ("(0)", 300, 0),
+    ("0(1)", 100, 0),
+]
+
+
+@pytest.mark.parametrize("text, radius, shift", SPLIT_BALLS)
+def test_column_split_matches_split_sections(text, radius, shift):
+    # Chunk by chunk, as lemma3_check reads a sphere, the column split picks
+    # the words with an even number of a's and gives the sections that
+    # split_sections gives each one.  The balls hold spheres of every
+    # length mod 4 (both leads even, one, none), chunks of one or two long
+    # words, and spheres of many chunks.
+    table = ball(text, radius, shift)
+    symbol = symbol_at(table.omega, table.shift + 1)
+    chunks, evens = [], []
+    for stratum in table.strata:
+        chunks.append(0)
+        evens.append(0)
+        for start in range(stratum.start, stratum.stop, growth._COLUMN_CHUNK):
+            chunk = table.entries[start : min(start + growth._COLUMN_CHUNK, stratum.stop)]
+            offsets, inputs = even_section_inputs(chunk, symbol)
+            even = [i for i, word in enumerate(chunk) if word.count(0) % 2 == 0]
+            assert list(offsets) == even
+            assert list(map(section_of, inputs)) == [
+                section for i in even for section in split_sections(chunk[i], symbol)[1:]
+            ]
+            chunks[-1] += 1
+            evens[-1] += len(even)
+    sizes = list(map(len, table.strata))
+    for n in range(1, radius + 1):
+        # Even words: all of the sphere, none, or those of one lead.
+        if n % 4 == 0:
+            assert evens[n] == sizes[n]
+        elif n % 4 == 2:
+            assert evens[n] == 0
+        else:
+            assert 0 < evens[n] < sizes[n]
+    if text == "(012)" and shift == 0:
+        # Sphere 10 spans six chunks and has no even word; sphere 8 spans
+        # two, all even.
+        assert (sizes[10], chunks[10], evens[10]) == (6127, 6, 0)
+        assert chunks[8] == 2 and evens[8] == sizes[8]
+    assert lemma3_check(table) == lemma3_every_lookup(table)
+
+
+def test_lemma3_check_splits_no_word_by_itself(monkeypatch):
+    table = ball("(012)", 10)
+    expected = lemma3_every_lookup(table)
+    # Building the shifted ball splits its generators' words: it is built
+    # before the patch.
+    shifted = enumerate_ball(table.omega, 1, 6)
+    monkeypatch.setattr(growth, "enumerate_ball", lambda *args: shifted)
+
+    def not_called(*args):
+        raise AssertionError("lemma3_check splits a sphere's words by columns")
+
+    monkeypatch.setattr(words, "split_reduce", not_called)
+    monkeypatch.setattr(words, "split_sections", not_called)
+    monkeypatch.setattr(growth, "split_reduce", not_called)
+    assert lemma3_check(table) == expected
+
+
+@pytest.mark.parametrize("kinds", [{"missing"}, {"too long"}, {"missing", "too long"}])
+def test_lemma3_lists_violations_in_id_order_across_both_leads(monkeypatch, kinds):
+    # Sphere 8 holds even words of both leads, a first and a spine letter.
+    # Some of their section words miss in the shifted ball, or come back as
+    # an id too long for the bound, or both: the record lists them as the
+    # oracle, which looks up every section, does, in (eid, side) order.
+    table = ball("(012)", 10)
+    symbol = symbol_at(table.omega, 1)
+    stratum = table.strata[8]
+    words_8 = table.entries[stratum.start : stratum.stop]
+    leads = [[w for w in words_8 if (w[0] == 0) == lead] for lead in (True, False)]
+    assert all(len(group) > 100 for group in leads)
+    missing, too_long = set(), set()
+    for group in leads:
+        for word in group[3::97]:
+            _, left, right = split_sections(word, symbol)
+            missing.add(left)
+            too_long.add(right)
+    too_long -= missing
+    if "missing" not in kinds:
+        missing = set()
+    if "too long" not in kinds:
+        too_long = set()
+    real = growth.BallTable.lookup
+
+    def patched(self, element, key=None):
+        if key is None and self.shift == 1:
+            if element.word in missing:
+                return None
+            if element.word in too_long:
+                # A length-5 id: past the bound (8 + 1) / 2 of sphere 8,
+                # and at that of sphere 9.
+                return self.strata[5].start
+        return real(self, element, key)
+
+    monkeypatch.setattr(growth.BallTable, "lookup", patched)
+    expected = lemma3_every_lookup(table)
+    rep = lemma3_check(table)
+    assert rep == expected
+    found = rep["violations"]
+    order = [(v["eid"], v["side"] == "right") for v in found]
+    assert order == sorted(order) and len(set(order)) == len(order)
+    in_8 = [v for v in found if v["eid"] in stratum]
+    assert {table.entries[v["eid"]][0] == 0 for v in in_8} == {True, False}
+    assert {"missing" if "detail" in v else "too long" for v in in_8} == kinds
+    assert not any(v.get("section_length") for v in found if v["eid"] in table.strata[9])
 
 
 def test_prop6():
