@@ -974,22 +974,15 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
         """Violations of ids start..stop - 1 of sphere n, in order."""
         offsets, inputs = even_section_inputs(table.entries[start:stop], sym)
         lengths = list(map(input_lengths.get, inputs))
-        # The chunk's new raw inputs, each looked up at its first
-        # occurrence; a miss is looked up again at each later one.
-        fresh = {}
         if None in lengths:
-            fresh = {
-                raw: length_of(raw) for raw in dict.fromkeys(inputs) if raw not in input_lengths
-            }
-            lengths = list(map(input_lengths.get, inputs))
+            # In order; a found raw input is cached, a miss looked up again
+            # at each later occurrence.
+            lengths = [input_lengths[r] if r in input_lengths else length_of(r) for r in inputs]
         # A section violates when its length exceeds (n + 1) / 2, on ints.
         if None not in lengths and 2 * max(lengths, default=0) <= n + 1:
             return []
         out = []
         for i, length in enumerate(lengths):
-            if length is None:
-                raw = inputs[i]
-                length = fresh.pop(raw) if raw in fresh else length_of(raw)
             eid, side = start + offsets[i >> 1], ("left", "right")[i & 1]
             if length is None:
                 # The shifted ball's radius covers every section's length.

@@ -356,23 +356,15 @@ def even_section_inputs(words: list[bytes], symbol: int) -> tuple[Sequence[int],
     size = len(spine)
     width = size // len(offsets)
     x = int.from_bytes(spine.translate(_UNPAD), "big")
-    if len(offsets) == 1:
-        # One record: what a shift moves past its end drops off.
-        step = 2
-        while step < width:
-            x ^= x >> 8 * step
-            step <<= 1
-        x >>= 8
-    else:
-        # Masks that clear the first byte, and the first ``step`` bytes, of
-        # every record; each is the last one AND-ed with itself shifted.
-        first = int.from_bytes((b"\0" + b"\xff" * (width - 1)) * len(offsets), "big")
-        mask, step = first & first >> 8, 2
-        while step < width:
-            x ^= (x >> 8 * step) & mask
-            mask &= mask >> 8 * step
-            step <<= 1
-        x = (x >> 8) & first
+    # Masks that clear the first byte, and the first ``step`` bytes, of
+    # every record; each is the last one AND-ed with itself shifted.
+    first = int.from_bytes((b"\0" + b"\xff" * (width - 1)) * len(offsets), "big")
+    mask, step = first & first >> 8, 2
+    while step < width:
+        x ^= (x >> 8 * step) & mask
+        mask &= mask >> 8 * step
+        step <<= 1
+    x = (x >> 8) & first
     records = (x | int.from_bytes(spine.translate(_DROP[symbol]), "big")).to_bytes(size, "big")
     inputs = []
     for start, lead in zip(range(0, size, width), leads):
