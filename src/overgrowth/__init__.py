@@ -21,13 +21,11 @@ from .words import (
     parse_letters,
     reduce,
     render_letters,
-    spine_mul,
 )
 from .elements import (
     ContextMismatch,
     Element,
     OddParityError,
-    Portrait,
     WreathDecomposition,
     act,
     decompose,

@@ -186,8 +186,7 @@ def cmd_portrait(args, cfg: RunConfig) -> dict:
             f"a portrait to depth {args.depth} has 2^{args.depth} - 1 labels, "
             f"more than the budget of {cfg.budget}"
         )
-    pic = portrait(_element(args, cfg, args.word), args.depth)
-    return {"depth": pic.depth, "labels": pic.labels}
+    return {"depth": args.depth, "labels": portrait(_element(args, cfg, args.word), args.depth)}
 
 
 def cmd_order(args, cfg: RunConfig) -> dict:
@@ -430,8 +429,7 @@ def _suite_prop6(cfg: RunConfig, radius: int) -> dict:
     )
     reps = {}
     for omega in targets:
-        deg_radius = radius if len(omega.preperiod) == 0 else min(radius, 10)
-        reps[str(omega)] = gr.prop6_check(omega, radius, cfg.budget, degree_radius=deg_radius)
+        reps[str(omega)] = gr.prop6_check(omega, radius, cfg.budget)
     return {
         "checks": len(targets),
         "violations": [v for rep in reps.values() for v in rep["violations"]],

@@ -84,14 +84,6 @@ class WreathDecomposition:
     right: Element
 
 
-@dataclass(frozen=True)
-class Portrait:
-    """Swap/fix labels at every internal vertex of depth below ``depth``."""
-
-    depth: int
-    labels: dict
-
-
 def _first_swap_level(letter: int, omega: OmegaSpec, shift: int) -> Optional[int]:
     """First level of its spine at which a spine letter swaps, or None: a
     letter that swaps at none of the symbols still to come is trivial."""
@@ -129,14 +121,15 @@ def act(g: Element, vertex: str) -> str:
     return "".join(out)
 
 
-def portrait(g: Element, depth: int) -> Portrait:
-    """``signature`` unpacked: it packs the labels in preorder, which is
-    the sorted order of the vertex strings."""
+def portrait(g: Element, depth: int) -> dict[str, str]:
+    """Swap (``P``) or fix (``I``) label of every internal vertex of depth
+    below ``depth``: ``signature`` unpacked.  It packs the labels in
+    preorder, which is the sorted order of the vertex strings."""
     bits = signature(g, depth)
     n = (1 << depth) - 1
     flags = format(bits, f"0{n}b")[::-1].replace("0", "I").replace("1", "P")
     vertices = sorted(bin(m)[3:] for m in range(1, n + 1))
-    return Portrait(depth, dict(zip(vertices, flags)))
+    return dict(zip(vertices, flags))
 
 
 def signature(g: Element, depth: int) -> int:

@@ -824,8 +824,9 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
     levels is at most |W| + 2^s - 1 - x0 - y_{t-1} - z_{s-1} - sum(alpha_i,
     i < s), where t marks the first position of the second distinct symbol
     and the x/y/z roles follow the actual first/second/third symbols.  A
-    minimal word that is not reduced is a part-A violation of its own
-    (``detail: "not reduced"``), as the bound is stated for reduced words.
+    minimal word cannot be unreduced, since reducing it would give a
+    shorter word for the same element: one that is raises ``RuntimeError``,
+    a fault of the tool and not a counterexample to the lemma.
 
     Part B (gated on radius * epsilon > 5/2): every spread minimal word of
     length n = radius (no non-``a`` letter above (1/2 - epsilon) * n) of
@@ -860,10 +861,9 @@ def lemma11_check(table: BallTable, epsilon) -> dict:
         for eid in stab_ids:
             for w in geodesic_words(table, eid):
                 if reduce(w).contractions:
-                    violations_a.append(
-                        {"eid": eid, "word": render_letters(w), "detail": "not reduced"}
+                    raise RuntimeError(
+                        f"minimal word {render_letters(w)} of element {eid} is not reduced"
                     )
-                    continue
                 trace = level_section_trace(Element(w, omega_here, table.shift), s)
                 checked += 1
                 n_w = len(w)
@@ -1010,19 +1010,15 @@ def lemma3_check(table: BallTable, budget: int = DEFAULT_BUDGET) -> dict:
     }
 
 
-def prop6_check(
-    omega: OmegaSpec,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    degree_radius: Optional[int] = None,
-) -> dict:
+def prop6_check(omega: OmegaSpec, n: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Eventually-constant collapse: past the preperiod the distinct
-    generators reduce to {identity, a, x} and growth is exactly 2n + 1;
-    the unshifted ball yields a polynomial-degree estimate (None when that
-    ball has fewer than 3 spheres).  A failed collapse or growth check is
-    one violation, the generators' collapse its detail.  When a ball hits
-    the budget, growth is checked up to the ``radius`` it completed and
-    ``complete`` is unset."""
+    generators reduce to {identity, a, x} and growth is exactly 2n + 1.
+    The unshifted ball, of radius n with no preperiod and min(n, 10) with
+    one, yields a polynomial-degree estimate (None when that ball has fewer
+    than 3 spheres).  A failed collapse or growth check is one violation,
+    the generators' collapse its detail.  When a ball hits the budget,
+    growth is checked up to the ``radius`` it completed and ``complete`` is
+    unset."""
     if classify(omega).kind is not OmegaKind.OMEGA2:
         raise ValueError("sequence must be eventually constant")
     pre = len(omega.preperiod)
@@ -1046,10 +1042,7 @@ def prop6_check(
     table = enumerate_ball(omega, pre, n, budget)
     g_shifted = table.gamma()
     dihedral_ok = g_shifted == [2 * k + 1 for k in range(table.radius + 1)]
-    deg_radius = degree_radius if degree_radius is not None else n
-    unshifted = table
-    if pre or deg_radius != n:
-        unshifted = enumerate_ball(omega, 0, deg_radius, budget)
+    unshifted = enumerate_ball(omega, 0, min(n, 10), budget) if pre else table
     g_unshifted = unshifted.gamma()
     degree = (
         math.log(g_unshifted[-1]) / math.log(len(g_unshifted) - 1)

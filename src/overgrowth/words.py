@@ -47,13 +47,6 @@ class WordParseError(ValueError):
         self.position = position
 
 
-def spine_mul(k1: int, k2: int) -> int:
-    """Product of two non-``a`` letters (0 = the trivial letter)."""
-    if not (0 <= k1 <= 7 and 0 <= k2 <= 7):
-        raise ValueError("letters are encoded as 0..7")
-    return k1 ^ k2
-
-
 def letter_label(k: int, symbol: int) -> bool:
     """True when letter k swaps the two children at a level carrying ``symbol``.
 
@@ -113,13 +106,10 @@ def reduce(raw: Iterable[int]) -> ReductionReceipt:
     then dropped) each count as one contraction.
 
     The letters' phases (``_PHASE``) are constant along an alternating run
-    and change exactly where two adjacent letters of one kind clash.  So
-    one ``in`` test finds a reduced word, returned as it is, and one
-    ``find`` finds where each run ends; a run that does not clash with the
-    top of the stack goes on it as one slice.  Only a clashing letter is
-    stacked on its own: ``a a`` cancels, two spine letters merge by XOR and
-    the merge drops out when trivial.  The stack alternates, so a letter
-    clashes with its top at most once.
+    and change exactly where two adjacent letters of one kind clash, so
+    one ``in`` test finds a reduced word, returned as it is.  Otherwise
+    each letter is pushed in turn: ``a a`` cancels, two spine letters merge
+    by XOR and the merge drops out when trivial.
     """
     if isinstance(raw, int):
         raise TypeError("letters must be an iterable of ints")
@@ -137,21 +127,14 @@ def reduce(raw: Iterable[int]) -> ReductionReceipt:
         return ReductionReceipt(word, 0)
     stack = bytearray()
     alpha = 0
-    i = 0
-    while i < n:
-        let = word[i]
+    for let in word:
         if stack and (stack[-1] == A) == (let == A):
             let ^= stack.pop()
             alpha += 1
             if let:
                 stack.append(let)
-            i += 1
         else:
-            end = phase.find(3 - phase[i], i)
-            if end < 0:
-                end = n
-            stack += word[i:end]
-            i = end
+            stack.append(let)
     return ReductionReceipt(bytes(stack), alpha)
 
 

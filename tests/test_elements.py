@@ -185,18 +185,16 @@ def test_act_is_automorphism_on_prefixes():
 
 
 def test_portrait_examples():
-    pic = portrait(generator("a", W012), 2)
-    assert pic.labels == {"": "P", "0": "I", "1": "I"}
+    assert portrait(generator("a", W012), 2) == {"": "P", "0": "I", "1": "I"}
 
-    pic = portrait(generator("b", W012), 3)
-    assert pic.labels == {
+    assert portrait(generator("b", W012), 3) == {
         "": "I", "0": "P", "1": "I", "00": "I", "01": "I", "10": "P", "11": "I",
     }
 
     for depth in (0, 1, 4):
-        pic = portrait(Element.identity(W012), depth)
-        assert set(pic.labels.values()) <= {"I"}
-        assert len(pic.labels) == (1 << depth) - 1
+        labels = portrait(Element.identity(W012), depth)
+        assert set(labels.values()) <= {"I"}
+        assert len(labels) == (1 << depth) - 1
 
 
 def packed_labels(labels, depth, prefix=""):
@@ -217,7 +215,7 @@ def test_portrait_matches_letterwise_oracle():
         omega = rng.choice(OMEGA_MATRIX)
         raw = random_raw_word(rng, 8)
         g = Element.from_letters(raw, omega)
-        assert portrait(g, 4).labels == portrait_via_act(raw, omega, 0, 4)
+        assert portrait(g, 4) == portrait_via_act(raw, omega, 0, 4)
     # From 128 letters on a word's sections are split in bulk at the root.
     for omega, depth in zip(OMEGA_MATRIX, (6, 7, 8, 6, 7)):
         shift = rng.randrange(omega.cycle_length)
@@ -225,7 +223,7 @@ def test_portrait_matches_letterwise_oracle():
         word = bytes(x for k in spine for x in (0, k))
         g = Element(word, omega, shift)
         labels = portrait_via_act(word, omega, shift, depth)
-        assert portrait(g, depth).labels == labels
+        assert portrait(g, depth) == labels
         assert signature(g, depth) == packed_labels(labels, depth)
         images = bytes(
             int(act_word(word, omega, shift, format(i, f"0{depth}b")), 2)
@@ -240,7 +238,7 @@ def test_portrait_matches_letterwise_oracle():
         g = Element.from_letters(raw, omega, shift)
         for depth in (0, 1, 9, 10):
             labels = portrait_via_act(raw, omega, shift, depth)
-            assert portrait(g, depth).labels == labels
+            assert portrait(g, depth) == labels
             assert signature(g, depth) == packed_labels(labels, depth)
     for g in (Element.identity(W012), el("a b a c")):
         with pytest.raises(ValueError, match="depth must be nonnegative"):
@@ -326,7 +324,7 @@ def test_identity_iff_deep_portrait_trivial():
         g = Element.from_letters(random_raw_word(rng, 8), omega)
         assert is_identity(g) == (signature(g, 14) == 0)
         if i < 10:
-            assert is_identity(g) == (set(portrait(g, 14).labels.values()) == {"I"})
+            assert is_identity(g) == (set(portrait(g, 14).values()) == {"I"})
 
 
 def test_stabilizes_level_matches_oracle():

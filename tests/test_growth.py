@@ -933,9 +933,14 @@ def test_prop6():
     rep = prop6_check(W0, 12)
     assert (rep["violations"], rep["radius"], rep["complete"]) == ([], 12, True)
     assert rep["degree_estimate"] == pytest.approx(math.log(25) / math.log(12))
-    rep = prop6_check(parse_omega("01(2)"), 8, degree_radius=6)
+    rep = prop6_check(parse_omega("01(2)"), 8)
     assert rep["violations"] == [] and rep["complete"]
     assert rep["collapsed_set"] == ["a", "x"]
+    # With a preperiod the degree comes from the unshifted ball of radius
+    # min(n, 10).
+    rep = prop6_check(parse_omega("01(2)"), 12)
+    gamma = enumerate_ball(parse_omega("01(2)"), 0, 10).gamma()
+    assert rep["degree_estimate"] == pytest.approx(math.log(gamma[10]) / math.log(10))
     with pytest.raises(ValueError):
         prop6_check(W012, 4)
 
