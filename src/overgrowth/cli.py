@@ -23,11 +23,10 @@ import math
 import os
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from hashlib import sha256
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .omega import (
@@ -72,8 +71,7 @@ EQ2_LEFT_COORDINATES = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     omega: Optional[OmegaSpec]
     budget: int
     seed: int

@@ -9,9 +9,8 @@ descent terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .omega import OmegaSpec, first_positions, shift_normalize, symbol_at
 from .words import (
@@ -33,8 +32,7 @@ class OddParityError(ValueError):
     """Sections requested for an element outside the level-one stabilizer."""
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     word: bytes
     omega: OmegaSpec
     shift: int
@@ -77,8 +75,7 @@ def all_generators(omega: OmegaSpec, shift: int = 0) -> tuple[Element, ...]:
     return tuple(generator(k, omega, shift) for k in range(8))
 
 
-@dataclass(frozen=True)
-class WreathDecomposition:
+class WreathDecomposition(NamedTuple):
     top_swap: bool
     left: Element
     right: Element

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .omega import (
     OmegaKind,
@@ -85,6 +84,8 @@ class NotLevelStabilizer(ValueError):
 
 def as_fraction(value) -> Fraction:
     """Exact rational from int/str/Fraction, or a float via its repr."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(value)
@@ -535,8 +536,7 @@ def _f_type_words(table: BallTable, eid: int, threshold: int) -> tuple:
     return words if all(_max_spine_count(w) > threshold for w in words) else ()
 
 
-@dataclass(frozen=True)
-class GeodesicClassification:
+class GeodesicClassification(NamedTuple):
     F: frozenset
     D: frozenset
 
@@ -669,8 +669,7 @@ def lemma9_report(delta, k_max: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Lemma8Result:
+class Lemma8Result(NamedTuple):
     mapped: bytes
     n_prime: int
     delta: Fraction
@@ -678,6 +677,21 @@ class Lemma8Result:
 
 class LemmaViolation(AssertionError):
     """A checked inequality failed; the message carries the counterexample."""
+
+
+def _lemma8_fault(n: int, n_prime: int, top: int, eps: Fraction) -> Optional[str]:
+    """The first of ``lemma8_map``'s inequalities that fails for a word of
+    length n whose mapped word has n_prime letters, the most frequent of
+    them ``top`` times, or None.  All in integers: with eps = p/q,
+    (1 - delta) * n' = n' * ((q - 2p)(n - 1) - 3q) / (q(n - 1))."""
+    if n - 1 > 2 * n_prime:
+        return f"n'={n_prime} below (n-1)/2"
+    if 2 * n_prime > n + 1:
+        return f"n'={n_prime} above (n+1)/2"
+    p, q = eps.numerator, eps.denominator
+    if n_prime and top * q * (n - 1) <= n_prime * ((q - 2 * p) * (n - 1) - 3 * q):
+        return "no letter above (1-delta)n' after deletion"
+    return None
 
 
 def lemma8_map(letters: Iterable[int], epsilon) -> Lemma8Result:
@@ -693,16 +707,11 @@ def lemma8_map(letters: Iterable[int], epsilon) -> Lemma8Result:
     eps = as_fraction(epsilon)
     mapped = w.replace(b"\0", b"")
     n_prime = len(mapped)
-    delta = 2 * eps + Fraction(3, n - 1)
-    if not Fraction(n - 1, 2) <= n_prime:
-        raise LemmaViolation(f"{render_letters(w)}: n'={n_prime} below (n-1)/2")
-    if not n_prime <= Fraction(n + 1, 2):
-        raise LemmaViolation(f"{render_letters(w)}: n'={n_prime} above (n+1)/2")
-    if n_prime and not _max_spine_count(mapped) > (1 - delta) * n_prime:
-        raise LemmaViolation(
-            f"{render_letters(w)}: no letter above (1-delta)n' after deletion"
-        )
-    return Lemma8Result(mapped, n_prime, delta)
+    fault = _lemma8_fault(n, n_prime, _max_spine_count(mapped), eps)
+    if fault:
+        raise LemmaViolation(f"{render_letters(w)}: {fault}")
+    p, q = eps.numerator, eps.denominator
+    return Lemma8Result(mapped, n_prime, Fraction(2 * p * (n - 1) + 3 * q, q * (n - 1)))
 
 
 def lemma8_check(table: BallTable, epsilon) -> dict:
@@ -755,8 +764,7 @@ def lemma8_check(table: BallTable, epsilon) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     words: tuple  # bytes at shift + level, in vertex order
     alpha: int
 

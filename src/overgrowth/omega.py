@@ -8,9 +8,8 @@ with equality of the sequences they denote.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ALPHABET = "012"
 
@@ -31,13 +30,13 @@ def _primitive(period: str) -> str:
     return period
 
 
-@dataclass(frozen=True)
 class OmegaSpec:
     """Canonical ``preperiod(period)`` presentation of an eventual period.
 
     Canonicalization happens in the constructor: the period is replaced by
     its primitive root and the preperiod is shortened as long as its last
-    symbol matches the last symbol of the (rotated) period.
+    symbol matches the last symbol of the (rotated) period.  A spec is
+    immutable: assigning or deleting an attribute raises ``AttributeError``.
 
     The spec also owns the identity memo of its group, ``trivial``: the
     answers of ``elements.is_identity`` keyed by ``(shift, word)``.  It is
@@ -45,22 +44,43 @@ class OmegaSpec:
     they have memoized.
     """
 
-    preperiod: str
-    period: str
-    trivial: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("preperiod", "period", "trivial")
 
-    def __post_init__(self):
-        for ch in self.preperiod + self.period:
+    def __init__(self, preperiod: str, period: str):
+        for ch in preperiod + period:
             if ch not in ALPHABET:
                 raise ValueError(f"illegal symbol {ch!r}")
-        if not self.period:
+        if not period:
             raise ValueError("period must be nonempty")
-        pre, per = self.preperiod, _primitive(self.period)
+        pre, per = preperiod, _primitive(period)
         while pre and pre[-1] == per[-1]:
             per = per[-1] + per[:-1]
             pre = pre[:-1]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
+        object.__setattr__(self, "trivial", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Unpickling would assign the slots, which __setattr__ refuses: a
+        # copy is rebuilt by the constructor, with an empty memo.
+        return OmegaSpec, (self.preperiod, self.period)
+
+    def __eq__(self, other):
+        if other.__class__ is not OmegaSpec:
+            return NotImplemented
+        return self.preperiod == other.preperiod and self.period == other.period
+
+    def __hash__(self) -> int:
+        return hash((self.preperiod, self.period))
+
+    def __repr__(self) -> str:
+        return f"OmegaSpec(preperiod={self.preperiod!r}, period={self.period!r})"
 
     @property
     def cycle_length(self) -> int:
@@ -77,8 +97,7 @@ class OmegaKind(Enum):
     OMEGA2 = "Omega2"
 
 
-@dataclass(frozen=True)
-class OmegaClass:
+class OmegaClass(NamedTuple):
     kind: OmegaKind
     star_window: Optional[int]
     two_symbol: bool

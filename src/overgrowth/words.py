@@ -16,9 +16,8 @@ raw inputs that ``section_of`` reduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 A = 0
 X = 4
@@ -86,8 +85,7 @@ def a_count(word: bytes) -> int:
     return (len(word) + (word[:1] == b"\0")) // 2
 
 
-@dataclass(frozen=True)
-class ReductionReceipt:
+class ReductionReceipt(NamedTuple):
     word: bytes
     contractions: int
 

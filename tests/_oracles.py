@@ -437,6 +437,19 @@ def lemma8_every_word(table, epsilon) -> dict:
     return report
 
 
+def lemma8_fault_fractions(n: int, n_prime: int, top: int, eps: Fraction) -> Optional[str]:
+    """``growth._lemma8_fault`` by the ``Fraction`` comparisons that
+    ``lemma8_map`` made before it checked in integers."""
+    if not Fraction(n - 1, 2) <= n_prime:
+        return f"n'={n_prime} below (n-1)/2"
+    if not n_prime <= Fraction(n + 1, 2):
+        return f"n'={n_prime} above (n+1)/2"
+    delta = 2 * eps + Fraction(3, n - 1)
+    if n_prime and not top > (1 - delta) * n_prime:
+        return "no letter above (1-delta)n' after deletion"
+    return None
+
+
 def lemma3_every_lookup(table, budget: int = growth.DEFAULT_BUDGET) -> dict:
     """``growth.lemma3_check`` looking every section up in the shifted ball,
     however often the same section word recurs."""

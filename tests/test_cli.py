@@ -484,6 +484,63 @@ def test_growth_refuses_a_hard_link_of_the_report_as_export(capsys, tmp_path):
     assert path.read_bytes() == b"kept\n"
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize: about a third of
+    # a CLI run's start-up.  site may preload modules, so the modules the
+    # import adds are counted against a bare interpreter started the same way.
+    def modules(statement):
+        code = f"{statement}; import sys; print(' '.join(sys.modules))"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return set(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True, text=True,
+        ).stdout.split())
+
+    added = modules("import overgrowth.cli") - modules("pass")
+    assert "overgrowth.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_no_report_serializes_a_record(tmp_path, monkeypatch):
+    # The package's records are NamedTuples, which json writes as bare
+    # lists.  Every JSON report goes through _json_text: none may hold one.
+    def records(obj):
+        if isinstance(obj, dict):
+            return [r for k, v in obj.items() for r in records(k) + records(v)]
+        if isinstance(obj, (list, tuple)):
+            own = [obj] if hasattr(obj, "_fields") else []
+            return own + [r for item in obj for r in records(item)]
+        return []
+
+    payloads = []
+
+    def checked(payload):
+        payloads.append(payload)
+        assert records(payload) == []
+        return json_text(payload)
+
+    json_text = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", checked)
+    for argv in (
+        ["classify", "--omega", "0(12)"],
+        ["reduce", "--word", "B x a a b"],
+        ["equal", "--omega", "(01)", "--w1", "b", "--w2", "x"],
+        ["identity", "--omega", "(0)", "--word", "d"],
+        ["act", "--omega", "(012)", "--word", "a b", "--vertex", "0110"],
+        ["sections", "--omega", "(012)", "--word", "b a c a", "--shift", "1"],
+        ["portrait", "--omega", "(012)", "--word", "x", "--depth", "3"],
+        ["order", "--omega", "(012)", "--word", "a d"],
+        ["growth", "--omega", "(012)", "--radius", "4", "--format", "json",
+         "--export-ball", str(tmp_path / "ball.jsonl")],
+        ["verify", "--suite", "all", "--radius", "5"],
+    ):
+        assert main(argv) == 0, argv
+    assert len(payloads) == 10
+    # The export lines are written as bytes, not by json: each parses to
+    # plain fields.
+    for line in (tmp_path / "ball.jsonl").read_text(encoding="utf-8").splitlines():
+        assert sorted(json.loads(line)) == ["id", "length", "portrait_hash", "word"]
+
+
 def test_no_assert_statement_in_src():
     # python -O strips every assert, so no check in a report may be one.
     found = [

@@ -421,3 +421,19 @@ def test_element_text_round_trip():
     assert parse_element(str(g)) == g
     assert parse_element("b @ 1 @ (012)").shift == 1
     assert parse_element("", W012).length == 0
+
+
+def test_element_is_an_immutable_value():
+    g = el("a b a c")
+    with pytest.raises(AttributeError):
+        g.word = b""
+    with pytest.raises(AttributeError):
+        del g.shift
+    # Equality and hashing go by (word, omega, shift): over an equal spec
+    # with its own identity memo the element is equal, and it is equal to
+    # the plain tuple of its fields.
+    h = Element(g.word, parse_omega("(012)"), 0)
+    assert g == h and hash(g) == hash(h)
+    assert g == (g.word, W012, 0)
+    assert g != el("a b a c", W012, 1) and g != el("a b a d") and g != el("a b a c", W01)
+    assert len({g, h, el("a b a c", W012, 1)}) == 2

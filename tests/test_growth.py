@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -49,6 +50,7 @@ from _oracles import (
     identity_to_depth,
     lemma3_every_lookup,
     lemma8_every_word,
+    lemma8_fault_fractions,
     reduce_stack_pass,
     split_letters,
 )
@@ -140,6 +142,16 @@ def test_equal_specs_keep_separate_memos():
     assert warm.trivial
     assert cold.trivial == {}
     assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == "OmegaSpec(preperiod='', period='012')"
+    # A spec is immutable, its memo included; a pickled copy is equal and
+    # starts with an empty memo.
+    for name in ("preperiod", "period", "trivial"):
+        with pytest.raises(AttributeError):
+            setattr(warm, name, "")
+        with pytest.raises(AttributeError):
+            delattr(warm, name)
+    copy = pickle.loads(pickle.dumps(warm))
+    assert copy == warm and hash(copy) == hash(warm) and copy.trivial == {}
     t2 = enumerate_ball(cold, 0, 5)
     assert t1.entries == t2.entries
     assert ball_links(t1) == ball_links(t2)
@@ -387,6 +399,28 @@ def test_lemma8_inequalities_hold_for_every_f_type_count():
                     assert m > line, (n, eps, n_prime, m)
                     cases += 1
     assert cases == 111_163
+
+
+def test_lemma8_integer_rule_matches_fractions():
+    # lemma8_map's integer inequalities against the Fraction ones they
+    # replaced: every length n, every count n' of mapped letters, and the
+    # top letter counts on both sides of the (1 - delta) n' line, plus 0
+    # and n'.  Only n' with (n - 1)/2 <= n' <= (n + 1)/2 reach the line.
+    faults = set()
+    for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(8, 25), Fraction(49, 100)):
+        for n in range(2, 401):
+            for n_prime in range(n + 1):
+                if n - 1 <= 2 * n_prime <= n + 1:
+                    line = math.floor((1 - 2 * eps - Fraction(3, n - 1)) * n_prime)
+                    tops = {0, n_prime} | set(range(line - 1, line + 3))
+                else:
+                    tops = {n_prime // 2}
+                for top in (t for t in tops if 0 <= t <= n_prime):
+                    want = lemma8_fault_fractions(n, n_prime, top, eps)
+                    assert growth._lemma8_fault(n, n_prime, top, eps) == want, (
+                        n, n_prime, top, eps)
+                    faults.add(want and want.split()[1])
+    assert faults == {None, "below", "above", "letter"}
 
 
 def test_lemma8_check_clean():
